@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet chaos crash bench fuzz overhead all
+.PHONY: build test race vet chaos crash bench bench-record fuzz overhead all
 
 all: build vet test
 
@@ -15,10 +15,12 @@ test:
 # injection, the node layer, and the lock-free metrics registry feeding all
 # of them.
 race:
-	$(GO) test -race ./internal/consensus/... ./internal/node/... ./internal/p2p/... ./internal/metrics/... ./internal/bench/... ./internal/storage/... ./internal/gateway/... ./internal/confassets/... ./internal/cvm/... ./internal/pipeline/...
+	$(GO) test -race ./internal/consensus/... ./internal/node/... ./internal/p2p/... ./internal/metrics/... ./internal/bench/... ./internal/storage/... ./internal/gateway/... ./internal/confassets/... ./internal/cvm/... ./internal/pipeline/... ./internal/core/...
 
+# gofmt -l prints the files it would rewrite; any name is a failure.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # Seeded chaos drill: message loss, a leader crash/restart and a
 # partition/heal, ending in verified convergence certified against the
@@ -49,14 +51,21 @@ crash:
 bench:
 	$(GO) run ./cmd/benchrunner -exp all -quick
 
+# The benchmark of record (BENCHMARK.json): every workload untraced then
+# traced, each in a process of its own. A run that fails its correctness
+# gate exits non-zero.
+bench-record:
+	bash benchmark/run.sh -seed 1
+
 # Native fuzzing over the attack-surface decoders: RLP/wire formats, the
-# CCLE codec and schema parser, envelope opening, and the gateway's HTTP
-# request decode path. One target per invocation is a go tool limitation.
+# CCLE codec and schema parser, envelope and key-relay opening, and the
+# gateway's HTTP request decode path. One target per invocation is a go tool limitation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRLPDecode -fuzztime=$(FUZZTIME) ./internal/chain/
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecoders -fuzztime=$(FUZZTIME) ./internal/chain/
 	$(GO) test -run='^$$' -fuzz=FuzzCodecDecode -fuzztime=$(FUZZTIME) ./internal/ccle/
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchema -fuzztime=$(FUZZTIME) ./internal/ccle/
+	$(GO) test -run='^$$' -fuzz=FuzzAdoptKeyRelay -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzOpenEnvelope -fuzztime=$(FUZZTIME) ./internal/crypto/
 	$(GO) test -run='^$$' -fuzz=FuzzOpenAEAD -fuzztime=$(FUZZTIME) ./internal/crypto/
 	$(GO) test -run='^$$' -fuzz=FuzzEpochHeader -fuzztime=$(FUZZTIME) ./internal/keyepoch/

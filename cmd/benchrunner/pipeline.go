@@ -196,7 +196,7 @@ func runPipelineCell(c plCell, window time.Duration) (plRow, error) {
 	// Pre-sealing runs before the driver starts: it saturates the container's
 	// single core, and a saturated core starves consensus heartbeats into
 	// spurious view changes.
-	need := int(float64(c.depth)*450*(warm + window + 500*time.Millisecond).Seconds()) + 1200
+	need := int(float64(c.depth)*450*(warm+window+500*time.Millisecond).Seconds()) + 1200
 	stock, err := pregenPipelineTxs(pk, epoch, addr, confidential, c.hot, need)
 	if err != nil {
 		return plRow{}, err

@@ -11,9 +11,9 @@ import (
 // the parsed item reproduces the input byte-for-byte, and decoding that
 // again yields an identical tree.
 func FuzzRLPDecode(f *testing.F) {
-	f.Add([]byte{0x80})       // empty string
-	f.Add([]byte{0xc0})       // empty list
-	f.Add([]byte{0x7f})       // single byte, self-encoding
+	f.Add([]byte{0x80}) // empty string
+	f.Add([]byte{0xc0}) // empty list
+	f.Add([]byte{0x7f}) // single byte, self-encoding
 	f.Add(Encode(String("confide")))
 	f.Add(Encode(Uint(1 << 40)))
 	f.Add(Encode(List(Uint(7), String("nested"), List(Bytes([]byte{0, 1, 2})))))
@@ -72,6 +72,15 @@ func FuzzWireDecoders(f *testing.F) {
 	f.Add(tx.Encode())
 	f.Add(rpt.Encode())
 	f.Add(blk.Encode())
+	// The proposed-block shapes: tag alone, tag and key relay, a relay under
+	// an empty tag, and one trailer too many.
+	blk.VerifyTag = bytes.Repeat([]byte{6}, 40)
+	f.Add(blk.Encode())
+	blk.KeyRelay = bytes.Repeat([]byte{7}, 8+28+32)
+	f.Add(blk.Encode())
+	blk.VerifyTag = nil
+	f.Add(blk.Encode())
+	f.Add(Encode(List(Bytes(blk.HeaderBytes()), List(Bytes(tx.Encode())), Bytes([]byte{6}), Bytes([]byte{7}), Bytes([]byte{8}))))
 	f.Add([]byte{})
 	f.Add([]byte{0xc1, 0xc0})
 
@@ -92,8 +101,12 @@ func FuzzWireDecoders(f *testing.F) {
 			}
 		}
 		if b, err := DecodeBlock(data); err == nil {
-			if _, err := DecodeBlock(b.Encode()); err != nil {
+			b2, err := DecodeBlock(b.Encode())
+			if err != nil {
 				t.Fatalf("Block round trip: %v", err)
+			}
+			if !bytes.Equal(b2.VerifyTag, b.VerifyTag) || !bytes.Equal(b2.KeyRelay, b.KeyRelay) || b2.Hash() != b.Hash() {
+				t.Fatalf("Block round trip changed the block: %x", data)
 			}
 		}
 	})

@@ -272,10 +272,18 @@ type Header struct {
 // header so the block hash (and with it SPV proofs and the prev-hash
 // chain) is unchanged; followers that cannot validate the tag simply fall
 // back to full per-transaction verification.
+//
+// KeyRelay, when present, is the proposer enclave's sealed hand-off of the
+// one-time keys of the block's confidential transactions (block order) to
+// the follower enclaves, which spares them the envelope's private-key open.
+// It is transport only: it rides with the proposed block outside the header,
+// like the tag, and the node strips it before the block is stored, so a
+// block read back from a store or a sync response decodes with none.
 type Block struct {
 	Header    Header
 	Txs       []*Tx
 	VerifyTag []byte
+	KeyRelay  []byte
 }
 
 // HeaderBytes returns the canonical header encoding.
@@ -310,10 +318,14 @@ func (b *Block) Encode() []byte {
 	for i, tx := range b.Txs {
 		txs[i] = Bytes(tx.Encode())
 	}
-	if len(b.VerifyTag) > 0 {
-		return Encode(List(Bytes(b.HeaderBytes()), List(txs...), Bytes(b.VerifyTag)))
+	items := []Item{Bytes(b.HeaderBytes()), List(txs...)}
+	if len(b.VerifyTag) > 0 || len(b.KeyRelay) > 0 {
+		items = append(items, Bytes(b.VerifyTag))
 	}
-	return Encode(List(Bytes(b.HeaderBytes()), List(txs...)))
+	if len(b.KeyRelay) > 0 {
+		items = append(items, Bytes(b.KeyRelay))
+	}
+	return Encode(List(items...))
 }
 
 // DecodeBlock reverses Block.Encode.
@@ -322,7 +334,7 @@ func DecodeBlock(data []byte) (*Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chain: malformed block: %w", err)
 	}
-	if !it.IsList || len(it.List) < 2 || len(it.List) > 3 || !it.List[1].IsList {
+	if !it.IsList || len(it.List) < 2 || len(it.List) > 4 || !it.List[1].IsList {
 		return nil, errors.New("chain: malformed block")
 	}
 	hdr, err := Decode(it.List[0].Str)
@@ -354,13 +366,18 @@ func DecodeBlock(data []byte) (*Block, error) {
 		}
 		b.Txs = append(b.Txs, tx)
 	}
-	if len(it.List) == 3 {
-		if it.List[2].IsList {
-			return nil, errors.New("chain: malformed block verify tag")
+	// The optional trailers: verify tag, then key relay.
+	trailers := it.List[2:]
+	for _, trailer := range trailers {
+		if trailer.IsList {
+			return nil, errors.New("chain: malformed block trailer")
 		}
-		if len(it.List[2].Str) > 0 {
-			b.VerifyTag = append([]byte(nil), it.List[2].Str...)
-		}
+	}
+	if len(trailers) > 0 && len(trailers[0].Str) > 0 {
+		b.VerifyTag = append([]byte(nil), trailers[0].Str...)
+	}
+	if len(trailers) > 1 && len(trailers[1].Str) > 0 {
+		b.KeyRelay = append([]byte(nil), trailers[1].Str...)
 	}
 	return &b, nil
 }

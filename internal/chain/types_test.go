@@ -154,6 +154,55 @@ func TestBlockRoundTripAndTxRoot(t *testing.T) {
 	}
 }
 
+// TestBlockTrailers covers the two optional trailers that ride outside the
+// header: neither changes the block hash, each survives a round trip, and a
+// block re-encoded without its relay is byte-for-byte the tag-only block —
+// which is what makes the stored form identical on every replica.
+func TestBlockTrailers(t *testing.T) {
+	b := &Block{
+		Header: Header{Height: 3, Proposer: 1},
+		Txs:    []*Tx{{Type: TxTypeConfidential, Payload: []byte("envelope")}},
+	}
+	b.ComputeTxRoot()
+	bare := b.Encode()
+	b.VerifyTag = []byte("tag")
+	tagged := b.Encode()
+	b.KeyRelay = []byte("relay")
+	full := b.Encode()
+
+	back, err := DecodeBlock(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(back.VerifyTag) != "tag" || string(back.KeyRelay) != "relay" {
+		t.Errorf("trailers = %q %q", back.VerifyTag, back.KeyRelay)
+	}
+	if back.Hash() != b.Hash() {
+		t.Error("trailers changed the block hash")
+	}
+	back.KeyRelay = nil
+	if !bytes.Equal(back.Encode(), tagged) {
+		t.Error("block re-encoded without its relay differs from the tag-only block")
+	}
+	for name, enc := range map[string][]byte{"bare": bare, "tagged": tagged} {
+		if got, err := DecodeBlock(enc); err != nil || len(got.KeyRelay) != 0 {
+			t.Errorf("%s block: err=%v relay=%q", name, err, got.KeyRelay)
+		}
+	}
+	b.VerifyTag = nil
+	if got, err := DecodeBlock(b.Encode()); err != nil || len(got.VerifyTag) != 0 || string(got.KeyRelay) != "relay" {
+		t.Errorf("relay under an empty tag: err=%v", err)
+	}
+
+	hdr, txs := Bytes(b.HeaderBytes()), List(Bytes(b.Txs[0].Encode()))
+	if _, err := DecodeBlock(Encode(List(hdr, txs, Bytes(nil), Bytes(nil), Bytes(nil)))); err == nil {
+		t.Error("a third trailer must be rejected")
+	}
+	if _, err := DecodeBlock(Encode(List(hdr, txs, Bytes([]byte("tag")), List()))); err == nil {
+		t.Error("a list-typed relay must be rejected")
+	}
+}
+
 func TestAddressFromBytesPadding(t *testing.T) {
 	a := AddressFromBytes([]byte{1, 2})
 	if a[18] != 1 || a[19] != 2 || a[0] != 0 {

@@ -9,7 +9,7 @@ import (
 // attestStack builds a confidential engine plus a batch of pre-verified
 // transactions (3 confidential + 2 public, all through the CS enclave, the
 // way the node routes them when a confidential engine is present).
-func attestStack(t *testing.T) (*testStack, []*chain.Tx) {
+func attestStack(t testing.TB) (*testStack, []*chain.Tx) {
 	t.Helper()
 	s := newStack(t, AllOptimizations())
 	deployCounter(t, s.engine, counterAddr, VMCVM, true)

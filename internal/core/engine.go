@@ -66,12 +66,12 @@ type Engine struct {
 	monitor      *tee.Monitor
 	// ring versions the provisioned secrets into key epochs; epoch 1 is
 	// exactly the K-Protocol material, later epochs derive from the ratchet.
-	ring *keyepoch.Ring
-	sdm  *SDM
-	codeCache    *cvm.CodeCache
-	preCache     *preVerifyCache
-	profile      *Profile
-	opts         Options
+	ring      *keyepoch.Ring
+	sdm       *SDM
+	codeCache *cvm.CodeCache
+	preCache  *preVerifyCache
+	profile   *Profile
+	opts      Options
 	// hostPool recycles VM linear memories in the public engine (the paper
 	// ports the memory-management optimizations to the public engine too);
 	// the confidential engine uses the enclave's pool instead.
@@ -184,15 +184,17 @@ func (e *Engine) CheckpointMACKeyFor(epoch uint64) []byte {
 // k_states, separating it from the checkpoint-manifest MAC domain.
 const preVerifyMACLabel = "confide/preverify-attest-mac"
 
+// keyRelayLabel scopes the AEAD key that seals a block's k_tx relay, again
+// under k_states: only provisioned enclaves in the ring can seal or open one.
+const keyRelayLabel = "confide/ktx-relay"
+
 // preVerifyTagLen is 8 bytes of big-endian epoch followed by an HMAC-SHA256
 // digest.
 const preVerifyTagLen = 8 + 32
 
-// preVerifyMAC computes the attestation digest over (height, proposer,
-// txRoot) under the epoch's derived key. Nil when the engine holds no ring
-// secrets. Binding the proposer keeps a tag minted for one replica's block
-// from validating another replica's block with the same height and root.
-func (e *Engine) preVerifyMAC(epoch, height uint64, proposer uint32, txRoot chain.Hash) []byte {
+// attestSubKey derives the labelled attestation sub-key of an epoch's
+// k_states. Nil when the engine holds no ring secrets for that epoch.
+func (e *Engine) attestSubKey(epoch uint64, label string) []byte {
 	if e.ring == nil || epoch == 0 {
 		return nil
 	}
@@ -200,69 +202,157 @@ func (e *Engine) preVerifyMAC(epoch, height uint64, proposer uint32, txRoot chai
 	if err != nil {
 		return nil
 	}
-	var msg [8 + 4 + 32]byte
+	return crypto.DeriveSubKey(key, label)
+}
+
+// attestBinding is what both the tag and the relay are bound to: (height,
+// proposer, txRoot). Binding the proposer keeps an attestation minted for
+// one replica's block from validating another replica's block with the same
+// height and root.
+func attestBinding(height uint64, proposer uint32, txRoot chain.Hash) []byte {
+	msg := make([]byte, 8+4+32)
 	binary.BigEndian.PutUint64(msg[:8], height)
 	binary.BigEndian.PutUint32(msg[8:12], proposer)
 	copy(msg[12:], txRoot[:])
-	mac := hmac.New(sha256.New, crypto.DeriveSubKey(key, preVerifyMACLabel))
-	mac.Write(msg[:])
+	return msg
+}
+
+// preVerifyMAC computes the attestation digest over the block binding under
+// the epoch's derived key. Nil when the engine holds no ring secrets.
+func (e *Engine) preVerifyMAC(epoch, height uint64, proposer uint32, txRoot chain.Hash) []byte {
+	key := e.attestSubKey(epoch, preVerifyMACLabel)
+	if key == nil {
+		return nil
+	}
+	mac := hmac.New(sha256.New, key)
+	mac.Write(attestBinding(height, proposer, txRoot))
 	return mac.Sum(nil)
 }
 
-// AttestPreVerified produces the proposer-side attestation tag for a block:
-// the enclave's claim that every transaction in txs passed signature
-// pre-verification (step P3) inside THIS enclave before proposal. The claim
-// is enforced at the enclave boundary, not assumed: the tx root is
-// recomputed from the supplied transactions and the tag is refused (nil)
-// unless every public and confidential transaction has a locally verified
+// AttestBlock produces the proposer-side attestation for a block: the tag,
+// which is the enclave's claim that every transaction in txs passed
+// signature pre-verification (step P3) inside THIS enclave before proposal,
+// and the key relay, which hands the k_tx this enclave recovered for each
+// confidential transaction to the follower enclaves so the cluster pays one
+// private-key open per transaction, not one per replica. The claim is
+// enforced at the enclave boundary, not assumed: the tx root is recomputed
+// from the supplied transactions and both are refused (nil) unless every
+// public and confidential transaction has a locally verified
 // pre-verification cache entry. Attestation-seeded entries do not qualify —
-// trust must be grounded in a signature this enclave checked itself, never
-// chained transitively through another proposer's tag. Cache lookups, root
-// computation and the MAC all run in one ecall, so an untrusted host can
-// neither substitute the root nor skip the cache check; forging a tag over
-// unverified transactions requires compromising the enclave itself.
+// trust must be grounded in a signature this enclave checked and a key this
+// enclave recovered itself, never chained transitively through another
+// proposer's tag or relay. Cache lookups, root computation, the MAC and the
+// seal all run in one ecall, so an untrusted host can neither substitute the
+// root nor skip the cache check; forging a tag over unverified transactions
+// requires compromising the enclave itself.
 //
-// The tag is epoch-prefixed so followers can derive the matching key across
+// The relay is the keys in block order (32 B each), sealed with AES-GCM
+// under the epoch's relay sub-key with the block binding as AAD, so it opens
+// only for this (height, proposer, tx set). A block without confidential
+// transactions has none.
+//
+// Both are epoch-prefixed so followers can derive the matching key across
 // rotations. A public engine (no ring) returns nil and blocks go out
 // untagged — followers then verify every signature themselves, exactly as
 // before. Governance transactions are outside the claim (they carry no
 // account signature and are checked semantically at execution).
-func (e *Engine) AttestPreVerified(height uint64, proposer uint32, txs []*chain.Tx) []byte {
+func (e *Engine) AttestBlock(height uint64, proposer uint32, txs []*chain.Tx) (tag, relay []byte) {
 	if e.ring == nil || e.preCache == nil {
-		return nil
+		return nil, nil
 	}
-	attest := func() []byte {
+	_ = e.enclave.Ecall(len(txs)*32, tee.CopyInOut, func() error {
 		leaves := make([]chain.Hash, len(txs))
+		var keys []byte
 		for i, tx := range txs {
 			leaves[i] = tx.Hash()
-			switch tx.Type {
-			case chain.TxTypePublic, chain.TxTypeConfidential:
-				meta, ok := e.preCache.get(leaves[i])
-				if !ok || !meta.verified || meta.attested {
+			if tx.Type != chain.TxTypePublic && tx.Type != chain.TxTypeConfidential {
+				continue
+			}
+			meta, ok := e.preCache.get(leaves[i])
+			if !ok || !meta.verified || meta.attested {
+				return nil
+			}
+			if tx.Type == chain.TxTypeConfidential {
+				if len(meta.ktx) != crypto.SymKeySize {
 					return nil
 				}
+				keys = append(keys, meta.ktx...)
 			}
 		}
 		epoch := e.ring.Current()
-		digest := e.preVerifyMAC(epoch, height, proposer, chain.MerkleRoot(leaves))
+		txRoot := chain.MerkleRoot(leaves)
+		digest := e.preVerifyMAC(epoch, height, proposer, txRoot)
 		if digest == nil {
 			return nil
 		}
-		tag := make([]byte, preVerifyTagLen)
-		binary.BigEndian.PutUint64(tag[:8], epoch)
-		copy(tag[8:], digest)
-		return tag
-	}
-	var tag []byte
-	if e.enclave != nil {
-		_ = e.enclave.Ecall(len(txs)*32, tee.CopyInOut, func() error {
-			tag = attest()
+		tag = binary.BigEndian.AppendUint64(make([]byte, 0, preVerifyTagLen), epoch)
+		tag = append(tag, digest...)
+		if len(keys) == 0 {
 			return nil
-		})
-	} else {
-		tag = attest()
-	}
+		}
+		sealed, err := crypto.SealAEAD(e.attestSubKey(epoch, keyRelayLabel), keys, attestBinding(height, proposer, txRoot))
+		if err != nil {
+			return nil // followers fall back to the full open
+		}
+		relay = append(binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(sealed)), epoch), sealed...)
+		return nil
+	})
+	return tag, relay
+}
+
+// AttestPreVerified is AttestBlock's tag alone.
+func (e *Engine) AttestPreVerified(height uint64, proposer uint32, txs []*chain.Tx) []byte {
+	tag, _ := e.AttestBlock(height, proposer, txs)
 	return tag
+}
+
+// AdoptKeyRelay opens a proposer's key relay for the block (height,
+// proposer, txRoot) whose transactions are txs, and seeds the
+// pre-verification cache with the relayed k_tx of every confidential
+// transaction this enclave has not opened itself, so their execution
+// decrypts symmetrically. Relay-seeded entries are attested: they never
+// ground a new tag or relay, and they leave with DropPreVerified like any
+// other entry. False — an unknown or stale epoch, a relay that does not
+// authenticate for this block, a length that does not match the block's
+// confidential transactions — adopts nothing and only withdraws the
+// shortcut; it never rejects a transaction or a block. The node calls it
+// only after the block's tag verified.
+func (e *Engine) AdoptKeyRelay(height uint64, proposer uint32, txRoot chain.Hash, txs []*chain.Tx, relay []byte) bool {
+	if e.ring == nil || e.preCache == nil || len(relay) < 8 {
+		return false
+	}
+	adopted := false
+	_ = e.enclave.Ecall(len(relay), tee.CopyInOut, func() error {
+		epoch := binary.BigEndian.Uint64(relay[:8])
+		if !e.ring.Accepts(epoch) {
+			return nil
+		}
+		// A sub-key this ring can no longer derive fails the open like any
+		// other wrong key.
+		keys, err := crypto.OpenAEAD(e.attestSubKey(epoch, keyRelayLabel), relay[8:], attestBinding(height, proposer, txRoot))
+		if err != nil {
+			return nil
+		}
+		var conf []chain.Hash
+		for _, tx := range txs {
+			if tx.Type == chain.TxTypeConfidential {
+				conf = append(conf, tx.Hash())
+			}
+		}
+		if len(keys) != len(conf)*crypto.SymKeySize {
+			return nil
+		}
+		for i, h := range conf {
+			if meta, ok := e.preCache.get(h); ok && len(meta.ktx) > 0 {
+				continue // this enclave's own open stands
+			}
+			ktx := keys[i*crypto.SymKeySize : (i+1)*crypto.SymKeySize]
+			e.preCache.put(h, preMeta{ktx: ktx, verified: true, attested: true})
+		}
+		adopted = true
+		return nil
+	})
+	return adopted
 }
 
 // VerifyPreVerifyTag checks a block's attestation tag against this enclave's
@@ -537,34 +627,41 @@ func (e *Engine) Execute(tx *chain.Tx) (*ExecResult, error) {
 }
 
 // openConfidentialTx recovers Tx_raw and k_tx, using the pre-verification
-// cache when available (steps C2/C3 of Figure 7): a hit replaces the RSA
+// cache when available (steps C2/C3 of Figure 7): a hit replaces the
 // private-key decryption with a symmetric decryption and skips signature
-// re-verification.
+// re-verification. The cached key is this enclave's own (local
+// pre-verification) or the proposer enclave's (AdoptKeyRelay).
 func (e *Engine) openConfidentialTx(tx *chain.Tx, epoch uint64, env []byte) (*chain.RawTx, []byte, error) {
-	hash := tx.Hash()
-	var attested bool
+	var meta preMeta
 	if e.preCache != nil {
-		meta, ok := e.preCache.get(hash)
-		attested = ok && meta.attested && meta.verified
-		// The symmetric fast path needs the recovered k_tx, which only local
-		// pre-verification yields; an attestation-seeded entry has no key and
-		// falls through to the full open below (skipping just the signature).
-		if ok && len(meta.ktx) > 0 {
-			start := time.Now()
-			payload, err := crypto.OpenEnvelopeWithKey(env, meta.ktx)
-			e.profile.Record(OpTxDecrypt, time.Since(start))
-			if err != nil {
-				return nil, nil, err
-			}
+		meta, _ = e.preCache.get(tx.Hash())
+	}
+	if len(meta.ktx) > 0 {
+		start := time.Now()
+		payload, err := crypto.OpenEnvelopeWithKey(env, meta.ktx)
+		e.profile.Record(OpTxDecrypt, time.Since(start))
+		if err == nil {
+			// GCM authenticated the payload under the cached key, so the full
+			// open would recover exactly these bytes.
 			raw, err := chain.DecodeRawTx(payload)
 			if err != nil {
 				return nil, nil, err
 			}
-			if !meta.verified {
-				return nil, nil, crypto.ErrBadSignature
+			if meta.attested {
+				mOpenRelayed.Inc()
+			} else {
+				mOpenLocal.Inc()
 			}
 			return raw, meta.ktx, nil
 		}
+		if !meta.attested {
+			// This enclave recovered the key from this very envelope.
+			return nil, nil, err
+		}
+		// A relayed key that does not open the payload withdraws the whole
+		// entry, the vouched signature included: nothing a peer sent may fail
+		// a transaction this replica can still judge for itself.
+		meta = preMeta{}
 	}
 	// Full path: expensive private-key decryption plus verification, with
 	// the envelope key selected by the (already window-checked) epoch tag.
@@ -578,6 +675,7 @@ func (e *Engine) openConfidentialTx(tx *chain.Tx, epoch uint64, env []byte) (*ch
 		ktx, payload, err = sk.OpenEnvelope(env)
 		return err
 	})
+	mOpenECDH.Inc()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -585,11 +683,13 @@ func (e *Engine) openConfidentialTx(tx *chain.Tx, epoch uint64, env []byte) (*ch
 	if err != nil {
 		return nil, nil, err
 	}
-	// An attestation-seeded cache entry means the proposer's enclave already
-	// checked this signature and vouched for it under the ring-derived MAC;
-	// re-running ECDSA here would pay the dominant per-transaction cost a
-	// second time for no additional assurance within the TEE trust model.
-	if !attested {
+	// A keyless attested entry (a tagged block that reached this replica
+	// without its relay — catch-up sync — or whose relay was refused) means
+	// the proposer's enclave already checked this signature and vouched for
+	// it under the ring-derived MAC; re-running ECDSA here would pay the
+	// dominant per-transaction cost a second time for no additional assurance
+	// within the TEE trust model.
+	if !meta.attested {
 		if err := e.profile.timed(OpTxVerify, raw.VerifySignature); err != nil {
 			return nil, nil, err
 		}

@@ -75,7 +75,7 @@ type testStack struct {
 // sharedSecrets caches one RSA keypair across tests (keygen is slow).
 var sharedSecrets *kms.Secrets
 
-func newStack(t *testing.T, opts Options) *testStack {
+func newStack(t testing.TB, opts Options) *testStack {
 	t.Helper()
 	root, err := tee.NewRootOfTrust()
 	if err != nil {
@@ -107,7 +107,7 @@ var (
 	ownerAddr   = chain.AddressFromBytes([]byte("owner"))
 )
 
-func deployCounter(t *testing.T, e *Engine, addr chain.Address, vm VMKind, confidential bool) {
+func deployCounter(t testing.TB, e *Engine, addr chain.Address, vm VMKind, confidential bool) {
 	t.Helper()
 	var code []byte
 	if vm == VMCVM {

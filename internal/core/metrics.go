@@ -16,6 +16,16 @@ var (
 		"transactions dropped by pre-verification (bad envelope, signature or encoding)")
 	mPreverifyAttested = metrics.Default().Counter("confide_core_preverify_attested_total",
 		"transactions accepted on the proposer enclave's attestation tag instead of local signature verification")
+	// How execution obtained each confidential transaction's k_tx: the
+	// private-key open ("ecdh"), this enclave's pre-verification ("local") or
+	// the proposer enclave's key relay ("relayed"). Which replica paid the
+	// ECDH is answerable from a scrape.
+	mOpenECDH = metrics.Default().Counter("confide_core_envelope_opens_total",
+		"envelope opens at execution, by source of k_tx", metrics.L{K: "path", V: "ecdh"})
+	mOpenLocal = metrics.Default().Counter("confide_core_envelope_opens_total",
+		"envelope opens at execution, by source of k_tx", metrics.L{K: "path", V: "local"})
+	mOpenRelayed = metrics.Default().Counter("confide_core_envelope_opens_total",
+		"envelope opens at execution, by source of k_tx", metrics.L{K: "path", V: "relayed"})
 	mExecPublic = metrics.Default().Counter("confide_core_executed_total",
 		"transactions executed, by type", metrics.L{K: "type", V: "public"})
 	mExecConfidential = metrics.Default().Counter("confide_core_executed_total",

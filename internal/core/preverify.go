@@ -19,9 +19,10 @@ type preMeta struct {
 	ktx      []byte
 	verified bool
 	// attested marks entries seeded from a proposer's block-level
-	// attestation tag rather than local verification. Such entries carry no
-	// k_tx (the attestation covers only the signature check), so the
-	// symmetric-decryption fast path must not fire on them.
+	// attestation rather than local verification: the signature result comes
+	// from its tag (TrustPreVerified) and k_tx, when present, from its key
+	// relay (AdoptKeyRelay). A relayed key that fails to open its envelope
+	// costs only the shortcut, where a local one is a hard error.
 	attested bool
 }
 
@@ -81,7 +82,7 @@ func (c *preVerifyCache) Len() int {
 // valid transactions are returned for the verified pool. On a confidential
 // engine, public transactions are verified inside the enclave too — only
 // in-enclave checks can later be covered by the block attestation tag
-// (AttestPreVerified). On a public engine the same path runs in the
+// (AttestBlock). On a public engine the same path runs in the
 // untrusted host. Invalid transactions are dropped.
 func (e *Engine) PreVerifyBatch(txs []*chain.Tx) []*chain.Tx {
 	if len(txs) == 0 {
@@ -201,11 +202,10 @@ func (e *Engine) PreVerifyBatch(txs []*chain.Tx) []*chain.Tx {
 // proposer's enclave vouched (via the block's MAC tag, which it only mints
 // over transactions its own pre-verification cache verified) that these
 // transactions passed signature pre-verification, so this replica may skip
-// re-running ECDSA on them. Entries from local pre-verification are kept —
-// they additionally hold the recovered k_tx, which an attestation cannot
-// supply. Attested entries never ground a new attestation in turn
-// (AttestPreVerified rejects them), so trust does not chain across
-// proposers.
+// re-running ECDSA on them. Entries already cached are kept — local
+// pre-verification's outranks an attestation, and AdoptKeyRelay's holds the
+// relayed k_tx. Attested entries never ground a new attestation in turn
+// (AttestBlock rejects them), so trust does not chain across proposers.
 func (e *Engine) TrustPreVerified(txs []*chain.Tx) {
 	if e.preCache == nil {
 		return

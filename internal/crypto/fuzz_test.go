@@ -29,8 +29,8 @@ func FuzzOpenEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(env)
-	f.Add(env[:len(env)-1])          // truncated tag
-	f.Add(env[:p256PointLen])        // key-agreement part only
+	f.Add(env[:len(env)-1])                                    // truncated tag
+	f.Add(env[:p256PointLen])                                  // key-agreement part only
 	f.Add(bytes.Repeat([]byte{4}, p256PointLen+wrappedKeyLen)) // bad point, right size
 	f.Add([]byte{})
 	tampered := append([]byte(nil), env...)

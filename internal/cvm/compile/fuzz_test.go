@@ -94,14 +94,14 @@ func (g *progGen) emit() {
 				g.h -= 2
 			}
 		case 11: // load from a mostly-valid address
-			b.Const(int64(g.byte()) * 8).OpImm(cvm.OpI64Load, int64(g.byte()%16))
+			b.Const(int64(g.byte())*8).OpImm(cvm.OpI64Load, int64(g.byte()%16))
 			g.h++
 		case 12: // load from a raw (often-trapping) address
 			b.Const(g.i64()).OpImm(cvm.OpI64Load, 0)
 			g.h++
 		case 13:
 			if g.h >= 1 {
-				b.Const(int64(g.byte()) * 8).OpImm(cvm.OpLocalSet, 3) // stash addr
+				b.Const(int64(g.byte())*8).OpImm(cvm.OpLocalSet, 3) // stash addr
 				g.h--
 				b.GetLocal(3).Const(0).Op(cvm.OpI64Add) // churn
 				g.h++
@@ -161,12 +161,12 @@ func (g *progGen) emit() {
 				b.Const(0).Const(0).Const(16).Host(cvm.HostInputRead)
 				g.h++
 			case 2:
-				b.Const(int64(g.byte()%64)).Const(8).Const(128).Const(64).Host(cvm.HostStorageGet)
+				b.Const(int64(g.byte() % 64)).Const(8).Const(128).Const(64).Host(cvm.HostStorageGet)
 				g.h++
 			case 3:
-				b.Const(int64(g.byte()%64)).Const(8).Const(200).Const(int64(g.byte()%32)).Host(cvm.HostStorageSet)
+				b.Const(int64(g.byte() % 64)).Const(8).Const(200).Const(int64(g.byte() % 32)).Host(cvm.HostStorageSet)
 			case 4:
-				b.Const(0).Const(int64(g.byte()%32)).Const(256).Host(cvm.HostSha256)
+				b.Const(0).Const(int64(g.byte() % 32)).Const(256).Host(cvm.HostSha256)
 			case 5:
 				b.Const(0).Const(8).Host(cvm.HostLog)
 			}

@@ -18,5 +18,5 @@ var (
 // RecordRunStart and RecordRunEnd let the compiled runtime feed the same
 // process-wide run/instruction counters as the interpreter, keeping
 // aggregate VM telemetry comparable across execution tiers.
-func RecordRunStart()            { mRuns.Inc() }
+func RecordRunStart()             { mRuns.Inc() }
 func RecordRunEnd(gasUsed uint64) { mInstructions.Add(gasUsed) }

@@ -142,16 +142,16 @@ func Serve(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("gateway: listen: %w", err)
 	}
 	gw := &Gateway{
-		cfg:     cfg,
-		node:    cfg.Node,
-		ln:      ln,
-		batcher: newBatcher(cfg.Node, cfg.BatchMax, cfg.BatchWait, 4*cfg.BatchMax),
-		limiter: newClientLimiter(cfg.RateLimit, cfg.RateBurst, 0),
+		cfg:         cfg,
+		node:        cfg.Node,
+		ln:          ln,
+		batcher:     newBatcher(cfg.Node, cfg.BatchMax, cfg.BatchWait, 4*cfg.BatchMax),
+		limiter:     newClientLimiter(cfg.RateLimit, cfg.RateBurst, 0),
 		seen:        make(map[chain.Hash]struct{}),
 		disclosures: newDisclosureCache(cfg.DisclosureCacheCap),
-		waiters: make(map[chain.Hash][]chan struct{}),
-		drainCh: make(chan struct{}),
-		closed:  make(chan struct{}),
+		waiters:     make(map[chain.Hash][]chan struct{}),
+		drainCh:     make(chan struct{}),
+		closed:      make(chan struct{}),
 	}
 	gw.hookOff = cfg.Node.OnCommit(gw.onCommitted)
 

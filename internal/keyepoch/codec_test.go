@@ -51,11 +51,11 @@ func TestMalformedHeadersRejected(t *testing.T) {
 	bad := [][]byte{
 		nil,
 		{},
-		{envelopeMagic},              // magic with no epoch
-		{envelopeMagic, 0x00},        // epoch 0 forbidden
-		{recordMagic},                // record magic, no epoch
-		{recordMagic, 0x00},          // record epoch 0
-		{0x05, 0x01, 0x02},           // unknown leading byte
+		{envelopeMagic},       // magic with no epoch
+		{envelopeMagic, 0x00}, // epoch 0 forbidden
+		{recordMagic},         // record magic, no epoch
+		{recordMagic, 0x00},   // record epoch 0
+		{0x05, 0x01, 0x02},    // unknown leading byte
 		append([]byte{envelopeMagic}, bytes.Repeat([]byte{0xFF}, 10)...), // unterminated uvarint
 	}
 	for _, b := range bad {

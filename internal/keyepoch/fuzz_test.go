@@ -12,11 +12,11 @@ import (
 // record tags are read back from disk — so it must be total.
 func FuzzEpochHeader(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0x04, 0xAA, 0xBB})        // legacy SEC1 envelope
-	f.Add(WrapEnvelope(1, []byte("env")))  // tagged envelope
-	f.Add(WrapEnvelope(1<<40, []byte{}))   // big epoch, empty body
-	f.Add(WrapRecord(3, []byte("sealed"))) // record tag
-	f.Add([]byte{0xE7, 0x00})              // epoch 0 (forbidden)
+	f.Add([]byte{0x04, 0xAA, 0xBB})                                                 // legacy SEC1 envelope
+	f.Add(WrapEnvelope(1, []byte("env")))                                           // tagged envelope
+	f.Add(WrapEnvelope(1<<40, []byte{}))                                            // big epoch, empty body
+	f.Add(WrapRecord(3, []byte("sealed")))                                          // record tag
+	f.Add([]byte{0xE7, 0x00})                                                       // epoch 0 (forbidden)
 	f.Add([]byte{0xE8, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}) // unterminated uvarint
 	f.Add(Rotation{NewEpoch: 2, ActivationHeight: 10}.Encode())
 

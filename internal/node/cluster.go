@@ -529,32 +529,36 @@ func (c *Cluster) StartDriver(interval time.Duration) (stop func()) {
 	}
 	depth := c.driverDepth()
 	// Pre-verification effort follows leadership: the leader needs a full
-	// verified pool to cut blocks from (and its enclave's attestation lets
-	// followers skip re-verifying), while followers only need enough of a
-	// warm pool to take over smoothly on a view change.
-	blockMax := c.opts.Node.withDefaults().BlockMaxTxs
-	fullBudget := blockMax * 2
-	trickle := blockMax / 4
-	if trickle < 1 {
-		trickle = 1
-	}
+	// verified pool to cut blocks from (and its enclave's attestation and key
+	// relay let followers skip re-verifying), while followers only need enough
+	// of a warm pool to take over smoothly on a view change. The followers'
+	// share is counted in transactions, one for every followerEvery the leader
+	// verified, not in ticks: a busy machine drops ticks, and with an allowance
+	// per tick the number of transactions a follower re-verifies — each at the
+	// cost of a private-key open and an ECDSA check the tag and relay would
+	// have spared it — follows the scheduler instead of the load.
+	const followerEvery = 8
+	fullBudget := c.opts.Node.withDefaults().BlockMaxTxs * 2
 	done := make(chan struct{})
 	stopped := make(chan struct{})
 	go func() {
 		defer close(stopped)
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
+		owed := 0 // leader-verified transactions the followers have not matched yet
 		for {
 			select {
 			case <-done:
 				return
 			case <-ticker.C:
 			}
+			share := owed / followerEvery
+			owed %= followerEvery
 			for _, n := range c.Nodes {
 				if n.IsLeader() {
-					n.PreVerifyPendingN(fullBudget)
-				} else {
-					n.PreVerifyPendingN(trickle)
+					owed += n.PreVerifyPendingN(fullBudget)
+				} else if share > 0 {
+					n.PreVerifyPendingN(share)
 				}
 				// Fill the pipeline up to depth each tick: with predicted-
 				// parent chaining every one of these blocks is applicable on

@@ -1,0 +1,347 @@
+package node
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+	"time"
+
+	"confide/internal/chain"
+	"confide/internal/core"
+	"confide/internal/metrics"
+	"confide/internal/p2p"
+)
+
+// relayCounters snapshots the registry series the key-relay tests certify
+// from. The registry is process-wide, so every assertion is on a delta.
+type relayCounters struct {
+	adopted, rejected, absent uint64
+	ecdh, local, relayed      uint64
+}
+
+func readRelayCounters() relayCounters {
+	s := metrics.Default().Snapshot().Counters
+	return relayCounters{
+		adopted:  s[`confide_node_key_relay_total{outcome="adopted"}`],
+		rejected: s[`confide_node_key_relay_total{outcome="rejected"}`],
+		absent:   s[`confide_node_key_relay_total{outcome="absent"}`],
+		ecdh:     s[`confide_core_envelope_opens_total{path="ecdh"}`],
+		local:    s[`confide_core_envelope_opens_total{path="local"}`],
+		relayed:  s[`confide_core_envelope_opens_total{path="relayed"}`],
+	}
+}
+
+func (a relayCounters) since(b relayCounters) relayCounters {
+	return relayCounters{
+		adopted: a.adopted - b.adopted, rejected: a.rejected - b.rejected, absent: a.absent - b.absent,
+		ecdh: a.ecdh - b.ecdh, local: a.local - b.local, relayed: a.relayed - b.relayed,
+	}
+}
+
+// submitCredits submits n confidential credits through the leader and waits
+// for gossip to land them in the pools of nodes (a transaction gossiped in after its
+// block committed would be pre-verified by the next ProcessRound and leave a
+// cache entry behind, which these tests count).
+func submitCredits(t *testing.T, c *Cluster, nodes []*Node, account string, n int) []*chain.Tx {
+	t.Helper()
+	client := newClusterClient(t, c)
+	txs := make([]*chain.Tx, n)
+	for i := range txs {
+		tx, _, err := client.NewConfidentialTx(ledgerAddr, "credit", acct(account), []byte{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Submit(tx); err != nil {
+			t.Fatal(err)
+		}
+		txs[i] = tx
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, node := range nodes {
+		for node.UnverifiedPoolLen() < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("gossip never reached node %d", node.ID())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return txs
+}
+
+// proposeLeaderOnly commits one block the way a saturated cluster does: only
+// the leader pre-verifies, so every follower reaches execution with nothing
+// but what the block brings it. It is ProposeBlock with one seam: mutate
+// edits the proposal after the enclave attested it, which is what a
+// Byzantine proposer host can do to a tag or a relay. nodes are the replicas
+// expected to commit the block.
+func proposeLeaderOnly(t *testing.T, c *Cluster, nodes []*Node, mutate func(*chain.Block)) *chain.Block {
+	t.Helper()
+	leader := c.Leader()
+	leader.PreVerifyPending()
+	leader.proposeMu.Lock()
+	leader.mu.Lock()
+	tipHeight, tipHash := leader.height, leader.prevHash
+	leader.mu.Unlock()
+	height, parent, _ := leader.sched.Predict(leader.replica.View(), tipHeight, tipHash)
+	txs := leader.verified.PopBatch(leader.cfg.BlockMaxTxs)
+	id := uint32(leader.endpoint.ID())
+	block := &chain.Block{
+		Header: chain.Header{Height: height, PrevHash: parent, Timestamp: uint64(time.Now().UnixNano()), Proposer: id},
+		Txs:    txs,
+	}
+	block.ComputeTxRoot()
+	block.VerifyTag, block.KeyRelay = leader.confEngine.AttestBlock(height, id, txs)
+	if len(block.VerifyTag) == 0 || len(block.KeyRelay) == 0 {
+		t.Fatal("leader's enclave refused to attest its own verified pool")
+	}
+	if mutate != nil {
+		mutate(block)
+	}
+	leader.sched.Track(height, block.Hash(), parent, txs)
+	_, err := leader.replica.Propose(block.Encode())
+	leader.proposeMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		if err := n.WaitHeight(height+1, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return block
+}
+
+// requireIdenticalBlock certifies that every node committed the block at
+// height byte-identically — same stored payload (hence header), same
+// receipts — and that the stored form decodes with no relay.
+func requireIdenticalBlock(t *testing.T, nodes []*Node, height uint64, txs []*chain.Tx) {
+	t.Helper()
+	want, found, err := nodes[0].store.Get(blockKey(height))
+	if err != nil || !found {
+		t.Fatalf("node %d has no block %d (err=%v)", nodes[0].ID(), height, err)
+	}
+	for _, n := range nodes {
+		raw, _, _ := n.store.Get(blockKey(height))
+		if !bytes.Equal(raw, want) {
+			t.Errorf("node %d stored block %d differs from node %d's", n.ID(), height, nodes[0].ID())
+		}
+		block, err := n.BlockAt(height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(block.KeyRelay) != 0 {
+			t.Errorf("node %d: BlockAt(%d) carries %d relay bytes", n.ID(), height, len(block.KeyRelay))
+		}
+		// WaitHeight returns at the height advance; the commit sweep (pools,
+		// pre-verification entries) finishes under applyMu just after it.
+		n.applyMu.Lock()
+		n.applyMu.Unlock()
+		if got := n.ConfidentialEngine().PreVerifiedCount(); got != 0 {
+			t.Errorf("node %d: %d pre-verification entries outlive the commit", n.ID(), got)
+		}
+		for _, tx := range txs {
+			base, ok := nodes[0].Receipt(tx.Hash())
+			got, ok2 := n.Receipt(tx.Hash())
+			if !ok || !ok2 || base.Status != chain.ReceiptOK || !bytes.Equal(got.Encode(), base.Encode()) {
+				t.Fatalf("node %d: receipt diverges from node %d's (or failed)", n.ID(), nodes[0].ID())
+			}
+		}
+	}
+}
+
+// TestKeyRelayAdoptedAndEveryFallback is the relay's cluster contract. With
+// the genuine relay, three followers execute on relayed keys and nobody pays
+// an ECDH at execution. With the relay bit-flipped, truncated, stamped with
+// an unknown epoch, removed, or riding under a forged tag, every follower
+// falls back to the full open and the block commits byte-identically — a
+// relay can cost its shortcut, never a transaction or a block. The last two
+// rounds run across a key-epoch rotation.
+func TestKeyRelayAdoptedAndEveryFallback(t *testing.T) {
+	c := newTestCluster(t, ClusterOptions{Nodes: 4, Node: Config{ResealRate: -1}})
+	const perBlock = 5
+	followers := uint64(len(c.Nodes) - 1)
+
+	type deltas struct{ adopted, rejected, absent, ecdh, relayed uint64 }
+	fallback := func(outcome string) deltas {
+		w := deltas{ecdh: followers * perBlock}
+		switch outcome {
+		case "rejected":
+			w.rejected = followers + 1 // the leader applies its own mangled relay too
+		case "absent":
+			w.absent = followers + 1
+		}
+		return w
+	}
+	genuine := deltas{adopted: followers + 1, relayed: followers * perBlock}
+
+	rounds := []struct {
+		name   string
+		mutate func(*chain.Block)
+		want   deltas
+		rotate bool
+	}{
+		{name: "genuine", want: genuine},
+		{name: "bit-flipped", want: fallback("rejected"), mutate: func(b *chain.Block) { b.KeyRelay[len(b.KeyRelay)/2] ^= 1 }},
+		{name: "truncated", want: fallback("rejected"), mutate: func(b *chain.Block) { b.KeyRelay = b.KeyRelay[:len(b.KeyRelay)-7] }},
+		{name: "unknown epoch", want: fallback("rejected"), mutate: func(b *chain.Block) { binary.BigEndian.PutUint64(b.KeyRelay[:8], 40) }},
+		{name: "removed", want: fallback("absent"), mutate: func(b *chain.Block) { b.KeyRelay = nil }},
+		{name: "forged tag", want: fallback("rejected"), mutate: func(b *chain.Block) { b.VerifyTag[len(b.VerifyTag)-1] ^= 1 }},
+		{name: "genuine after rotation", want: genuine, rotate: true},
+		{name: "bit-flipped after rotation", want: fallback("rejected"), mutate: func(b *chain.Block) { b.KeyRelay[9] ^= 1 }},
+	}
+	for _, r := range rounds {
+		if r.rotate {
+			rotateAndActivate(t, c, 2)
+		}
+		txs := submitCredits(t, c, c.Nodes, "relay", perBlock)
+		before := readRelayCounters()
+		block := proposeLeaderOnly(t, c, c.Nodes, r.mutate)
+		if len(block.Txs) != perBlock {
+			t.Fatalf("%s: block carries %d txs, want %d", r.name, len(block.Txs), perBlock)
+		}
+		d := readRelayCounters().since(before)
+		got := deltas{d.adopted, d.rejected, d.absent, d.ecdh, d.relayed}
+		if got != r.want {
+			t.Errorf("%s: {adopted rejected absent ecdh relayed} = %v, want %v", r.name, got, r.want)
+		}
+		if d.local != perBlock {
+			t.Errorf("%s: %d local-key opens, want %d (the leader's)", r.name, d.local, perBlock)
+		}
+		requireIdenticalBlock(t, c.Nodes, block.Header.Height, txs)
+	}
+	want := []byte{byte(len(rounds) * perBlock)}
+	for _, n := range c.Nodes {
+		if got := readBalance(t, n, c, "relay"); !bytes.Equal(got, want) {
+			t.Errorf("node %d balance = %v, want %v", n.ID(), got, want)
+		}
+	}
+}
+
+// TestStoredAndSyncedBlocksCarryNoRelay pins the no-persistence rule: the
+// relay is transport only, so neither the bytes under blockKey nor a sync
+// response contain it — a one-time key gains no lifetime from having been
+// relayed.
+func TestStoredAndSyncedBlocksCarryNoRelay(t *testing.T) {
+	c := newTestCluster(t, ClusterOptions{Nodes: 4})
+	txs := submitCredits(t, c, c.Nodes, "store", 4)
+	var relay []byte
+	block := proposeLeaderOnly(t, c, c.Nodes, func(b *chain.Block) { relay = append([]byte(nil), b.KeyRelay...) })
+	height := block.Header.Height
+	if !bytes.Contains(block.Encode(), relay) {
+		t.Fatal("the proposal itself must carry the relay")
+	}
+	requireIdenticalBlock(t, c.Nodes, height, txs)
+	for _, n := range c.Nodes {
+		raw, _, _ := n.store.Get(blockKey(height))
+		if bytes.Contains(raw, relay[8:]) {
+			t.Errorf("node %d persisted the relay under blockKey", n.ID())
+		}
+		stored, err := chain.DecodeBlock(raw)
+		if err != nil || len(stored.VerifyTag) == 0 {
+			t.Errorf("node %d: stored block lost its tag (err=%v)", n.ID(), err)
+		}
+	}
+
+	// What catch-up sync serves, seen from a peer's side of the wire.
+	observer, err := c.net.Join(p2p.NodeID(99), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer observer.Close()
+	resp := make(chan []byte, 1) // one request, one response
+	observer.Subscribe(syncRespTopic, func(m p2p.Message) { resp <- m.Data })
+	observer.Send(c.Nodes[1].ID(), syncReqTopic, chain.Encode(chain.Uint(height)))
+	select {
+	case data := <-resp:
+		if bytes.Contains(data, relay[8:]) {
+			t.Error("sync response carries the relay")
+		}
+		it, err := chain.Decode(data)
+		if err != nil || !it.IsList || len(it.List) != 1 {
+			t.Fatalf("malformed sync response (err=%v)", err)
+		}
+		synced, err := chain.DecodeBlock(it.List[0].Str)
+		if err != nil || len(synced.KeyRelay) != 0 || synced.Header.Height != height {
+			t.Errorf("synced block: err=%v, %d relay bytes", err, len(synced.KeyRelay))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no sync response")
+	}
+}
+
+// TestWipedFollowerRejoinsWithoutRelays wipes a follower while the other
+// three commit relayed blocks, then lets it rejoin through catch-up sync,
+// which serves stored blocks and hence no relays: it must take the full open
+// for every transaction and still end byte-identical to the followers that
+// adopted every relay.
+func TestWipedFollowerRejoinsWithoutRelays(t *testing.T) {
+	c := newTestCluster(t, ClusterOptions{Nodes: 4, Node: Config{SyncInterval: 15 * time.Millisecond}})
+	victim := victimOf(c)
+	var rest []*Node
+	var restIDs []p2p.NodeID
+	for i, n := range c.Nodes {
+		if i != victim {
+			rest = append(rest, n)
+			restIDs = append(restIDs, n.ID())
+		}
+	}
+	c.Net().Partition([][]p2p.NodeID{{c.Nodes[victim].ID()}, restIDs})
+
+	const blocks, perBlock = 6, 3
+	for b := 0; b < blocks; b++ {
+		submitCredits(t, c, rest, "rejoin", perBlock)
+		proposeLeaderOnly(t, c, rest, nil)
+	}
+	tip := rest[0].Height()
+
+	// Rebuild the victim from nothing while it is still cut off, give it the
+	// contract (the harness deploys out of band), then let it catch up.
+	if err := c.RestartNode(victim, true); err != nil {
+		t.Fatal(err)
+	}
+	rejoined := c.Nodes[victim]
+	if err := rejoined.ConfidentialEngine().DeployContract(ledgerAddr, chain.AddressFromBytes([]byte("own")), core.VMCVM, ledgerModule(t), true, 1); err != nil {
+		t.Fatal(err)
+	}
+	before := readRelayCounters()
+	syncBefore := mSyncPathBlocks.Value()
+	c.Net().Heal()
+	if err := rejoined.WaitHeight(tip, 15*time.Second); err != nil {
+		t.Fatalf("wiped follower never caught up: %v", err)
+	}
+	rejoined.applyMu.Lock() // the last synced block's application has finished
+	rejoined.applyMu.Unlock()
+	d := readRelayCounters().since(before)
+	for deadline := time.Now().Add(2 * time.Second); mSyncPathBlocks.Value() == syncBefore; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Error("rejoin did not take the block-sync path")
+			break
+		}
+	}
+	if d.absent != blocks || d.ecdh != blocks*perBlock || d.adopted != 0 || d.relayed != 0 {
+		t.Errorf("rejoin: absent=%d ecdh=%d adopted=%d relayed=%d, want %d %d 0 0",
+			d.absent, d.ecdh, d.adopted, d.relayed, blocks, blocks*perBlock)
+	}
+	for h := uint64(0); h < tip; h++ {
+		block, err := rejoined.BlockAt(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdenticalBlock(t, c.Nodes, h, block.Txs)
+	}
+	want := readBalance(t, rest[0], c, "rejoin")
+	if got := readBalance(t, rejoined, c, "rejoin"); !bytes.Equal(got, want) || want[0] != blocks*perBlock {
+		t.Errorf("rejoined balance %v, survivors' %v, want [%d]", got, want, blocks*perBlock)
+	}
+
+	// Back in the ring, the next block commits on all four (the rejoined
+	// replica adopts its relay when consensus delivers it the proposal, and
+	// takes the full open again if sync gets there first).
+	txs := submitCredits(t, c, c.Nodes, "rejoin", perBlock)
+	before = readRelayCounters()
+	block := proposeLeaderOnly(t, c, c.Nodes, nil)
+	requireIdenticalBlock(t, c.Nodes, block.Header.Height, txs)
+	if d := readRelayCounters().since(before); d.adopted < 3 || d.adopted+d.absent != 4 || d.rejected != 0 {
+		t.Errorf("post-rejoin block: adopted=%d absent=%d rejected=%d", d.adopted, d.absent, d.rejected)
+	}
+}

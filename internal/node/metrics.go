@@ -54,6 +54,17 @@ var (
 	mVerifyTagRejected = metrics.Default().Counter("confide_node_verify_tag_total",
 		"block pre-verification attestation tags, by outcome", metrics.L{K: "outcome", V: "rejected"})
 
+	// Key relay: whether a block with confidential transactions let this
+	// replica skip their private-key opens ("adopted"), carried a relay it
+	// could not use ("rejected"), or arrived without one ("absent": catch-up
+	// sync, or a proposer that could not attest).
+	mKeyRelayAdopted = metrics.Default().Counter("confide_node_key_relay_total",
+		"applied blocks with confidential transactions, by key-relay outcome", metrics.L{K: "outcome", V: "adopted"})
+	mKeyRelayRejected = metrics.Default().Counter("confide_node_key_relay_total",
+		"applied blocks with confidential transactions, by key-relay outcome", metrics.L{K: "outcome", V: "rejected"})
+	mKeyRelayAbsent = metrics.Default().Counter("confide_node_key_relay_total",
+		"applied blocks with confidential transactions, by key-relay outcome", metrics.L{K: "outcome", V: "absent"})
+
 	// Catch-up path selection: how lagging nodes rejoined the tip.
 	mSyncPathBlocks = metrics.Default().Counter("confide_node_sync_path_total",
 		"catch-up progress, by path", metrics.L{K: "path", V: "blocks"})

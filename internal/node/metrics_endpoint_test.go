@@ -15,8 +15,9 @@ import (
 
 // scrape fetches the exposition endpoint and parses every sample line into
 // series → value. It also sanity-checks the exposition framing (content
-// type, HELP/TYPE ordering) the way a Prometheus scraper would.
-func scrape(t *testing.T, url string) map[string]float64 {
+// type, HELP/TYPE ordering) the way a Prometheus scraper would. Series of
+// gauge families are also recorded in gauges (pass nil to skip).
+func scrape(t *testing.T, url string, gauges map[string]bool) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -27,7 +28,7 @@ func scrape(t *testing.T, url string) map[string]float64 {
 		t.Fatalf("content type = %q", ct)
 	}
 	samples := make(map[string]float64)
-	typed := make(map[string]bool)
+	typed := make(map[string]string)
 	sc := bufio.NewScanner(io.LimitReader(resp.Body, 16<<20))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -36,7 +37,8 @@ func scrape(t *testing.T, url string) map[string]float64 {
 			continue
 		}
 		if strings.HasPrefix(line, "# TYPE ") {
-			typed[strings.Fields(line)[2]] = true
+			fields := strings.Fields(line)
+			typed[fields[2]] = fields[3]
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -56,8 +58,11 @@ func scrape(t *testing.T, url string) map[string]float64 {
 			name = series[:i]
 		}
 		name = strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
-		if !typed[name] {
+		if typed[name] == "" {
 			t.Fatalf("sample %q precedes its # TYPE line", line)
+		}
+		if typed[name] == "gauge" && gauges != nil {
+			gauges[series] = true
 		}
 		samples[series] = v
 	}
@@ -112,7 +117,8 @@ func TestMetricsEndpointDuringClusterRun(t *testing.T) {
 	}
 
 	commitBatch(3)
-	first := scrape(t, srv.URL)
+	gauges := make(map[string]bool) // may go down between scrapes
+	first := scrape(t, srv.URL, gauges)
 
 	// Counter families every cluster run must populate. Values are
 	// process-wide (other tests contribute), so assert presence and > 0.
@@ -143,10 +149,10 @@ func TestMetricsEndpointDuringClusterRun(t *testing.T) {
 	}
 
 	commitBatch(3)
-	second := scrape(t, srv.URL)
+	second := scrape(t, srv.URL, nil)
 
 	for series, before := range first {
-		if strings.Contains(series, "_pages") { // gauges may go down
+		if gauges[series] {
 			continue
 		}
 		after, ok := second[series]
@@ -162,5 +168,43 @@ func TestMetricsEndpointDuringClusterRun(t *testing.T) {
 	if sumPrefix(second, "confide_pipeline_total_seconds_count") <=
 		sumPrefix(first, "confide_pipeline_total_seconds_count") {
 		t.Error("pipeline span count did not advance across batches")
+	}
+
+	// "Which replica paid the ECDH" from a scrape: under a tagged stream that
+	// only the leader pre-verified (a saturated cluster), the followers
+	// execute on relayed keys and nobody opens an envelope with sk_tx at
+	// execution.
+	const relayed = 6
+	submitCredits(t, c, c.Nodes, "alice", relayed)
+	proposeLeaderOnly(t, c, c.Nodes, nil)
+	third := scrape(t, srv.URL, nil)
+	for series, want := range map[string]float64{
+		`confide_core_envelope_opens_total{path="ecdh"}`:    0,
+		`confide_core_envelope_opens_total{path="local"}`:   relayed,
+		`confide_core_envelope_opens_total{path="relayed"}`: relayed * 3,
+		`confide_node_key_relay_total{outcome="adopted"}`:   4,
+		`confide_node_key_relay_total{outcome="rejected"}`:  0,
+		`confide_node_key_relay_total{outcome="absent"}`:    0,
+		`confide_node_verify_tag_total{outcome="accepted"}`: 4,
+		`confide_core_executed_total{type="confidential"}`:  relayed * 4,
+		`confide_core_preverify_attested_total`:             relayed * 4,
+		`confide_node_occ_speculative_total`:                0,
+	} {
+		after, ok := third[series]
+		if !ok {
+			t.Errorf("series %s missing from the exposition", series)
+		}
+		if got := after - second[series]; got != want {
+			t.Errorf("series %s moved by %v over the relayed block, want %v", series, got, want)
+		}
+	}
+	summary := metrics.Default().Summary()
+	for _, series := range []string{
+		`confide_core_envelope_opens_total{path="relayed"}`,
+		`confide_node_key_relay_total{outcome="adopted"}`,
+	} {
+		if !strings.Contains(summary, series) {
+			t.Errorf("Summary omits %s", series)
+		}
 	}
 }

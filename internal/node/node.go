@@ -496,11 +496,12 @@ func (n *Node) PreVerifyPending() int {
 }
 
 // PreVerifyPendingN is PreVerifyPending with an explicit transaction budget.
-// The driver gives the leader the full budget and followers a trickle: with
-// block-level attestation, follower execution accepts the proposer enclave's
-// signature checks, so a follower's own pre-verification only feeds the pool
-// it would propose from after a view change — worth keeping warm, not worth
-// three replicas' worth of redundant ECDSA per transaction.
+// The driver gives the leader the full budget and followers a fixed share of
+// what the leader verified: with block-level attestation and the key relay,
+// follower execution accepts the proposer enclave's signature checks and
+// keys, so a follower's own pre-verification only feeds the pool it would
+// propose from after a view change — worth keeping warm, not worth three
+// replicas' worth of redundant ECDH and ECDSA per transaction.
 func (n *Node) PreVerifyPendingN(budget int) int {
 	batch := n.unverified.PopBatch(budget)
 	if len(batch) == 0 {
@@ -587,12 +588,14 @@ func (n *Node) ProposeBlock() (int, error) {
 	block.ComputeTxRoot()
 	// Everything in the verified pool passed signature pre-verification in
 	// this node's enclave; attest that fact so followers can accept the
-	// batch without re-running ECDSA per transaction. The enclave re-checks
-	// its own cache and recomputes the root before tagging (AttestPreVerified
-	// refuses otherwise), so the tag cannot claim more than the enclave
-	// actually verified. The tag rides outside the header, leaving the block
-	// hash (and the scheduler's tracking of it) unchanged.
-	block.VerifyTag = n.confEngine.AttestPreVerified(height, uint32(n.endpoint.ID()), txs)
+	// batch without re-running ECDSA per transaction, and relay the k_tx the
+	// enclave recovered on the way so they skip the envelope's private-key
+	// open too. The enclave re-checks its own cache and recomputes the root
+	// before attesting (AttestBlock refuses otherwise), so the attestation
+	// cannot claim more than the enclave actually verified. Tag and relay
+	// ride outside the header, leaving the block hash (and the scheduler's
+	// tracking of it) unchanged.
+	block.VerifyTag, block.KeyRelay = n.confEngine.AttestBlock(height, uint32(n.endpoint.ID()), txs)
 	n.sched.Track(height, block.Hash(), parent, txs)
 	if _, err := n.replica.Propose(block.Encode()); err != nil {
 		// The proposal never entered consensus (view changed under us, or
@@ -674,27 +677,47 @@ func (n *Node) applyDecoded(block *chain.Block, payload []byte) bool {
 
 	// If the proposer's enclave attested pre-verification of this batch (and
 	// the tag checks out against our ring), seed the engines' caches so
-	// execution skips per-transaction ECDSA. The tx root above already binds
-	// the tag to exactly these transactions. A missing or bad tag costs
-	// nothing but the shortcut: execution falls back to verifying every
-	// signature itself.
+	// execution skips per-transaction ECDSA and, with the proposer's key
+	// relay adopted, the envelopes' private-key open. The tx root above
+	// already binds tag and relay to exactly these transactions. A missing or
+	// bad one costs nothing but its shortcut: execution falls back to opening
+	// every envelope and verifying every signature itself.
+	var conf, pub []*chain.Tx
+	for _, tx := range block.Txs {
+		switch tx.Type {
+		case chain.TxTypeConfidential:
+			conf = append(conf, tx)
+		case chain.TxTypePublic:
+			pub = append(pub, tx)
+		}
+	}
+	tagged := false
 	if len(block.VerifyTag) > 0 {
-		if n.confEngine.VerifyPreVerifyTag(block.Header.Height, block.Header.Proposer, block.Header.TxRoot, block.VerifyTag) {
-			var conf, pub []*chain.Tx
-			for _, tx := range block.Txs {
-				switch tx.Type {
-				case chain.TxTypeConfidential:
-					conf = append(conf, tx)
-				case chain.TxTypePublic:
-					pub = append(pub, tx)
-				}
-			}
+		tagged = n.confEngine.VerifyPreVerifyTag(block.Header.Height, block.Header.Proposer, block.Header.TxRoot, block.VerifyTag)
+		if tagged {
 			n.confEngine.TrustPreVerified(conf)
 			n.pubEngine.TrustPreVerified(pub)
 			mVerifyTagAccepted.Inc()
 		} else {
 			mVerifyTagRejected.Inc()
 		}
+	}
+	if len(conf) > 0 {
+		switch {
+		case len(block.KeyRelay) == 0:
+			mKeyRelayAbsent.Inc()
+		case tagged && n.confEngine.AdoptKeyRelay(block.Header.Height, block.Header.Proposer, block.Header.TxRoot, block.Txs, block.KeyRelay):
+			mKeyRelayAdopted.Inc()
+		default:
+			mKeyRelayRejected.Inc()
+		}
+	}
+	// The relay is transport only: a one-time key gains no lifetime beyond
+	// this application, so the block is stored (and later served to SPV
+	// readers and catch-up sync) without it.
+	if len(block.KeyRelay) > 0 {
+		block.KeyRelay = nil
+		payload = block.Encode()
 	}
 
 	// Ordering is complete for every transaction in the block: consensus has
@@ -847,10 +870,11 @@ func (n *Node) engineFor(tx *chain.Tx) *core.Engine {
 }
 
 // executeBlock runs a block's transactions with optimistic concurrency:
-// an initial parallel pass against the pre-block snapshot, then an in-order
-// validation pass that re-executes any transaction whose reads overlap an
-// earlier transaction's writes. Smart-contract parallel execution is the
-// platform feature behind Figure 11's 4-way ≈ 2× result.
+// with OCC lanes, an initial parallel pass against the pre-block snapshot;
+// then an in-order validation pass that executes any transaction the first
+// pass did not, and re-executes any whose reads overlap an earlier
+// transaction's writes. Smart-contract parallel execution is the platform
+// feature behind Figure 11's 4-way ≈ 2× result.
 func (n *Node) executeBlock(block *chain.Block) ([]*core.ExecResult, *storage.Batch) {
 	txs := block.Txs
 	results := make([]*core.ExecResult, len(txs))
@@ -902,7 +926,9 @@ func (n *Node) executeBlock(block *chain.Block) ([]*core.ExecResult, *storage.Ba
 		// Speculative pass over the persistent OCC lane pool. Each lane
 		// reads only the pre-block snapshot, so worker count cannot change
 		// results — the sequential validation pass below is the only place
-		// effects become visible, in block order, on every replica.
+		// effects become visible, in block order, on every replica. Without
+		// lanes there is nothing to speculate with: the validation pass
+		// executes every transaction once, in order.
 		n.lanes.Run(len(txs), func(i int) {
 			if skip[i] || gov[i] {
 				return
@@ -912,15 +938,6 @@ func (n *Node) executeBlock(block *chain.Block) ([]*core.ExecResult, *storage.Ba
 				results[i] = res
 			}
 		})
-	} else {
-		for i, tx := range txs {
-			if skip[i] || gov[i] {
-				continue
-			}
-			if res, err := n.engineFor(tx).Execute(tx); err == nil {
-				results[i] = res
-			}
-		}
 	}
 
 	// Validation pass: block order wins; conflicting speculative results

@@ -9,6 +9,7 @@ import (
 
 	"confide/internal/chain"
 	"confide/internal/core"
+	"confide/internal/metrics"
 	"confide/internal/p2p"
 )
 
@@ -139,11 +140,104 @@ func TestPipelinedDriverCommitsAll(t *testing.T) {
 	}
 }
 
+// TestDriverFollowerShareIsPerTransaction pins what makes the driver's cost
+// per transaction independent of timing: followers pre-verify one
+// transaction for every eight the leader does, however many ticks that takes.
+// The load is paced below the leader's per-tick budget, where an allowance
+// counted in ticks lets every follower verify every transaction (4 per
+// transaction in the cluster instead of 1 + 3/8).
+func TestDriverFollowerShareIsPerTransaction(t *testing.T) {
+	cluster, err := NewCluster(ClusterOptions{
+		Nodes: 4,
+		Node: Config{
+			BlockMaxTxs:   8,
+			PipelineDepth: 4,
+			EngineOpts:    core.AllOptimizations(),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if err := cluster.DeployEverywhere(ledgerAddr, chain.AddressFromBytes([]byte("own")), core.VMCVM, ledgerModule(t), true, 1); err != nil {
+		t.Fatal(err)
+	}
+	txs := pipelineLedgerTxs(t, cluster, 11, 64)
+	preVerified := func() uint64 {
+		return metrics.Default().Snapshot().CounterSum("confide_core_preverified_total")
+	}
+	before := preVerified()
+	stop := cluster.StartDriver(2 * time.Millisecond)
+	defer stop()
+	for _, tx := range txs {
+		if err := cluster.Leader().SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waitCommittedEverywhere(t, cluster, txs, 30*time.Second)
+	stop()
+	n := uint64(len(txs))
+	if got, most := preVerified()-before, n+3*(n/8); got < n || got > most {
+		t.Fatalf("%d pre-verifications of %d transactions, want %d (the leader's) to %d (plus an eighth on each follower)", got, n, n, most)
+	}
+}
+
+// commitDependencyChain commits one block in which every transaction reads
+// what the one before it wrote: a credit to a fresh account, then blockMax-1
+// moves passing that unit down a chain of accounts. Executed against the
+// pre-block snapshot every move fails (empty source), so all of them
+// succeeding on every replica shows block order won. Returns the block's
+// transactions.
+func commitDependencyChain(t *testing.T, c *Cluster, blockMax int) []*chain.Tx {
+	t.Helper()
+	client := newClusterClient(t, c)
+	hop := func(i int) []byte { return acct("raw-" + string(rune('a'+i))) }
+	credit, _, err := client.NewConfidentialTx(ledgerAddr, "credit", hop(0), []byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs := []*chain.Tx{credit}
+	for i := 1; i < blockMax; i++ {
+		move, _, err := client.NewConfidentialTx(ledgerAddr, "move", hop(i-1), hop(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, move)
+	}
+	for _, n := range c.Nodes {
+		n.ConfidentialEngine().Profile().Reset()
+	}
+	for _, tx := range txs {
+		if err := c.Submit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := c.ProcessRound(10 * time.Second); err != nil || n != blockMax {
+		t.Fatalf("dependency block carried %d txs (err=%v), want %d", n, err, blockMax)
+	}
+	for _, n := range c.Nodes {
+		for i, tx := range txs {
+			if rpt, ok := n.Receipt(tx.Hash()); !ok || rpt.Status != chain.ReceiptOK {
+				t.Fatalf("node %d: dependent tx %d did not succeed in block order", n.ID(), i)
+			}
+		}
+	}
+	return txs
+}
+
+// executions reports how many confidential transactions n's engine has run
+// to completion since its profile was last reset (one receipt seal each).
+func executions(n *Node) uint64 {
+	return n.ConfidentialEngine().Profile().Snapshot()[core.OpReceiptSeal].Count
+}
+
 // TestMixedExecWorkersDeterminism mixes replicas with 1, 2, 4 and 8 OCC
 // lanes inside one cluster running pipelined: every replica must commit the
 // byte-identical chain and identical plaintext state, because speculation
 // reads only the pre-block snapshot and the validation pass serializes in
-// block order regardless of lane count.
+// block order regardless of lane count. A replica without lanes has nothing
+// to speculate with and executes each transaction exactly once.
 func TestMixedExecWorkersDeterminism(t *testing.T) {
 	cluster, err := NewCluster(ClusterOptions{
 		Nodes: 4,
@@ -172,6 +266,18 @@ func TestMixedExecWorkersDeterminism(t *testing.T) {
 	}
 	waitCommittedEverywhere(t, cluster, txs, 30*time.Second)
 	stop()
+
+	// One block of intra-block read-after-write dependencies: the lanes of
+	// replicas 1–3 speculate, fail and re-execute; replica 0 (one worker, so
+	// no lanes) runs each transaction once.
+	chainTxs := commitDependencyChain(t, cluster, 8)
+	txs = append(txs, chainTxs...)
+	if got := executions(cluster.Nodes[0]); got != uint64(len(chainTxs)) {
+		t.Errorf("lane-less replica executed %d times for %d transactions", got, len(chainTxs))
+	}
+	if got := executions(cluster.Nodes[3]); got <= uint64(len(chainTxs)) {
+		t.Errorf("8-lane replica executed %d times: the dependency chain forced no re-execution", got)
+	}
 
 	height := cluster.Nodes[0].Height()
 	for _, n := range cluster.Nodes[1:] {
@@ -215,6 +321,23 @@ func TestMixedExecWorkersDeterminism(t *testing.T) {
 			} else if !bytes.Equal(res.Receipt.Output, base) {
 				t.Fatalf("balance %q differs on node %d: %v vs %v", a, i, res.Receipt.Output, base)
 			}
+		}
+	}
+
+	// A cluster with no lanes anywhere (the default) never speculates: the
+	// registry's OCC counters stay where they were.
+	laneless := newTestCluster(t, ClusterOptions{Nodes: 4, Node: Config{BlockMaxTxs: 8}})
+	speculated, conflicts := mOCCSpeculated.Value(), mOCCConflicts.Value()
+	chainTxs = commitDependencyChain(t, laneless, 8)
+	if d := mOCCSpeculated.Value() - speculated; d != 0 {
+		t.Errorf("lane-less cluster speculated %d executions", d)
+	}
+	if d := mOCCConflicts.Value() - conflicts; d != 0 {
+		t.Errorf("lane-less cluster discarded %d executions", d)
+	}
+	for _, n := range laneless.Nodes {
+		if got := executions(n); got != uint64(len(chainTxs)) {
+			t.Errorf("node %d executed %d times for %d transactions", n.ID(), got, len(chainTxs))
 		}
 	}
 }

@@ -45,9 +45,9 @@ func NewLanes(workers int) *Lanes {
 		// "sent" straight into a worker's hands, so Close can never strand
 		// a buffered task that no worker will pick up (Run's stop branch
 		// executes unsent tasks inline instead).
-		tasks:   make(chan laneTask),
-		stop:    make(chan struct{}),
-		busyNs:  make([]atomic.Int64, workers),
+		tasks:  make(chan laneTask),
+		stop:   make(chan struct{}),
+		busyNs: make([]atomic.Int64, workers),
 	}
 	for w := 0; w < workers; w++ {
 		l.laneBusy = append(l.laneBusy, metrics.Default().Counter(
