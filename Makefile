@@ -15,7 +15,7 @@ test:
 # injection, the node layer, and the lock-free metrics registry feeding all
 # of them.
 race:
-	$(GO) test -race ./internal/consensus/... ./internal/node/... ./internal/p2p/... ./internal/metrics/... ./internal/bench/... ./internal/storage/... ./internal/gateway/... ./internal/confassets/... ./internal/cvm/... ./internal/pipeline/... ./internal/core/...
+	$(GO) test -race ./internal/consensus/... ./internal/node/... ./internal/p2p/... ./internal/metrics/... ./internal/bench/... ./internal/storage/... ./internal/gateway/... ./internal/confassets/... ./internal/cvm/... ./internal/pipeline/... ./internal/core/... ./internal/chaos/...
 
 # gofmt -l prints the files it would rewrite; any name is a failure.
 vet:
@@ -43,10 +43,12 @@ chaos:
 # fsyncs) layered onto each crash window. Certifies no committed transaction
 # lost, identical chain prefixes, every crash recovered (quarantine-and-
 # fast-sync when the image is corrupt beyond the WAL), and every sealed
-# record re-verified through the engine's AEAD after recovery.
+# record re-verified through the engine's AEAD after recovery. The second run
+# keeps the disk clean but widens the window (depth 8, four OCC lanes), so
+# crash points fire with several delivered blocks queued behind execution.
 crash:
 	$(GO) run ./cmd/benchrunner -chaos -seed 1 -crashes 3 -diskfaults
-	$(GO) run ./cmd/benchrunner -chaos -seed 2 -crashes 2
+	$(GO) run ./cmd/benchrunner -chaos -seed 2 -crashes 2 -pipeline-depth 8 -exec-workers 4
 
 bench:
 	$(GO) run ./cmd/benchrunner -exp all -quick

@@ -24,7 +24,11 @@
 //	benchrunner -chaos -gwkills 2 # workload via HTTP gateways, two killed mid-run
 //	benchrunner -chaos -crashes 3 -diskfaults  # power-cut crashes at named crash
 //	                              # points with transient disk faults layered on
+//	benchrunner -chaos -crashes 2 -pipeline-depth 8 -exec-workers 4  # …with a
+//	                              # depth-8 window of blocks queued behind execution
 //	benchrunner -exp fig10 -metrics  # append the registry summary table
+//
+// The drill behind -chaos is internal/chaos (chaos.Run).
 package main
 
 import (
@@ -36,9 +40,8 @@ import (
 	"time"
 
 	"confide/internal/bench"
-	"confide/internal/gateway"
+	"confide/internal/chaos"
 	"confide/internal/metrics"
-	"confide/internal/node"
 )
 
 func main() {
@@ -47,7 +50,7 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink grids for a fast pass")
 	showMetrics := flag.Bool("metrics", false, "print the metrics registry summary after the run")
 	jsonOut := flag.Bool("json", false, "write BENCH_<exp>.json per experiment (rows + latency percentiles + sync times)")
-	chaos := flag.Bool("chaos", false, "run the chaos drill instead of the paper experiments")
+	drill := flag.Bool("chaos", false, "run the chaos drill instead of the paper experiments")
 	seed := flag.Int64("seed", 1, "chaos: fault-schedule seed")
 	nodes := flag.Int("nodes", 4, "chaos: cluster size (4-7)")
 	drop := flag.Float64("drop", 0.10, "chaos: global message drop rate")
@@ -56,8 +59,8 @@ func main() {
 	gwkills := flag.Int("gwkills", 0, "chaos: route the workload through HTTP gateways and kill this many mid-run")
 	crashes := flag.Int("crashes", 0, "chaos: crash-and-recover disk faults (kill at a random crash point, revive from the frozen disk image)")
 	diskfaults := flag.Bool("diskfaults", false, "chaos: layer transient disk faults (ENOSPC, EIO, bit-flips, lying fsyncs) onto each crash window")
-	pipeDepth := flag.Int("pipeline-depth", 0, "chaos: leader proposal window (0/1 = serialized legacy mode)")
-	execWorkers := flag.Int("exec-workers", 0, "chaos: OCC speculation lanes per node (0 = sequential)")
+	pipeDepth := flag.Int("pipeline-depth", 0, "chaos: leader proposal window (0 = 1)")
+	execWorkers := flag.Int("exec-workers", 0, "chaos: OCC speculation lanes per node (0/1 = none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
 
@@ -78,7 +81,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *chaos {
+	if *drill {
 		err := runChaos(*seed, *nodes, *txs, *drop, *wipe, *rotations, *gwkills, *crashes, *diskfaults, *pipeDepth, *execWorkers)
 		if *showMetrics {
 			fmt.Printf("\n=== metrics registry summary ===\n%s", metrics.Default().Summary())
@@ -247,7 +250,7 @@ func runChaos(seed int64, nodes, txs int, drop float64, wipes, rotations, gwkill
 	if pipeDepth > 1 {
 		scenario += fmt.Sprintf(" + pipelined ordering (depth %d, %d OCC lanes)", pipeDepth, execWorkers)
 	}
-	opts := node.ChaosOptions{
+	opts := chaos.Options{
 		Nodes:         nodes,
 		Txs:           txs, // 0 = default
 		Seed:          seed,
@@ -260,12 +263,9 @@ func runChaos(seed int64, nodes, txs int, drop float64, wipes, rotations, gwkill
 		PipelineDepth: pipeDepth,
 		ExecWorkers:   execWorkers,
 	}
-	if gwkills > 0 {
-		opts.Gateways = gateway.NewChaosDriver()
-	}
 	fmt.Printf("=== Chaos drill: %d nodes, seed %d, %.0f%% drop, %s ===\n",
 		nodes, seed, drop*100, scenario)
-	report, err := node.RunChaos(opts)
+	report, err := chaos.Run(opts)
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,7 @@
 //
 //	confide-node                         # 4 nodes, 64 ABS transfers
 //	confide-node -nodes 8 -txs 200
-//	confide-node -workload scf -parallel 4
+//	confide-node -workload scf -exec-workers 4
 //	confide-node -workload json -vm evm  # run the baseline VM
 //	confide-node -rotate 1 -epoch-window 2 -reseal-rate 512
 //	confide-node -gateway :8440 -linger 10m   # serve the HTTP client edge
@@ -36,7 +36,6 @@ import (
 func main() {
 	nodes := flag.Int("nodes", 4, "replica count")
 	txCount := flag.Int("txs", 64, "transactions to run")
-	parallel := flag.Int("parallel", 1, "execution parallelism (ways)")
 	wl := flag.String("workload", "abs", "workload: abs, scf, concat, enotes, hash, json")
 	vmName := flag.String("vm", "cvm", "contract VM: cvm or evm")
 	storeDir := flag.String("store", "", "durable store directory (LSM; browse it with confide-explorer)")
@@ -50,8 +49,8 @@ func main() {
 	gatewayAddr := flag.String("gateway", "", "serve the client gateway (attested HTTP edge) on this base address, e.g. :8440 — node i listens on port+i (port 0 picks ephemeral ports); combine with -linger to keep serving remote clients after the built-in workload")
 	gatewayRate := flag.Float64("gateway-rate", 0, "gateway per-client admission rate in tx/s, token-bucket with 2x burst (0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful gateway shutdown bound: in-flight requests get this long to finish after new submissions start being refused")
-	pipelineDepth := flag.Int("pipeline-depth", 1, "consensus proposals a leader keeps in flight ahead of execution (1 = serialized; >1 enables predicted-parent pipelining with execute-behind-order)")
-	execWorkers := flag.Int("exec-workers", 0, "parallel OCC lanes for the speculative execution pass (0 = -parallel's value); any mix across replicas commits identical state")
+	pipelineDepth := flag.Int("pipeline-depth", 1, "consensus proposals a leader keeps in flight ahead of execution (the window; 1 = propose the next block once the previous one is delivered)")
+	execWorkers := flag.Int("exec-workers", 1, "execution parallelism: OCC lanes for the speculative pass (1 = none, each transaction executes once in block order); any mix across replicas commits identical state")
 	noCompile := flag.Bool("no-compile", false, "disable the deploy-time CVM compiler; every transaction runs on the interpreter (replicas with and without this flag stay byte-identical)")
 	flag.Parse()
 
@@ -84,7 +83,6 @@ func main() {
 		Nodes: *nodes,
 		Node: node.Config{
 			BlockMaxTxs:        32,
-			Parallelism:        *parallel,
 			EngineOpts:         engineOpts,
 			CheckpointInterval: *ckptInterval,
 			Retention:          *retention,

@@ -153,7 +153,7 @@ func clusterThroughput(p clusterParams) (float64, error) {
 		Network: p.network,
 		Node: node.Config{
 			BlockMaxTxs: 32,
-			Parallelism: p.parallel,
+			ExecWorkers: p.parallel,
 			EngineOpts:  core.AllOptimizations(),
 		},
 		Enclave:           tee.Config{InjectDelays: true},
@@ -596,7 +596,7 @@ func ProductionMetrics() (*ProdMetrics, error) {
 		Nodes: 4,
 		Node: node.Config{
 			BlockMaxTxs: 16,
-			Parallelism: 4,
+			ExecWorkers: 4,
 			EngineOpts:  core.AllOptimizations(),
 		},
 		Enclave:           tee.Config{InjectDelays: true},

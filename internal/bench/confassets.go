@@ -49,9 +49,9 @@ func DefaultConfAssets() ConfAssetsConfig {
 }
 
 // ConfAssets measures the confassets primitives — commit, deterministic
-// blinding derivation, 64-bit range prove/verify (single and batched),
-// commitment-to-zero prove/verify — and then drives the committed-token
-// contract through a cluster for end-to-end issue and transfer throughput.
+// blinding derivation, 64-bit range prove/verify (single and batched) — and
+// then drives the committed-token contract through a cluster for end-to-end
+// issue and transfer throughput.
 func ConfAssets(cfg ConfAssetsConfig) ([]ConfAssetsRow, error) {
 	if cfg.Proofs == 0 {
 		cfg = DefaultConfAssets()
@@ -122,27 +122,6 @@ func ConfAssets(cfg ConfAssetsConfig) ([]ConfAssetsRow, error) {
 		rows = append(rows, row)
 	}
 
-	// Conservation proofs (commitment-to-zero), as checked on every
-	// confidential transfer.
-	const zeroIters = 256
-	zr := confassets.DeriveBlinding(key, contract, []byte("zp"), []byte("bal"), 0)
-	zc := confassets.Commit(0, zr)
-	zps := make([]*confassets.ZeroProof, zeroIters)
-	rows = append(rows, timed("zero_prove", zeroIters, 0, 0, func() {
-		for i := range zps {
-			nonce := make([]byte, 8)
-			binary.BigEndian.PutUint64(nonce, uint64(i))
-			zps[i] = confassets.ProveZero(zr, nonce)
-		}
-	}))
-	rows = append(rows, timed("zero_verify", zeroIters, 0, 0, func() {
-		for _, p := range zps {
-			if !confassets.VerifyZero(zc, p) {
-				panic("bench: valid zero proof rejected")
-			}
-		}
-	}))
-
 	tokenRows, err := confTokenThroughput(cfg.TokenTxs)
 	if err != nil {
 		return nil, err
@@ -158,7 +137,7 @@ func beU64(v uint64) []byte {
 
 // confTokenThroughput measures end-to-end cluster TPS of the committed
 // token: capped issuance into fresh accounts, then transfers between two
-// committed balances (two commitments plus a conservation proof per tx).
+// committed balances (two commitments per tx).
 func confTokenThroughput(txCount int) ([]ConfAssetsRow, error) {
 	if txCount == 0 {
 		txCount = DefaultConfAssets().TokenTxs
@@ -167,7 +146,6 @@ func confTokenThroughput(txCount int) ([]ConfAssetsRow, error) {
 		Nodes: 4,
 		Node: node.Config{
 			BlockMaxTxs: 32,
-			Parallelism: 1,
 			EngineOpts:  core.AllOptimizations(),
 		},
 		Enclave: tee.Config{InjectDelays: true},

@@ -1,4 +1,15 @@
-package node
+// Package chaos is a seeded end-to-end fault drill. It boots a cluster, keeps
+// a client-style workload flowing (with retries, as a real client would),
+// and injects the fault schedule — message loss on every link, leader
+// crashes with restarts, and a partition that splits and heals — then
+// requires full convergence: every transaction committed with an OK receipt
+// on every node, identical chains, identical state roots. Nothing in the
+// harness touches consensus internals; recovery comes entirely from the
+// automatic timers, retransmission and catch-up sync.
+//
+// The package imports node and gateway and is imported only by tests and
+// cmd/benchrunner, so no production package carries harness code.
+package chaos
 
 import (
 	"crypto/sha256"
@@ -12,19 +23,11 @@ import (
 	"confide/internal/core"
 	"confide/internal/keyepoch"
 	"confide/internal/metrics"
+	"confide/internal/node"
 	"confide/internal/p2p"
 	"confide/internal/storage/vfs"
 	"confide/internal/storage/vfs/faultfs"
 )
-
-// Chaos harness: a seeded end-to-end fault drill. It boots a cluster, keeps
-// a client-style workload flowing (with retries, as a real client would),
-// and injects the fault schedule — message loss on every link, leader
-// crashes with restarts, and a partition that splits and heals — then
-// requires full convergence: every transaction committed with an OK receipt
-// on every node, identical chains, identical state roots. Nothing in the
-// harness touches consensus internals; recovery comes entirely from the
-// automatic timers, retransmission and catch-up sync.
 
 // chaosLedgerSrc is the harness's workload contract: per-account balances
 // with a credit operation (so the final state is a deterministic function
@@ -67,9 +70,9 @@ fn invoke() {
 
 var chaosLedgerAddr = chain.AddressFromBytes([]byte("chaosledger"))
 
-// ChaosOptions shapes one chaos run. The zero value is a quick deterministic
+// Options shapes one chaos run. The zero value is a quick deterministic
 // drill suitable for `go test`.
-type ChaosOptions struct {
+type Options struct {
 	// Nodes is the cluster size (default 4; must be ≥ 4 to tolerate one
 	// fault).
 	Nodes int
@@ -105,10 +108,11 @@ type ChaosOptions struct {
 	// the rotation counter must have moved on every node's ring.
 	Rotations int
 	// GatewayKills is how many gateway-crash faults are injected (default
-	// 0 = off). Requires Gateways: the workload then flows through the HTTP
-	// edge instead of in-process SubmitTx, a random node's gateway is killed
-	// abruptly mid-traffic and replaced when the fault window lifts, and the
-	// run is certified from the gateway request/accept counters.
+	// 0 = off). When set, every node is fronted by a gateway and the workload
+	// flows through the HTTP edge instead of in-process SubmitTx, a random
+	// node's gateway is killed abruptly mid-traffic and replaced when the
+	// fault window lifts, and the run is certified from the gateway
+	// request/accept counters.
 	GatewayKills int
 	// Crashes is how many crash-and-recover disk faults are injected
 	// (default 0 = off). Each one arms a random named crash point (WAL
@@ -130,21 +134,14 @@ type ChaosOptions struct {
 	// filesystem during each crash window: ENOSPC after partial writes,
 	// transient read EIO, read bit-flips, lying fsyncs. Requires Crashes.
 	DiskFaults bool
-	// Gateways routes the workload through gateway edges. The node package
-	// cannot import the gateway package (the edge builds on the node), so
-	// the harness takes the driver as an interface; gateway.NewChaosDriver
-	// provides the implementation.
-	Gateways GatewayDriver
-	// PipelineDepth runs the drill with pipelined proposals (default 0 =
-	// depth 1, the serialized fallback): each believed leader fills its
-	// in-flight window to this depth every duty-cycle step, and delivered
-	// blocks execute behind ordering. Faults — leader kills included — then
-	// land mid-pipeline, exercising the predicted-parent abort/re-pool
-	// path; the run still certifies that no committed transaction is lost
-	// and every chain converges byte-identically.
+	// PipelineDepth is every node's in-flight proposal window (default 0 =
+	// depth 1): each believed leader fills it every duty-cycle step. At
+	// depth > 1 faults — leader kills included — land mid-pipeline,
+	// exercising the predicted-parent abort/re-pool path; the run still
+	// certifies that no committed transaction is lost and every chain
+	// converges byte-identically.
 	PipelineDepth int
-	// ExecWorkers widens each node's speculative OCC pass (default 0 =
-	// single lane).
+	// ExecWorkers is each node's OCC lane count (default 0 = no lanes).
 	ExecWorkers int
 	// FaultFor is how long each fault stays active (default 500ms); faults
 	// are scheduled sequentially so at most one is active at a time,
@@ -156,7 +153,7 @@ type ChaosOptions struct {
 	Timeout time.Duration
 }
 
-func (o ChaosOptions) withDefaults() ChaosOptions {
+func (o Options) withDefaults() Options {
 	if o.Nodes == 0 {
 		o.Nodes = 4
 	}
@@ -190,8 +187,8 @@ func (o ChaosOptions) withDefaults() ChaosOptions {
 	return o
 }
 
-// ChaosReport summarizes a converged run.
-type ChaosReport struct {
+// Report summarizes a converged run.
+type Report struct {
 	Nodes       int
 	Txs         int
 	Height      uint64
@@ -239,27 +236,11 @@ var chaosCrashPoints = []string{
 	vfs.CrashPrune,
 }
 
-// GatewayDriver is the seam through which the chaos harness drives HTTP
-// gateway edges without the node package importing them. Start boots one
-// gateway per cluster node; Submit routes one transaction through node i's
-// gateway over real TCP; Kill tears gateway i down abruptly (no drain);
-// Restart serves a replacement for node i; Stop closes everything.
-type GatewayDriver interface {
-	Start(c *Cluster) error
-	Submit(i int, tx *chain.Tx) error
-	Kill(i int)
-	Restart(i int) error
-	Stop()
-}
-
-// RunChaos executes one seeded chaos drill and verifies convergence.
-func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
+// Run executes one seeded chaos drill and verifies convergence.
+func Run(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	if opts.Nodes < 4 {
 		return nil, fmt.Errorf("chaos: need ≥ 4 nodes to tolerate a fault, got %d", opts.Nodes)
-	}
-	if opts.GatewayKills > 0 && opts.Gateways == nil {
-		return nil, fmt.Errorf("chaos: GatewayKills needs a Gateways driver")
 	}
 	if opts.DiskFaults && opts.Crashes == 0 {
 		return nil, fmt.Errorf("chaos: DiskFaults layers onto crash windows; set Crashes > 0")
@@ -271,7 +252,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		}
 		return r
 	}
-	cluster, err := NewCluster(ClusterOptions{
+	cluster, err := node.NewCluster(node.ClusterOptions{
 		Nodes:      opts.Nodes,
 		DiskFaults: opts.Crashes > 0,
 		FaultSeed:  opts.Seed,
@@ -281,7 +262,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 			ReorderRate:   clamp(opts.ReorderRate),
 			Seed:          opts.Seed,
 		},
-		Node: Config{
+		Node: node.Config{
 			EngineOpts: core.AllOptimizations(),
 			Consensus: consensus.Options{
 				ViewTimeout:        250 * time.Millisecond,
@@ -301,11 +282,14 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 	}
 	defer cluster.Close()
 
-	if opts.Gateways != nil {
-		if err := opts.Gateways.Start(cluster); err != nil {
+	// With gateway kills scheduled the workload enters through the HTTP edge;
+	// gws stays nil otherwise and transactions go straight to SubmitTx.
+	var gws *gateways
+	if opts.GatewayKills > 0 {
+		if gws, err = startGateways(cluster); err != nil {
 			return nil, fmt.Errorf("chaos: starting gateways: %w", err)
 		}
-		defer opts.Gateways.Stop()
+		defer gws.stop()
 	}
 
 	mod, err := ccl.CompileCVM(chaosLedgerSrc)
@@ -367,7 +351,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		submitAt[i] = cursor * time.Duration(i) / time.Duration(opts.Txs)
 	}
 
-	report := &ChaosReport{Nodes: opts.Nodes, Txs: opts.Txs}
+	report := &Report{Nodes: opts.Nodes, Txs: opts.Txs}
 	before := metrics.Default().Snapshot()
 	start := time.Now()
 	logEvent := func(format string, args ...any) {
@@ -384,18 +368,18 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 	deadline := start.Add(opts.Timeout)
 
 	// submit routes one workload transaction: in-process SubmitTx normally,
-	// over real TCP through the node's gateway when a driver is attached. A
+	// over real TCP through the node's gateway when gateways are up. A
 	// killed gateway is sidestepped like a crashed node — the client's
 	// failover, not a harness cheat.
 	submit := func(target int, tx *chain.Tx) {
 		if target == crashed || target == diskCrashed {
 			target = (target + 1) % opts.Nodes
 		}
-		if opts.Gateways != nil {
+		if gws != nil {
 			if target == gwKilled {
 				target = (target + 1) % opts.Nodes
 			}
-			opts.Gateways.Submit(target, tx)
+			gws.submit(target, tx)
 			return
 		}
 		cluster.Nodes[target].SubmitTx(tx)
@@ -480,7 +464,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		if len(faults) > 0 && crashed < 0 && !partitioned && gwKilled < 0 && diskCrashed < 0 && now >= faults[0].at {
 			f := faults[0]
 			if f.isGwKill {
-				opts.Gateways.Kill(f.target)
+				gws.kill(f.target)
 				gwKilled = f.target
 				logEvent("kill gateway %d mid-traffic for %s", f.target, opts.FaultFor)
 			} else if f.isDiskCrash {
@@ -546,15 +530,15 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 				if cerr := cluster.CrashNode(diskCrashed); cerr != nil {
 					return nil, cerr
 				}
-				if opts.Gateways != nil {
-					opts.Gateways.Kill(diskCrashed) // edge dies with its host
+				if gws != nil {
+					gws.kill(diskCrashed) // edge dies with its host
 				}
 				quarantined, rerr := cluster.ReviveNode(diskCrashed)
 				if rerr != nil {
 					return nil, fmt.Errorf("chaos: reviving node %d: %w", diskCrashed, rerr)
 				}
-				if opts.Gateways != nil {
-					if rerr := opts.Gateways.Restart(diskCrashed); rerr != nil {
+				if gws != nil {
+					if rerr := gws.restart(diskCrashed); rerr != nil {
 						return nil, fmt.Errorf("chaos: rebinding gateway %d after revive: %w", diskCrashed, rerr)
 					}
 				}
@@ -571,7 +555,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 				partitioned = false
 			}
 			if gwKilled >= 0 {
-				if err := opts.Gateways.Restart(gwKilled); err != nil {
+				if err := gws.restart(gwKilled); err != nil {
 					return nil, fmt.Errorf("chaos: restarting gateway %d: %w", gwKilled, err)
 				}
 				logEvent("restart gateway %d", gwKilled)
@@ -679,23 +663,14 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 		}
 
 		// Duty cycle: every live node pre-verifies; every believed leader
-		// proposes its backlog (several may believe during a view change —
-		// consensus arbitrates), filling its in-flight window when the
-		// drill runs pipelined.
+		// proposes its backlog up to its in-flight window (several may
+		// believe during a view change — consensus arbitrates).
 		for i, n := range cluster.Nodes {
 			if i == crashed {
 				continue
 			}
 			n.PreVerifyPending()
-			if opts.PipelineDepth > 1 {
-				for n.IsLeader() && n.VerifiedPoolLen() > 0 && n.ConsensusBacklog() < uint64(opts.PipelineDepth) {
-					if _, err := n.ProposeBlock(); err != nil {
-						break
-					}
-				}
-			} else if n.IsLeader() && n.VerifiedPoolLen() > 0 {
-				n.ProposeBlock()
-			}
+			n.ProposePending()
 		}
 		time.Sleep(opts.StepEvery)
 	}
@@ -870,7 +845,7 @@ func RunChaos(opts ChaosOptions) (*ChaosReport, error) {
 // drill runs with (checkpoints stay off otherwise, matching the default
 // deployment). Crash drills need them so a quarantined store can rebuild by
 // snapshot fast-sync — and so the prune crash point has traffic.
-func chaosCheckpointInterval(opts ChaosOptions) uint64 {
+func chaosCheckpointInterval(opts Options) uint64 {
 	if opts.WipeRejoins == 0 && opts.Crashes == 0 {
 		return 0
 	}
@@ -879,7 +854,7 @@ func chaosCheckpointInterval(opts ChaosOptions) uint64 {
 
 // chaosRetention keeps two intervals of payload history in a wipe-rejoin or
 // crash drill, so pruning is exercised without starving the tail replay.
-func chaosRetention(opts ChaosOptions) uint64 {
+func chaosRetention(opts Options) uint64 {
 	if opts.WipeRejoins == 0 && opts.Crashes == 0 {
 		return 0
 	}

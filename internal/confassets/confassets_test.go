@@ -215,36 +215,6 @@ func TestBatchVerify(t *testing.T) {
 	}
 }
 
-func TestZeroProof(t *testing.T) {
-	// Conservation scenario: in = out1 + out2, excess blinding proves the
-	// difference commits to zero.
-	rIn := testBlinding(t, "in")
-	rOut1, rOut2 := testBlinding(t, "o1"), testBlinding(t, "o2")
-	cIn := Commit(100, rIn)
-	cOut := Commit(60, rOut1).Add(Commit(40, rOut2))
-	excess := SubScalars(rIn, AddScalars(rOut1, rOut2))
-	zp := ProveZero(excess, []byte("nk"))
-	if !VerifyZero(cIn.Sub(cOut), zp) {
-		t.Fatal("valid conservation proof rejected")
-	}
-	// A transfer that mints value must fail: outputs sum to 101.
-	cBad := Commit(61, rOut1).Add(Commit(40, rOut2))
-	if VerifyZero(cIn.Sub(cBad), zp) {
-		t.Fatal("minting transfer accepted")
-	}
-	// Round-trip.
-	zp2, err := UnmarshalZeroProof(zp.Marshal())
-	if err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !VerifyZero(cIn.Sub(cOut), zp2) {
-		t.Fatal("round-tripped zero proof rejected")
-	}
-	if _, err := UnmarshalZeroProof(zp.Marshal()[:10]); err == nil {
-		t.Fatal("truncated zero proof decoded")
-	}
-}
-
 func TestDisclosureReceipts(t *testing.T) {
 	r := testBlinding(t, "rcpt")
 	const v = 5000

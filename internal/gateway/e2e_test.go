@@ -16,6 +16,7 @@ import (
 
 	"confide/internal/ccl"
 	"confide/internal/chain"
+	"confide/internal/chaos"
 	"confide/internal/consensus"
 	"confide/internal/core"
 	"confide/internal/gateway"
@@ -580,14 +581,13 @@ func TestChaosGatewayKills(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos drill in -short mode")
 	}
-	report, err := node.RunChaos(node.ChaosOptions{
+	report, err := chaos.Run(chaos.Options{
 		Txs:           16,
 		Seed:          7,
 		DropRate:      -1, // lossless: isolate the gateway faults
 		DuplicateRate: -1,
 		ReorderRate:   -1,
 		GatewayKills:  2,
-		Gateways:      gateway.NewChaosDriver(),
 		FaultFor:      300 * time.Millisecond,
 	})
 	if err != nil {

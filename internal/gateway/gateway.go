@@ -45,12 +45,6 @@ type Config struct {
 	MaxTxBytes int
 	// MaxBatchTxs bounds one batch-submit request (default 256).
 	MaxBatchTxs int
-	// BatchMax is the pipelining batch size toward node.SubmitTxBatch
-	// (default 64).
-	BatchMax int
-	// BatchWait is how long the batcher waits to fill a batch after its
-	// first transaction arrives (default 2ms).
-	BatchWait time.Duration
 	// DrainTimeout bounds graceful shutdown: in-flight requests get this
 	// long to finish before connections are closed (default 5s).
 	DrainTimeout time.Duration
@@ -85,12 +79,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchTxs == 0 {
 		c.MaxBatchTxs = 256
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 64
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
@@ -113,7 +101,6 @@ type Gateway struct {
 	node     *node.Node
 	srv      *http.Server
 	ln       net.Listener
-	batcher  *batcher
 	limiter  *clientLimiter
 	inFlight atomic.Int64
 	draining atomic.Bool
@@ -145,7 +132,6 @@ func Serve(cfg Config) (*Gateway, error) {
 		cfg:         cfg,
 		node:        cfg.Node,
 		ln:          ln,
-		batcher:     newBatcher(cfg.Node, cfg.BatchMax, cfg.BatchWait, 4*cfg.BatchMax),
 		limiter:     newClientLimiter(cfg.RateLimit, cfg.RateBurst, 0),
 		seen:        make(map[chain.Hash]struct{}),
 		disclosures: newDisclosureCache(cfg.DisclosureCacheCap),
@@ -190,7 +176,7 @@ func (g *Gateway) Close() error {
 		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.DrainTimeout)
 		defer cancel()
 		err = g.srv.Shutdown(ctx)
-		g.batcher.close()
+		g.releaseIndex()
 		close(g.closed)
 	})
 	return err
@@ -204,7 +190,7 @@ func (g *Gateway) Kill() {
 		close(g.drainCh)
 		g.hookOff()
 		g.srv.Close()
-		g.batcher.close()
+		g.releaseIndex()
 		close(g.closed)
 	})
 }
@@ -333,63 +319,95 @@ func (g *Gateway) checkEpoch(tx *chain.Tx) *ErrorBody {
 	return nil
 }
 
-// submitOne runs the post-admission, per-transaction path shared by single
-// and batch submission: dedup, then the node boundary. The returned result
-// is always definitive (accepted / duplicate / committed / rejected).
-func (g *Gateway) submitOne(tx *chain.Tx, viaBatcher bool) SubmitResult {
-	h := tx.Hash()
-	res := SubmitResult{TxHash: h[:]}
-
-	g.mu.Lock()
-	if _, dup := g.seen[h]; dup {
-		g.mu.Unlock()
-		mDedupHits.Inc()
-		res.Status = StatusDuplicate
-		return res
-	}
-	if len(g.seen) >= g.cfg.DedupCap {
-		for k := range g.seen { // random eviction keeps the index bounded
-			delete(g.seen, k)
-			if len(g.seen) < g.cfg.DedupCap {
-				break
+// submit is the one post-admission road for both submission endpoints: per
+// transaction, epoch check, then the bounded dedup index, then the node's
+// boundary, then the verdict. Every result is definitive (accepted /
+// duplicate / committed / rejected). refused is the epoch check's full answer
+// for the first transaction it turned away (nil when it passed them all): the
+// single endpoint replies 409 with it, a batch carries only its code, in that
+// transaction's result.
+func (g *Gateway) submit(txs []*chain.Tx) (results []SubmitResult, refused *ErrorBody) {
+	results = make([]SubmitResult, len(txs))
+	forwarded := 0
+	for i, tx := range txs {
+		h := tx.Hash()
+		res := &results[i]
+		res.TxHash = h[:]
+		if eb := g.checkEpoch(tx); eb != nil {
+			if refused == nil {
+				refused = eb
 			}
+			res.Status, res.Error = StatusRejected, eb.Error
+			continue
+		}
+		if !g.remember(h) {
+			mDedupHits.Inc()
+			res.Status = StatusDuplicate
+			continue
+		}
+		forwarded++
+		switch err := g.node.SubmitTx(tx); {
+		case err == nil:
+			mAccepted.Inc()
+			res.Status = StatusAccepted
+		case errors.Is(err, node.ErrAlreadyCommitted):
+			mDedupHits.Inc()
+			res.Status = StatusCommitted
+		case errors.Is(err, node.ErrTxTooLarge):
+			g.forget(h)
+			res.Status, res.Error = StatusRejected, CodeTxTooLarge
+		default:
+			g.forget(h)
+			res.Status, res.Error = StatusRejected, CodeRejected
+		}
+	}
+	if forwarded > 0 {
+		mBatchSize.Observe(float64(forwarded))
+	}
+	return results, refused
+}
+
+// remember enters a hash into the dedup index, evicting at random to keep the
+// index within DedupCap. Reports false when the hash was already there.
+func (g *Gateway) remember(h chain.Hash) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.seen == nil {
+		return true // shut down under a request still in flight: nothing left to answer retries
+	}
+	if _, dup := g.seen[h]; dup {
+		return false
+	}
+	for len(g.seen) >= g.cfg.DedupCap {
+		for k := range g.seen {
+			delete(g.seen, k)
+			mDedupIndexSize.Add(-1)
+			break
 		}
 	}
 	g.seen[h] = struct{}{}
-	g.mu.Unlock()
-
-	var err error
-	if viaBatcher {
-		err = g.batcher.enqueue(tx)
-	} else {
-		err = g.node.SubmitTx(tx)
-	}
-	switch {
-	case err == nil:
-		mAccepted.Inc()
-		res.Status = StatusAccepted
-	case errors.Is(err, node.ErrAlreadyCommitted):
-		mDedupHits.Inc()
-		res.Status = StatusCommitted
-	case errors.Is(err, node.ErrTxTooLarge):
-		g.forget(h)
-		res.Status, res.Error = StatusRejected, CodeTxTooLarge
-	case errors.Is(err, errBatcherClosed):
-		g.forget(h)
-		res.Status, res.Error = StatusRejected, CodeDraining
-	default:
-		g.forget(h)
-		res.Status, res.Error = StatusRejected, CodeRejected
-	}
-	return res
+	mDedupIndexSize.Add(1)
+	return true
 }
 
 // forget drops a hash from the dedup index so an idempotent retry of a
 // failed submission is not falsely answered "duplicate".
 func (g *Gateway) forget(h chain.Hash) {
 	g.mu.Lock()
-	delete(g.seen, h)
-	g.mu.Unlock()
+	defer g.mu.Unlock()
+	if _, ok := g.seen[h]; ok {
+		delete(g.seen, h)
+		mDedupIndexSize.Add(-1)
+	}
+}
+
+// releaseIndex gives the dedup index back at shutdown, so the process-wide
+// size gauge counts live gateways only.
+func (g *Gateway) releaseIndex() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	mDedupIndexSize.Add(-int64(len(g.seen)))
+	g.seen = nil
 }
 
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -406,12 +424,12 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeDecodeError(w, err)
 		return
 	}
-	if eb := g.checkEpoch(tx); eb != nil {
-		writeError(w, http.StatusConflict, *eb)
+	results, refused := g.submit([]*chain.Tx{tx})
+	if refused != nil {
+		writeError(w, http.StatusConflict, *refused)
 		return
 	}
-	res := g.submitOne(tx, true)
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, results[0])
 }
 
 func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
@@ -428,53 +446,7 @@ func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	if !g.admit(w, r, float64(len(txs))) {
 		return
 	}
-	results := make([]SubmitResult, len(txs))
-	var accept []*chain.Tx
-	var acceptIdx []int
-	for i, tx := range txs {
-		if eb := g.checkEpoch(tx); eb != nil {
-			h := tx.Hash()
-			results[i] = SubmitResult{TxHash: h[:], Status: StatusRejected, Error: eb.Error}
-			continue
-		}
-		h := tx.Hash()
-		g.mu.Lock()
-		_, dup := g.seen[h]
-		if !dup {
-			g.seen[h] = struct{}{}
-		}
-		g.mu.Unlock()
-		if dup {
-			mDedupHits.Inc()
-			results[i] = SubmitResult{TxHash: h[:], Status: StatusDuplicate}
-			continue
-		}
-		accept = append(accept, tx)
-		acceptIdx = append(acceptIdx, i)
-	}
-	if len(accept) > 0 {
-		mBatchSize.Observe(float64(len(accept)))
-		errs := g.node.SubmitTxBatch(accept)
-		for j, tx := range accept {
-			h := tx.Hash()
-			res := SubmitResult{TxHash: h[:]}
-			switch err := errs[j]; {
-			case err == nil:
-				mAccepted.Inc()
-				res.Status = StatusAccepted
-			case errors.Is(err, node.ErrAlreadyCommitted):
-				mDedupHits.Inc()
-				res.Status = StatusCommitted
-			case errors.Is(err, node.ErrTxTooLarge):
-				g.forget(h)
-				res.Status, res.Error = StatusRejected, CodeTxTooLarge
-			default:
-				g.forget(h)
-				res.Status, res.Error = StatusRejected, CodeRejected
-			}
-			results[acceptIdx[j]] = res
-		}
-	}
+	results, _ := g.submit(txs)
 	writeJSON(w, http.StatusOK, BatchSubmitResponse{Results: results})
 }
 

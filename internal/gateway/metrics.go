@@ -23,6 +23,8 @@ var (
 
 	mDedupHits = metrics.Default().Counter("confide_gateway_dedup_hits_total",
 		"submissions answered from the tx-hash dedup index without re-entering the pool")
+	mDedupIndexSize = metrics.Default().Gauge("confide_gateway_dedup_index_entries",
+		"transaction hashes held in the dedup indexes of this process's gateways (each bounded by DedupCap)")
 	mStaleEpoch = metrics.Default().Counter("confide_gateway_stale_epoch_rejections_total",
 		"envelopes rejected at the edge for an epoch tag outside the acceptance window")
 	mOversized = metrics.Default().Counter("confide_gateway_oversized_rejections_total",
@@ -34,7 +36,7 @@ var (
 	mLongPollWakes = metrics.Default().Counter("confide_gateway_receipt_longpoll_wakes_total",
 		"parked receipt requests woken by a commit notification")
 	mBatchSize = metrics.Default().Histogram("confide_gateway_submit_batch_size",
-		"transactions per pipelined SubmitTxBatch call",
+		"transactions one submission request handed to the node",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 )
 

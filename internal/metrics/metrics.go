@@ -266,7 +266,7 @@ func (g *Gauge) Value() int64 {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshots (programmatic access — what RunChaos asserts on)
+// Snapshots (programmatic access — what the chaos harness asserts on)
 // ---------------------------------------------------------------------------
 
 // Snapshot is a point-in-time copy of every series in a registry, keyed by

@@ -1,9 +1,14 @@
-package node
+package node_test
 
 import (
 	"testing"
 	"time"
+
+	"confide/internal/chaos"
 )
+
+// The drills run here, next to the code they exercise; the harness itself is
+// internal/chaos, which imports this package and the gateway.
 
 // TestChaosSeededDrill runs the full chaos harness on a small seeded
 // schedule: 4 nodes, 10% message loss plus duplication/reordering, one
@@ -11,7 +16,7 @@ import (
 // transaction committed everywhere with identical chains. No manual
 // RequestViewChange anywhere: recovery is entirely automatic.
 func TestChaosSeededDrill(t *testing.T) {
-	report, err := RunChaos(ChaosOptions{
+	report, err := chaos.Run(chaos.Options{
 		Nodes:    4,
 		Txs:      24,
 		Seed:     1,
@@ -39,11 +44,11 @@ func TestChaosSeededDrill(t *testing.T) {
 
 // TestChaosWipeRejoinDrill adds the wipe-and-rejoin fault to the drill: a
 // follower's store is erased mid-run under message loss, and convergence
-// must come through snapshot fast-sync — certified inside RunChaos from the
+// must come through snapshot fast-sync — certified inside chaos.Run from the
 // registry deltas (install count ≥ wipes, zero failed installs) and here
 // from the report.
 func TestChaosWipeRejoinDrill(t *testing.T) {
-	report, err := RunChaos(ChaosOptions{
+	report, err := chaos.Run(chaos.Options{
 		Nodes:       4,
 		Txs:         24,
 		Seed:        3,
@@ -69,10 +74,10 @@ func TestChaosWipeRejoinDrill(t *testing.T) {
 // schedule: a governance transaction orders it while messages drop, a leader
 // crashes and a partition splits, and the run converges only when every
 // replica has activated the new epoch with the whole workload committed.
-// RunChaos certifies the rotation from the registry (ring advances ≥ nodes ×
+// chaos.Run certifies the rotation from the registry (ring advances ≥ nodes ×
 // rotations); the report re-checks it here.
 func TestChaosRotationDrill(t *testing.T) {
-	report, err := RunChaos(ChaosOptions{
+	report, err := chaos.Run(chaos.Options{
 		Nodes:     4,
 		Txs:       24,
 		Seed:      5,
@@ -94,7 +99,7 @@ func TestChaosRotationDrill(t *testing.T) {
 // TestChaosLossless is the control: the same harness with every fault
 // disabled must converge quickly.
 func TestChaosLossless(t *testing.T) {
-	report, err := RunChaos(ChaosOptions{
+	report, err := chaos.Run(chaos.Options{
 		Nodes:         4,
 		Txs:           12,
 		Seed:          2,
@@ -117,11 +122,11 @@ func TestChaosLossless(t *testing.T) {
 // parallel OCC lanes: leaders keep a 4-deep in-flight window, delivered
 // blocks execute behind ordering, and the scheduled leader crash therefore
 // lands mid-pipeline — with predicted blocks in flight and others queued
-// for execution. RunChaos certifies that no committed transaction is lost
+// for execution. chaos.Run certifies that no committed transaction is lost
 // and every replica converges on a byte-identical chain, which is exactly
 // the property PR 5 bought by serializing the driver.
 func TestChaosPipelinedLeaderKill(t *testing.T) {
-	report, err := RunChaos(ChaosOptions{
+	report, err := chaos.Run(chaos.Options{
 		Nodes:         4,
 		Txs:           32,
 		Seed:          1,
@@ -143,4 +148,32 @@ func TestChaosPipelinedLeaderKill(t *testing.T) {
 	}
 	t.Logf("pipelined chaos: height=%d viewChanges=%d elapsed=%s events=%v",
 		report.Height, report.ViewChanges, report.Elapsed, report.Events)
+}
+
+// TestChaosCrashDrill is the randomized certification: seeded crash points
+// under live traffic with transient disk faults layered on, certified inside
+// chaos.Run (no committed transaction lost, identical chain prefixes, every
+// crash recovered, sealed state re-verified on every node).
+func TestChaosCrashDrill(t *testing.T) {
+	report, err := chaos.Run(chaos.Options{
+		Nodes:      4,
+		Txs:        24,
+		Seed:       7,
+		DropRate:   0.05,
+		Crashes:    2,
+		DiskFaults: true,
+		Timeout:    90 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := report.Metrics["confide_node_crash_recoveries_total"]; got < 2 {
+		t.Errorf("crash drill recorded %d recoveries, want ≥ 2", got)
+	}
+	if report.Disk.Crashes < 2 {
+		t.Errorf("fault filesystems recorded %d crashes, want ≥ 2", report.Disk.Crashes)
+	}
+	t.Logf("chaos+crash: height=%d recoveries=%d quarantines=%d disk=%+v elapsed=%s events=%v",
+		report.Height, report.Metrics["confide_node_crash_recoveries_total"],
+		report.Metrics["confide_node_store_quarantines_total"], report.Disk, report.Elapsed, report.Events)
 }

@@ -500,34 +500,18 @@ func (c *Cluster) ProcessRound(timeout time.Duration) (int, error) {
 	return count, nil
 }
 
-// driverDepth resolves the driver's in-flight proposal window from the
-// cluster's node config: Config.PipelineDepth, minimum 1. Depth 1 keeps the
-// PR 5 serialized behavior (propose only after the previous delivery) as
-// the fallback mode; deeper windows are made safe by the block scheduler's
-// predicted-parent chaining — blocks cut against the in-flight tip no
-// longer deliver stale. The bound still matters: an unbounded leader opens
-// a new instance every tick, in-flight instances pile up far ahead of
-// sequential application, and their retransmit timers flood the network.
-func (c *Cluster) driverDepth() uint64 {
-	if d := c.opts.Node.PipelineDepth; d > 1 {
-		return uint64(d)
-	}
-	return 1
-}
-
 // StartDriver runs the cluster duty cycle in the background: every interval,
 // each node pre-verifies its backlog and every node that believes it leads
-// proposes blocks (consensus arbitrates when several believe during a view
-// change) until its in-flight window — PipelineDepth — is full. This is what
-// gives an over-the-wire workload — gateway clients on real TCP — continuous
-// block production without a synchronous ProcessRound caller. The returned
-// stop function halts the loop and waits for it to exit. Don't combine with
-// RestartNode: the driver reads c.Nodes unlocked.
+// proposes its pending blocks (ProposePending; consensus arbitrates when
+// several believe during a view change). This is what gives an over-the-wire
+// workload — gateway clients on real TCP — continuous block production
+// without a synchronous ProcessRound caller. The returned stop function halts
+// the loop and waits for it to exit. Don't combine with RestartNode: the
+// driver reads c.Nodes unlocked.
 func (c *Cluster) StartDriver(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = 5 * time.Millisecond
 	}
-	depth := c.driverDepth()
 	// Pre-verification effort follows leadership: the leader needs a full
 	// verified pool to cut blocks from (and its enclave's attestation and key
 	// relay let followers skip re-verifying), while followers only need enough
@@ -560,15 +544,7 @@ func (c *Cluster) StartDriver(interval time.Duration) (stop func()) {
 				} else if share > 0 {
 					n.PreVerifyPendingN(share)
 				}
-				// Fill the pipeline up to depth each tick: with predicted-
-				// parent chaining every one of these blocks is applicable on
-				// delivery, so the window raises the per-tick ordering budget
-				// from one block to depth blocks.
-				for n.IsLeader() && n.VerifiedPoolLen() > 0 && n.ConsensusBacklog() < depth {
-					if _, err := n.ProposeBlock(); err != nil {
-						break
-					}
-				}
+				n.ProposePending()
 			}
 		}
 	}()

@@ -24,7 +24,7 @@ func TestMixedCompiledInterpretedCluster(t *testing.T) {
 	interpreted.Compile = false
 	c := newTestCluster(t, ClusterOptions{
 		Nodes: 4,
-		Node:  Config{EngineOpts: compiled, Parallelism: 4},
+		Node:  Config{EngineOpts: compiled, ExecWorkers: 4},
 		PerNodeEngineOpts: map[int]core.Options{
 			1: interpreted,
 			3: interpreted,

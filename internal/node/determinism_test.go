@@ -14,9 +14,10 @@ import (
 // TestExecutionDeterministicAcrossConfigurations is the replicated-state-
 // machine property the whole platform rests on: the same transaction
 // stream must produce identical receipts and identical plaintext state on
-// every node of every cluster, regardless of execution parallelism, block
-// size, or network shape. (Ciphertexts differ — GCM nonces are random —
-// so state is compared through enclave reads.)
+// every node of every cluster, regardless of OCC lane count, block size or
+// proposal window — depth 1 and depth 8 are the same apply path with a
+// different bound. (Ciphertexts differ — GCM nonces are random — so state is
+// compared through enclave reads.)
 func TestExecutionDeterministicAcrossConfigurations(t *testing.T) {
 	type outcome struct {
 		statuses []uint8
@@ -24,14 +25,15 @@ func TestExecutionDeterministicAcrossConfigurations(t *testing.T) {
 		balances map[string][]byte
 	}
 
-	runConfig := func(t *testing.T, parallelism, blockMax int) outcome {
+	runConfig := func(t *testing.T, workers, blockMax, depth int) outcome {
 		t.Helper()
 		c, err := NewCluster(ClusterOptions{
 			Nodes: 4,
 			Node: Config{
-				BlockMaxTxs: blockMax,
-				Parallelism: parallelism,
-				EngineOpts:  core.AllOptimizations(),
+				BlockMaxTxs:   blockMax,
+				ExecWorkers:   workers,
+				PipelineDepth: depth,
+				EngineOpts:    core.AllOptimizations(),
 			},
 		})
 		if err != nil {
@@ -69,10 +71,12 @@ func TestExecutionDeterministicAcrossConfigurations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		time.Sleep(10 * time.Millisecond)
-		if _, err := c.DrainAll(32, 10*time.Second); err != nil {
-			t.Fatal(err)
-		}
+		// The background driver, not ProcessRound: it is what fills the
+		// window, so the deeper configurations really have several blocks in
+		// flight and queued behind execution.
+		stop := c.StartDriver(2 * time.Millisecond)
+		waitCommittedEverywhere(t, c, txs, 30*time.Second)
+		stop()
 
 		out := outcome{balances: map[string][]byte{}}
 		for _, tx := range txs {
@@ -94,13 +98,17 @@ func TestExecutionDeterministicAcrossConfigurations(t *testing.T) {
 		return out
 	}
 
-	configs := []struct{ parallelism, blockMax int }{
-		{1, 32}, {4, 32}, {6, 8}, {4, 4},
+	configs := []struct{ workers, blockMax, depth int }{
+		{1, 32, 1}, {4, 32, 1}, {6, 8, 1}, {4, 4, 1}, {1, 32, 8}, {4, 8, 4},
 	}
 	var baseline outcome
 	for i, cfg := range configs {
-		t.Run(fmt.Sprintf("p%d_b%d", cfg.parallelism, cfg.blockMax), func(t *testing.T) {
-			got := runConfig(t, cfg.parallelism, cfg.blockMax)
+		name := fmt.Sprintf("p%d_b%d", cfg.workers, cfg.blockMax)
+		if cfg.depth > 1 {
+			name += fmt.Sprintf("_d%d", cfg.depth)
+		}
+		t.Run(name, func(t *testing.T) {
+			got := runConfig(t, cfg.workers, cfg.blockMax, cfg.depth)
 			if i == 0 {
 				baseline = got
 				return

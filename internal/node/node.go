@@ -27,23 +27,20 @@ import (
 type Config struct {
 	// BlockMaxTxs bounds transactions per block. Default 64.
 	BlockMaxTxs int
-	// Parallelism is the execution fan-out (the paper's 1/4/6-way
-	// experiments). Default 1.
-	Parallelism int
-	// PipelineDepth bounds how many consensus proposals a leader keeps in
-	// flight ahead of block application (the driver's pacing window, and
-	// the -pipeline-depth flag). Depth 1 — the default — reproduces the
-	// serialized PR 5 behavior exactly: blocks apply synchronously on the
-	// consensus delivery path and the driver proposes only after delivery.
-	// Depth > 1 engages the pipeline subsystem: proposals chain off the
-	// predicted parent (the tip of the in-flight chain) and delivered
-	// blocks execute behind ordering on a dedicated executor goroutine.
+	// PipelineDepth is the window of consensus proposals a leader keeps in
+	// flight ahead of block application (ProposePending's bound, and the
+	// -pipeline-depth flag). Default 1: the next block is proposed once the
+	// previous one has been delivered. Proposals chain off the predicted
+	// parent (the tip of the in-flight chain), and delivered blocks always
+	// execute behind ordering on the executor goroutine, whose queue holds
+	// twice the window.
 	PipelineDepth int
-	// ExecWorkers widens the speculative OCC pass with a persistent lane
-	// pool of this many workers (the -exec-workers flag). 0 falls back to
-	// Parallelism's transient fan-out semantics, but over persistent lanes
-	// when > 1. Validation stays sequential in block order regardless, so
-	// any ExecWorkers mix across replicas commits identical state.
+	// ExecWorkers is the execution fan-out (the paper's 1/4/6-way
+	// experiments, the -exec-workers flag): a persistent pool of this many
+	// OCC lanes runs the speculative pass. 1 or less means no lanes — every
+	// transaction executes once, in block order. Validation stays sequential
+	// in block order regardless, so any ExecWorkers mix across replicas
+	// commits identical state.
 	ExecWorkers int
 	// EngineOpts configures both engines' optimizations.
 	EngineOpts core.Options
@@ -92,9 +89,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BlockMaxTxs == 0 {
 		c.BlockMaxTxs = 64
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = 1
 	}
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = 1
@@ -151,10 +145,10 @@ type Node struct {
 	// leaders chain new blocks off its tip, not the committed tip) and
 	// drives abort/re-pool when a predicted ancestor fails.
 	sched *pipeline.Scheduler
-	// executor is the execute-behind-order queue (PipelineDepth > 1 only;
-	// nil means delivery applies blocks synchronously, the depth-1 mode).
+	// executor is the execute-behind-order queue: consensus delivery
+	// enqueues, its goroutine applies.
 	executor *pipeline.Executor
-	// lanes is the persistent OCC worker pool (execWays > 1 only).
+	// lanes is the persistent OCC worker pool (ExecWorkers > 1 only).
 	lanes *pipeline.Lanes
 	// baseHeight is the chain height when the replica was created; replica
 	// sequence s maps to block height baseHeight + s.
@@ -239,17 +233,14 @@ func New(cfg Config, endpoint *p2p.Endpoint, n int, confEngine, pubEngine *core.
 		badPeers:    make(map[p2p.NodeID]int),
 		sched:       pipeline.NewScheduler(),
 	}
-	if ways := node.execWays(); ways > 1 {
-		node.lanes = pipeline.NewLanes(ways)
+	if cfg.ExecWorkers > 1 {
+		node.lanes = pipeline.NewLanes(cfg.ExecWorkers)
 	}
-	if cfg.PipelineDepth > 1 {
-		// Execute behind ordering: consensus delivery enqueues, this
-		// goroutine applies. The queue bound doubles the pipeline depth so
-		// delivery backpressures only when execution falls well behind.
-		node.executor = pipeline.NewExecutor(cfg.PipelineDepth*2, func(b *chain.Block, payload []byte) {
-			node.applyDecoded(b, payload)
-		})
-	}
+	// The queue bound doubles the pipeline depth so delivery backpressures
+	// only when execution falls well behind.
+	node.executor = pipeline.NewExecutor(cfg.PipelineDepth*2, func(b *chain.Block, payload []byte) {
+		node.applyDecoded(b, payload)
+	})
 	node.recoverChainState()
 	node.adoptEpochState()
 	node.baseHeight = node.height
@@ -281,8 +272,11 @@ func New(cfg Config, endpoint *p2p.Endpoint, n int, confEngine, pubEngine *core.
 			}
 		}
 	})
-	node.startSync()
+	// Snapshot topics first: a height status heard while checkpoint announces
+	// still go unheard sends a far-behind node down genesis replay instead of
+	// fast-sync.
 	node.startSnapshotSync()
+	node.startSync()
 	node.startResealLoop()
 	return node
 }
@@ -379,11 +373,8 @@ func (n *Node) SubmitTx(tx *chain.Tx) error {
 	return nil
 }
 
-// SubmitTxBatch accepts a pipelined batch of client transactions (the
-// gateway's submission path) and returns one error slot per transaction,
-// nil for accepted ones. Each transaction is still gossiped individually —
-// gossip identity is per-transaction — but the boundary checks and pool
-// insertion run as one pass.
+// SubmitTxBatch is SubmitTx over a slice: one error slot per transaction,
+// nil for accepted ones.
 func (n *Node) SubmitTxBatch(txs []*chain.Tx) []error {
 	errs := make([]error, len(txs))
 	for i, tx := range txs {
@@ -394,7 +385,7 @@ func (n *Node) SubmitTxBatch(txs []*chain.Tx) []error {
 
 // ConsensusBacklog reports how many consensus instances this node has
 // proposed that have not yet been delivered to the application — the depth
-// of the ordering pipeline. The cluster driver paces proposals with it.
+// of the ordering pipeline. ProposePending paces proposals with it.
 func (n *Node) ConsensusBacklog() uint64 { return n.replica.InFlight() }
 
 // Backlog reports this node's total uncommitted submission backlog: both
@@ -407,11 +398,7 @@ func (n *Node) ConsensusBacklog() uint64 { return n.replica.InFlight() }
 // pool depth alone would tell its gateway the node is idle exactly when
 // the ordering pipeline is fullest. Admission control gates on this.
 func (n *Node) Backlog() int {
-	total := n.unverified.Len() + n.verified.Len() + n.sched.InFlightTxs()
-	if n.executor != nil {
-		total += n.executor.QueuedTxs()
-	}
-	return total
+	return n.unverified.Len() + n.verified.Len() + n.sched.InFlightTxs() + n.executor.QueuedTxs()
 }
 
 // syncedHeight is the chain height this node has already secured locally:
@@ -420,11 +407,7 @@ func (n *Node) Backlog() int {
 // queued blocks will land without any peer's help, so only a gap beyond
 // them is genuinely missing.
 func (n *Node) syncedHeight() uint64 {
-	h := n.Height()
-	if n.executor != nil {
-		h += uint64(n.executor.Depth())
-	}
-	return h
+	return n.Height() + uint64(n.executor.Depth())
 }
 
 // MaxTxBytes reports the wire-encoded transaction size bound this node
@@ -555,12 +538,12 @@ func (n *Node) PreVerifyPendingN(budget int) int {
 // consensus on it. Returns the number of transactions proposed.
 //
 // The block chains off the *predicted* parent: the tip of the in-flight
-// proposal chain when proposals are pipelined, the committed tip otherwise.
-// This is what makes pipelining correct — PR 5 serialized the driver
-// because blocks stamped with the committed tip delivered stale once more
-// than one instance overlapped. If the scheduler finds its prediction
-// invalidated (view change, a foreign block at a predicted height), the
-// invalidated proposals' transactions re-enter the pool here.
+// proposal chain, which is the committed tip when nothing is in flight.
+// This is what makes a window deeper than one correct — blocks stamped with
+// the committed tip deliver stale once more than one instance overlaps. If
+// the scheduler finds its prediction invalidated (view change, a foreign
+// block at a predicted height), the invalidated proposals' transactions
+// re-enter the pool here.
 func (n *Node) ProposeBlock() (int, error) {
 	if !n.replica.IsLeader() {
 		return 0, consensus.ErrNotLeader
@@ -610,17 +593,31 @@ func (n *Node) ProposeBlock() (int, error) {
 	return len(txs), nil
 }
 
+// ProposePending is the proposer's duty cycle: while this node leads and its
+// verified pool is non-empty, it cuts blocks until its in-flight window
+// (Config.PipelineDepth) is full. With predicted-parent chaining every one of
+// those blocks is applicable on delivery. The bound matters: an unbounded
+// leader opens a new instance on every call, in-flight instances pile up far
+// ahead of sequential application, and their retransmit timers flood the
+// network. Every driver — StartDriver, the chaos harness, the crash drills —
+// proposes through here. Returns the number of blocks proposed.
+func (n *Node) ProposePending() int {
+	blocks := 0
+	for n.IsLeader() && n.verified.Len() > 0 && n.ConsensusBacklog() < uint64(n.cfg.PipelineDepth) {
+		if _, err := n.ProposeBlock(); err != nil {
+			break
+		}
+		blocks++
+	}
+	return blocks
+}
+
 // onCommit receives a consensus-committed block. Every replica sees
 // identical inputs in identical order; the OCC scheduler preserves
-// block-order semantics, so all replicas reach identical state. At pipeline
-// depth 1 the block applies synchronously here (the serialized fallback
-// mode); at depth > 1 it is handed to the execute-behind-order queue so the
-// delivery loop returns to consensus while execution proceeds.
+// block-order semantics, so all replicas reach identical state. The block is
+// handed to the execute-behind-order queue so the delivery loop returns to
+// consensus while execution proceeds.
 func (n *Node) onCommit(seq uint64, payload []byte) {
-	if n.executor == nil {
-		n.applyBlock(payload)
-		return
-	}
 	block, err := chain.DecodeBlock(payload)
 	if err != nil {
 		return
@@ -850,15 +847,6 @@ func (n *Node) maybeCheckpoint() {
 		n.replica.CompactLog(height - n.baseHeight)
 	}
 	n.pruneBlocks(height)
-}
-
-// execWays resolves the speculative-pass fan-out: ExecWorkers when set,
-// else the legacy Parallelism knob.
-func (n *Node) execWays() int {
-	if n.cfg.ExecWorkers > 0 {
-		return n.cfg.ExecWorkers
-	}
-	return n.cfg.Parallelism
 }
 
 // engineFor routes a transaction to its engine.
@@ -1094,13 +1082,11 @@ func (n *Node) Close() {
 func (n *Node) Kill() {
 	n.stopOnce.Do(func() {
 		close(n.stop)
-		if n.executor != nil {
-			// First: unblock a delivery loop parked in Submit and wait out
-			// the in-progress block application, so replica.Close below
-			// cannot deadlock against it and the store sees no new writes
-			// after Kill returns.
-			n.executor.Close()
-		}
+		// First: unblock a delivery loop parked in Submit and wait out the
+		// in-progress block application, so replica.Close below cannot
+		// deadlock against it and the store sees no new writes after Kill
+		// returns.
+		n.executor.Close()
 		n.replica.Close()
 		n.endpoint.Close()
 		if n.lanes != nil {
@@ -1110,8 +1096,8 @@ func (n *Node) Kill() {
 }
 
 // fatalStore records the node's first unrecoverable storage error and kills
-// the node asynchronously (the caller is often on the consensus delivery
-// path, which Kill waits on).
+// the node asynchronously (the caller is often the executor goroutine, which
+// Kill waits on).
 func (n *Node) fatalStore(err error) {
 	n.fatalMu.Lock()
 	first := n.fatalErr == nil
@@ -1143,6 +1129,3 @@ func (n *Node) crashHit(point string) bool {
 	}
 	return false
 }
-
-// ErrStopped is reserved for the run loop.
-var ErrStopped = errors.New("node: stopped")

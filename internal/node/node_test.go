@@ -210,7 +210,7 @@ func TestConflictingTxsSerializeCorrectly(t *testing.T) {
 	// still produce the sequential result, at any parallelism.
 	for _, ways := range []int{1, 4} {
 		t.Run(fmt.Sprintf("%d-way", ways), func(t *testing.T) {
-			c := newTestCluster(t, ClusterOptions{Nodes: 4, Node: Config{Parallelism: ways, EngineOpts: core.AllOptimizations()}})
+			c := newTestCluster(t, ClusterOptions{Nodes: 4, Node: Config{ExecWorkers: ways, EngineOpts: core.AllOptimizations()}})
 			client := newClusterClient(t, c)
 
 			seed, _, _ := client.NewConfidentialTx(ledgerAddr, "credit", acct("src"), []byte{10})

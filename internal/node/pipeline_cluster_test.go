@@ -419,3 +419,110 @@ func TestBacklogCountsActualInFlightTxs(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultConfigAppliesThroughExecutor pins the single apply path on a
+// default Config (depth 1, no lanes): a delivered block is queued and applied
+// by the executor, never on the consensus delivery goroutine; the sync layer
+// counts a queued block as secured; and Kill with a block still queued
+// returns, drops it, and the block re-arrives once the node is restarted.
+func TestDefaultConfigAppliesThroughExecutor(t *testing.T) {
+	queued := func() int64 {
+		return metrics.Default().Snapshot().Gauges["confide_pipeline_exec_queue_blocks"]
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	idle := queued()
+	c := newTestCluster(t, ClusterOptions{Nodes: 4, StoreDir: t.TempDir()})
+	client := newClusterClient(t, c)
+	leader := c.Leader()
+	victimIdx := followerOf(c)
+	victim := c.Nodes[victimIdx]
+	var txs []*chain.Tx
+	propose := func() {
+		t.Helper()
+		tx, _, err := client.NewConfidentialTx(ledgerAddr, "credit", acct("exec"), []byte{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Submit(tx); err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, tx)
+		leader.PreVerifyPending()
+		if n := leader.ProposePending(); n != 1 {
+			t.Fatalf("leader proposed %d blocks, want 1", n)
+		}
+	}
+
+	// Stall the victim's block application: its executor takes the delivered
+	// block off the queue and parks on applyMu, which the test holds.
+	victim.applyMu.Lock()
+	propose()
+	waitFor("the block to reach the victim's executor", func() bool { return victim.executor.Depth() == 1 })
+	if got := queued(); got <= idle {
+		t.Errorf("exec_queue_blocks = %d with a block awaiting execution, idle value %d", got, idle)
+	}
+	if h, s := victim.Height(), victim.syncedHeight(); h != 0 || s != 1 {
+		t.Errorf("height %d, syncedHeight %d with one block queued; want 0 and 1", h, s)
+	}
+	if got := victim.Backlog(); got < 1 {
+		t.Errorf("backlog %d does not count the queued block's transaction", got)
+	}
+	victim.applyMu.Unlock()
+	for _, n := range c.Nodes {
+		if err := n.WaitHeight(1, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor("the executor queues to empty", func() bool { return queued() == idle })
+	if h, s := victim.Height(), victim.syncedHeight(); h != 1 || s != 1 {
+		t.Errorf("height %d, syncedHeight %d after the queue emptied; want 1 and 1", h, s)
+	}
+
+	// Kill with one block executing and one queued behind it. The executor
+	// finishes the first, may or may not start the second, and drops what is
+	// left; either way Kill returns and the queue accounting is unwound.
+	victim.applyMu.Lock()
+	propose()
+	waitFor("the second block to reach the victim's executor", func() bool { return victim.executor.Depth() == 1 })
+	if err := leader.WaitHeight(2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	propose()
+	waitFor("the third block to queue behind it", func() bool { return victim.executor.Depth() == 2 })
+	killed := make(chan struct{})
+	go func() {
+		victim.Kill()
+		close(killed)
+	}()
+	victim.applyMu.Unlock()
+	select {
+	case <-killed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Kill deadlocked with a block queued on the executor")
+	}
+	if err := leader.WaitHeight(3, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the dead node's queue accounting to unwind", func() bool { return queued() == idle })
+
+	if err := c.RestartNode(victimIdx, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Nodes[victimIdx].WaitHeight(3, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range txs {
+		if _, found, err := c.Nodes[victimIdx].StoredReceipt(tx.Hash()); err != nil || !found {
+			t.Fatalf("restarted node lacks a receipt for a block dropped at Kill (err=%v)", err)
+		}
+	}
+}

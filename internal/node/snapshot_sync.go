@@ -458,8 +458,8 @@ func (n *Node) installSnapshot(man *snapshot.Manifest, chunks [][]byte) bool {
 	n.pubEngine.InvalidateStateCache()
 	n.applyMu.Unlock()
 	// Fast-forward consensus after releasing applyMu: AdvanceTo delivers any
-	// commits queued above the checkpoint synchronously, and those re-enter
-	// applyBlock, which takes applyMu itself.
+	// commits queued above the checkpoint, and the executor applying them
+	// takes applyMu itself.
 	if man.Height > n.baseHeight {
 		n.replica.AdvanceTo(man.Height - n.baseHeight)
 	}
