@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -11,10 +13,11 @@ import (
 )
 
 // Machine-readable experiment output: `-json` writes one BENCH_<exp>.json
-// per experiment, carrying the experiment's own rows (TPS etc.) plus the
-// latency percentiles the registry histograms accumulated during the run —
-// end-to-end pipeline latency, per-stage breakdown, and the checkpoint /
-// snapshot fast-sync timings when those paths ran.
+// per experiment, carrying the machine and build it ran on, the
+// experiment's own rows (TPS etc.) and the latency percentiles the registry
+// histograms accumulated during the run — end-to-end pipeline latency,
+// per-stage breakdown, and the checkpoint / snapshot fast-sync timings when
+// those paths ran.
 
 // latencySummary reduces one histogram family to report form.
 type latencySummary struct {
@@ -29,6 +32,8 @@ type benchDoc struct {
 	Experiment     string  `json:"experiment"`
 	GeneratedAt    string  `json:"generated_at"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
+	// Env is the machine and build the numbers came from.
+	Env benchEnv `json:"env"`
 	// Rows is the experiment's native result set (workload/engine/TPS rows
 	// for the figures, operation profiles for the tables).
 	Rows any `json:"rows"`
@@ -42,6 +47,42 @@ type benchDoc struct {
 	// time of snapshot joins (present only when checkpoints ran).
 	CheckpointExport *latencySummary `json:"checkpoint_export,omitempty"`
 	SnapshotSync     *latencySummary `json:"snapshot_sync,omitempty"`
+}
+
+// benchEnv stamps a BENCH file with what its figures depend on besides the
+// code: core count, scheduler width, toolchain and the commit built.
+type benchEnv struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	// VCSRevision is the commit the binary was built from, "+dirty" when the
+	// tree had uncommitted changes; "unknown" under `go run`, which does not
+	// stamp — build the binary to record it.
+	VCSRevision string `json:"vcs_revision"`
+}
+
+func currentEnv() benchEnv {
+	env := benchEnv{
+		NProc:       runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		GoVersion:   runtime.Version(),
+		VCSRevision: "unknown",
+	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		dirty := false
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				env.VCSRevision = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
+			}
+		}
+		if dirty && env.VCSRevision != "unknown" {
+			env.VCSRevision += "+dirty"
+		}
+	}
+	return env
 }
 
 // familyLatency merges every series of a histogram family (bucket-wise; all
@@ -109,6 +150,7 @@ func writeBenchJSON(exp string, rows any, elapsed time.Duration) error {
 		Experiment:       exp,
 		GeneratedAt:      time.Now().UTC().Format(time.RFC3339),
 		ElapsedSeconds:   elapsed.Seconds(),
+		Env:              currentEnv(),
 		Rows:             rows,
 		PipelineLatency:  familyLatency(snap, "confide_pipeline_total_seconds"),
 		StageLatency:     stageLatencies(snap),

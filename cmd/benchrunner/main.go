@@ -13,11 +13,10 @@
 //	benchrunner -exp overhead     # metrics-layer overhead guard (<2%)
 //	benchrunner -exp fastsync     # wipe-rejoin: snapshot vs genesis replay
 //	benchrunner -exp rotation     # key-epoch rotation under traffic + re-seal sweep
-//	benchrunner -exp gateway      # HTTP edge: offered-load sweep with shedding
 //	benchrunner -exp confassets   # Pedersen/range-proof primitives + committed-token TPS
 //	benchrunner -exp vmcompile    # CONFIDE-VM AOT compiler vs interpreter vs EVM (VM level)
-//	benchrunner -exp pipeline     # pipelined scheduler: depth × OCC-lane × conflict sweep
-//	benchrunner -exp fig10 -json  # also write BENCH_fig10.json
+//	benchrunner -exp fig10 -json  # also write BENCH_fig10.json (stamped with
+//	                              # nproc, GOMAXPROCS, Go version, VCS revision)
 //	benchrunner -chaos -seed 7    # liveness-under-faults drill
 //	benchrunner -chaos -wipe 1    # …plus a wipe-and-rejoin (snapshot fast-sync)
 //	benchrunner -chaos -rotations 1  # …plus a consensus-ordered key rotation
@@ -45,7 +44,6 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig10, fig11, table1, fig12, prod, overhead")
 	txs := flag.Int("txs", 0, "transactions per measurement cell (0 = experiment default)")
 	quick := flag.Bool("quick", false, "shrink grids for a fast pass")
 	showMetrics := flag.Bool("metrics", false, "print the metrics registry summary after the run")
@@ -62,9 +60,44 @@ func main() {
 	pipeDepth := flag.Int("pipeline-depth", 0, "chaos: leader proposal window (0 = 1)")
 	execWorkers := flag.Int("exec-workers", 0, "chaos: OCC speculation lanes per node (0/1 = none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	// Experiments outside "all" are opt-in: each needs its own cluster
+	// shape or minutes of wall clock.
+	type experiment struct {
+		name  string
+		inAll bool
+		fn    func() (any, error)
+	}
+	experiments := []experiment{
+		{"fig10", true, func() (any, error) { return runFig10(*txs) }},
+		{"fig11", true, func() (any, error) { return runFig11(*txs, *quick) }},
+		{"table1", true, runTable1},
+		{"fig12", true, func() (any, error) { return runFig12(*txs) }},
+		{"prod", true, runProd},
+		{"overhead", false, func() (any, error) { return runOverhead(*txs, *quick) }},
+		{"fastsync", false, func() (any, error) { return runFastSync(*txs) }},
+		{"rotation", false, func() (any, error) { return runRotation(*txs) }},
+		{"confassets", false, func() (any, error) { return runConfAssets(*txs, *quick) }},
+		{"vmcompile", false, func() (any, error) { return runVMCompile(*txs) }},
+	}
+	expNames := "all"
+	for _, e := range experiments {
+		expNames += ", " + e.name
+	}
+	exp := flag.String("exp", "all", "experiment: "+expNames)
 	flag.Parse()
 
-	// The sweeps run 4 replicas plus load generation on one core; the
+	var selected []experiment
+	for _, e := range experiments {
+		if *exp == e.name || (*exp == "all" && e.inAll) {
+			selected = append(selected, e)
+		}
+	}
+	if !*drill && len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: %s\n", *exp, expNames)
+		os.Exit(2)
+	}
+
+	// The experiments run 4+ replicas and their load on two cores; the
 	// default 100% GC target spends a visible slice of the measurement
 	// window re-collecting a small, fast-churning heap. Trade heap
 	// headroom for mutator time — harness-only, no library code changes.
@@ -93,51 +126,21 @@ func main() {
 		return
 	}
 
-	run := func(name string, fn func() (any, error)) {
-		if *exp != "all" && *exp != name {
-			return
-		}
+	for _, e := range selected {
 		start := time.Now()
-		rows, err := fn()
+		rows, err := e.fn()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		elapsed := time.Since(start)
 		if *jsonOut {
-			if err := writeBenchJSON(name, rows, elapsed); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: writing json: %v\n", name, err)
+			if err := writeBenchJSON(e.name, rows, elapsed); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: writing json: %v\n", e.name, err)
 				os.Exit(1)
 			}
 		}
-		fmt.Printf("(%s completed in %v)\n\n", name, elapsed.Round(time.Millisecond))
-	}
-
-	run("fig10", func() (any, error) { return runFig10(*txs) })
-	run("fig11", func() (any, error) { return runFig11(*txs, *quick) })
-	run("table1", runTable1)
-	run("fig12", func() (any, error) { return runFig12(*txs) })
-	run("prod", runProd)
-	if *exp == "overhead" { // opt-in: doubles a fig10 cell, not part of "all"
-		run("overhead", func() (any, error) { return runOverhead(*txs, *quick) })
-	}
-	if *exp == "fastsync" { // opt-in: wipe-rejoin timing + pruning disk budget
-		run("fastsync", func() (any, error) { return runFastSync(*txs) })
-	}
-	if *exp == "rotation" { // opt-in: key-epoch rotation under traffic
-		run("rotation", func() (any, error) { return runRotation(*txs) })
-	}
-	if *exp == "gateway" { // opt-in: closed-loop clients over real TCP gateways
-		run("gateway", func() (any, error) { return runGateway(*quick) })
-	}
-	if *exp == "confassets" { // opt-in: confidential-assets primitives + token TPS
-		run("confassets", func() (any, error) { return runConfAssets(*txs, *quick) })
-	}
-	if *exp == "vmcompile" { // opt-in: AOT-compiled vs interpreted vs EVM at the VM level
-		run("vmcompile", func() (any, error) { return runVMCompile(*txs) })
-	}
-	if *exp == "pipeline" { // opt-in: pipelined-scheduler depth × lanes × conflict sweep
-		run("pipeline", func() (any, error) { return runPipeline(*quick) })
+		fmt.Printf("(%s completed in %v)\n\n", e.name, elapsed.Round(time.Millisecond))
 	}
 
 	if *showMetrics {
@@ -276,8 +279,9 @@ func runChaos(seed int64, nodes, txs int, drop float64, wipes, rotations, gwkill
 		report.Elapsed.Round(time.Millisecond), report.Txs, report.Nodes, report.Height, report.ViewChanges)
 	fmt.Printf("state root: %x (identical on every node)\n", report.StateRoot[:8])
 	s := report.Net
-	fmt.Printf("network: %d sent, %d delivered, drops: %d rate / %d partition / %d crash / %d overflow, %d dup, %d reordered\n",
-		s.Sent, s.Delivered, s.RateDrops, s.PartitionDrops, s.CrashDrops, s.OverflowDrops, s.Duplicates, s.Reordered)
+	fmt.Printf("network: %d sent, %d delivered, drops: %d rate / %d partition / %d crash / %d overflow, %d dup, %d reordered, %d consensus retransmission(s)\n",
+		s.Sent, s.Delivered, s.RateDrops, s.PartitionDrops, s.CrashDrops, s.OverflowDrops, s.Duplicates, s.Reordered,
+		report.Metrics["confide_consensus_retransmissions_total"])
 	if wipes > 0 {
 		fmt.Printf("snapshot rejoin: %d install(s), %d bad chunk(s) rejected, %d bad install(s)\n",
 			report.Metrics["confide_snapshot_installs_total"],

@@ -202,8 +202,9 @@ type Report struct {
 	// Metrics holds the global-registry counter deltas accrued during the
 	// run (family name → increase). These are what the run is certified
 	// against: under a leader crash the consensus view-change counter must
-	// move, under loss the retransmission counter must, and the pipeline
-	// must have traced at least Txs commits.
+	// move, under loss the p2p drop counter must, and the pipeline must have
+	// traced at least Txs commits. The retransmission delta is carried for
+	// the reader; whether a given lossy run needed a resend is chance.
 	Metrics map[string]uint64
 	// Disk aggregates the fault filesystems' injected-fault and crash
 	// counters across all nodes (Crashes > 0 runs only).
@@ -778,9 +779,10 @@ func Run(opts Options) (*Report, error) {
 		if opts.LeaderCrashes > 0 && report.Metrics["confide_consensus_view_changes_total"] == 0 {
 			return nil, fmt.Errorf("chaos: %d leader crash(es) injected but the view-change counter never moved", opts.LeaderCrashes)
 		}
-		if opts.DropRate > 0 && report.Metrics["confide_consensus_retransmissions_total"] == 0 {
-			return nil, fmt.Errorf("chaos: %.0f%% loss injected but no retransmissions were recorded", opts.DropRate*100)
-		}
+		// Loss is certified by the drop counter alone. The retransmission
+		// delta is reported, not required: a dropped vote does not imply a
+		// resend, and a short lossy run can reach every quorum before any
+		// resend timer fires.
 		if opts.DropRate > 0 && report.Metrics["confide_p2p_drops_total"] == 0 {
 			return nil, fmt.Errorf("chaos: %.0f%% loss injected but the p2p drop counters never moved", opts.DropRate*100)
 		}

@@ -189,14 +189,9 @@ var ErrNotLeader = errors.New("consensus: not the leader for this view")
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("consensus: replica closed")
 
-// NewReplica wires a replica to its endpoint with default Options. n is the
-// total replica count; ids must be 0..n-1. onCommit receives committed
-// payloads in sequence order.
-func NewReplica(endpoint *p2p.Endpoint, n int, onCommit CommitFn) *Replica {
-	return NewReplicaWithOptions(endpoint, n, onCommit, Options{})
-}
-
-// NewReplicaWithOptions wires a replica with explicit liveness tuning.
+// NewReplicaWithOptions wires a replica to its endpoint. n is the total
+// replica count; ids must be 0..n-1. onCommit receives committed payloads in
+// sequence order; zero fields of opts take the default liveness tuning.
 func NewReplicaWithOptions(endpoint *p2p.Endpoint, n int, onCommit CommitFn, opts Options) *Replica {
 	r := &Replica{
 		id:            endpoint.ID(),

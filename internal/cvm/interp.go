@@ -83,9 +83,6 @@ func NewVM(prog *Program, env Env, cfg Config) *VM {
 // GasUsed reports instructions consumed so far.
 func (vm *VM) GasUsed() uint64 { return vm.gasUsed }
 
-// Memory exposes linear memory (tests and host helpers).
-func (vm *VM) Memory() []byte { return vm.mem }
-
 // Run invokes function 0 ("invoke") with the given arguments and returns
 // its result (0 when the entry returns nothing).
 func (vm *VM) Run(args ...int64) (int64, error) {

@@ -112,12 +112,3 @@ func (a *Assembler) Assemble() ([]byte, error) {
 	}
 	return a.code, nil
 }
-
-// MustAssemble panics on unbound labels (generated code).
-func (a *Assembler) MustAssemble() []byte {
-	code, err := a.Assemble()
-	if err != nil {
-		panic(err)
-	}
-	return code
-}

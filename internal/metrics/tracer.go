@@ -79,9 +79,6 @@ func NewTracer(r *Registry, name string, stages ...string) *Tracer {
 	return t
 }
 
-// Stages returns the ordered stage names.
-func (t *Tracer) Stages() []string { return append([]string(nil), t.stages...) }
-
 // Begin opens a span for key. Re-beginning an active key is a no-op.
 func (t *Tracer) Begin(key string) {
 	if t == nil || !t.reg.enabled.Load() {

@@ -557,7 +557,8 @@ func (c *Cluster) StartDriver(interval time.Duration) (stop func()) {
 	}
 }
 
-// DrainAll processes rounds until every pool is empty or maxRounds is hit.
+// DrainAll processes rounds until no node has a transaction left anywhere
+// between submission and application, or maxRounds is hit.
 func (c *Cluster) DrainAll(maxRounds int, timeout time.Duration) (int, error) {
 	total := 0
 	for r := 0; r < maxRounds; r++ {
@@ -576,10 +577,14 @@ func (c *Cluster) DrainAll(maxRounds int, timeout time.Duration) (int, error) {
 	return total, nil
 }
 
+// pending counts uncommitted transactions cluster-wide by Node.Backlog, the
+// figure admission control trusts: the pools alone read zero while a
+// background driver's proposals are in flight or delivered blocks wait on an
+// executor queue.
 func (c *Cluster) pending() int {
 	total := 0
 	for _, n := range c.Nodes {
-		total += n.UnverifiedPoolLen() + n.VerifiedPoolLen()
+		total += n.Backlog()
 	}
 	return total
 }

@@ -345,3 +345,48 @@ func TestWipedFollowerRejoinsWithoutRelays(t *testing.T) {
 		t.Errorf("post-rejoin block: adopted=%d absent=%d rejected=%d", d.adopted, d.absent, d.rejected)
 	}
 }
+
+// TestLatePreVerifyLeavesNoKey: a transaction popped for pre-verification
+// while its block commits is refused by promoteVerified, and the metadata
+// PreVerifyBatch cached for it on the way (k_tx included) must not outlive
+// the refusal — the commit's own DropPreVerified already ran.
+func TestLatePreVerifyLeavesNoKey(t *testing.T) {
+	c := newTestCluster(t, ClusterOptions{Nodes: 4})
+	pubAddr := chain.AddressFromBytes([]byte("pub-ledger"))
+	if err := c.DeployEverywhere(pubAddr, chain.AddressFromBytes([]byte("own")), core.VMCVM, ledgerModule(t), false, 1); err != nil {
+		t.Fatal(err)
+	}
+	pubClient, _ := core.NewClient(nil)
+	ctx, _, err := newClusterClient(t, c).NewConfidentialTx(ledgerAddr, "credit", acct("late"), []byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptx, err := pubClient.NewPublicTx(pubAddr, "credit", acct("late"), []byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, txs := c.Leader(), []*chain.Tx{ctx, ptx}
+	for _, tx := range txs {
+		if err := n.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.DrainAll(10, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The in-transit copy: back in the un-verified pool after the commit.
+	for _, tx := range txs {
+		if err := n.unverified.Add(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if moved := n.PreVerifyPending(); moved != 0 {
+		t.Fatalf("%d committed transactions re-entered the verified pool", moved)
+	}
+	if got := n.ConfidentialEngine().PreVerifiedCount(); got != 0 {
+		t.Fatalf("confidential engine still caches %d pre-verification entries", got)
+	}
+	if got := n.PublicEngine().PreVerifiedCount(); got != 0 {
+		t.Fatalf("public engine still caches %d pre-verification entries", got)
+	}
+}

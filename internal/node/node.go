@@ -36,8 +36,8 @@ type Config struct {
 	// twice the window.
 	PipelineDepth int
 	// ExecWorkers is the execution fan-out (the paper's 1/4/6-way
-	// experiments, the -exec-workers flag): a persistent pool of this many
-	// OCC lanes runs the speculative pass. 1 or less means no lanes — every
+	// experiments, the -exec-workers flag): each block's speculative pass
+	// runs on this many OCC lanes. 1 or less means no lanes — every
 	// transaction executes once, in block order. Validation stays sequential
 	// in block order regardless, so any ExecWorkers mix across replicas
 	// commits identical state.
@@ -50,8 +50,6 @@ type Config struct {
 	// SyncInterval paces block catch-up gossip (height announcements and
 	// the rate limit on sync requests). Default 100ms.
 	SyncInterval time.Duration
-	// SyncBatch bounds blocks served per sync response. Default 16.
-	SyncBatch int
 	// CheckpointInterval exports a state snapshot every this many blocks
 	// (and anchors consensus-log GC there). 0 disables checkpoints.
 	CheckpointInterval uint64
@@ -61,18 +59,15 @@ type Config struct {
 	Retention uint64
 	// SnapshotChunkBytes is the target snapshot chunk size. Default 256 KiB.
 	SnapshotChunkBytes int
-	// SnapshotFetchWorkers bounds parallel chunk fetches during fast-sync.
-	// Default 4.
-	SnapshotFetchWorkers int
 	// ResealRate paces the background key-epoch re-seal sweep in records per
 	// second. 0 selects the default rate; negative disables the loop (tests
 	// drive sweeps explicitly via ResealNow).
 	ResealRate int
 	// MaxTxBytes bounds the wire-encoded transaction size accepted at the
-	// submission boundary (SubmitTx, SubmitTxBatch) and re-checked on gossip
-	// receive, so one oversized envelope cannot be amplified cluster-wide
-	// before pre-verification would reject it. 0 selects DefaultMaxTxBytes;
-	// negative disables the bound.
+	// submission boundary (SubmitTx) and re-checked on gossip receive, so one
+	// oversized envelope cannot be amplified cluster-wide before
+	// pre-verification would reject it. 0 selects DefaultMaxTxBytes; negative
+	// disables the bound.
 	MaxTxBytes int
 
 	// replicaBase, when set, overrides the replica sequence↔height base: a
@@ -96,14 +91,8 @@ func (c Config) withDefaults() Config {
 	if c.SyncInterval == 0 {
 		c.SyncInterval = 100 * time.Millisecond
 	}
-	if c.SyncBatch == 0 {
-		c.SyncBatch = 16
-	}
 	if c.SnapshotChunkBytes == 0 {
 		c.SnapshotChunkBytes = snapshot.DefaultChunkBytes
-	}
-	if c.SnapshotFetchWorkers == 0 {
-		c.SnapshotFetchWorkers = 4
 	}
 	if c.MaxTxBytes == 0 {
 		c.MaxTxBytes = DefaultMaxTxBytes
@@ -148,8 +137,6 @@ type Node struct {
 	// executor is the execute-behind-order queue: consensus delivery
 	// enqueues, its goroutine applies.
 	executor *pipeline.Executor
-	// lanes is the persistent OCC worker pool (ExecWorkers > 1 only).
-	lanes *pipeline.Lanes
 	// baseHeight is the chain height when the replica was created; replica
 	// sequence s maps to block height baseHeight + s.
 	baseHeight uint64
@@ -232,9 +219,6 @@ func New(cfg Config, endpoint *p2p.Endpoint, n int, confEngine, pubEngine *core.
 		snapshots:   snapshot.NewManager(),
 		badPeers:    make(map[p2p.NodeID]int),
 		sched:       pipeline.NewScheduler(),
-	}
-	if cfg.ExecWorkers > 1 {
-		node.lanes = pipeline.NewLanes(cfg.ExecWorkers)
 	}
 	// The queue bound doubles the pipeline depth so delivery backpressures
 	// only when execution falls well behind.
@@ -373,16 +357,6 @@ func (n *Node) SubmitTx(tx *chain.Tx) error {
 	return nil
 }
 
-// SubmitTxBatch is SubmitTx over a slice: one error slot per transaction,
-// nil for accepted ones.
-func (n *Node) SubmitTxBatch(txs []*chain.Tx) []error {
-	errs := make([]error, len(txs))
-	for i, tx := range txs {
-		errs[i] = n.SubmitTx(tx)
-	}
-	return errs
-}
-
 // ConsensusBacklog reports how many consensus instances this node has
 // proposed that have not yet been delivered to the application — the depth
 // of the ordering pipeline. ProposePending paces proposals with it.
@@ -452,24 +426,24 @@ func (n *Node) repoolUncommitted(txs []*chain.Tx) {
 }
 
 // promoteVerified moves a pre-verified transaction into the verified pool
-// unless it already committed. The check and the Add hold the state lock,
-// making them atomic against applyBlock, which records the commit under
-// the same lock before sweeping the pools — whichever side runs second
-// sees the other's effect. Without this, a transaction in transit through
-// pre-verification while its block commits would be re-added after the
-// sweep and sit in a follower's verified pool forever (followers never
-// propose, so nothing else clears it).
-func (n *Node) promoteVerified(tx *chain.Tx) bool {
+// unless it already committed (ErrAlreadyCommitted) or the pool refuses it.
+// The check and the Add hold the state lock, making them atomic against
+// applyBlock, which records the commit under the same lock before sweeping
+// the pools — whichever side runs second sees the other's effect. Without
+// this, a transaction in transit through pre-verification while its block
+// commits would be re-added after the sweep and sit in a follower's verified
+// pool forever (followers never propose, so nothing else clears it).
+func (n *Node) promoteVerified(tx *chain.Tx) error {
 	h := tx.Hash()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, done := n.committed[h]; done {
-		return false
+		return ErrAlreadyCommitted
 	}
 	if _, done := n.txHeight[h]; done {
-		return false
+		return ErrAlreadyCommitted
 	}
-	return n.verified.Add(tx) == nil
+	return n.verified.Add(tx)
 }
 
 // PreVerifyPending moves valid transactions from the un-verified to the
@@ -492,6 +466,14 @@ func (n *Node) PreVerifyPendingN(budget int) int {
 	}
 	var confidential, public []*chain.Tx
 	moved := 0
+	promote := func(tx *chain.Tx) error {
+		err := n.promoteVerified(tx)
+		if err == nil {
+			n.tracer.Mark(n.traceKey(tx.Hash()), "preverify")
+			moved++
+		}
+		return err
+	}
 	for _, tx := range batch {
 		switch tx.Type {
 		case chain.TxTypeConfidential:
@@ -500,10 +482,7 @@ func (n *Node) PreVerifyPendingN(budget int) int {
 			// Structural check only here; the semantic checks (successor
 			// epoch, future height) run against chain state at execution.
 			if _, err := keyepoch.DecodeRotation(tx.Payload); err == nil {
-				if n.promoteVerified(tx) {
-					n.tracer.Mark(n.traceKey(tx.Hash()), "preverify")
-					moved++
-				}
+				_ = promote(tx) // a refused rotation holds no enclave entry to release
 			}
 		default:
 			public = append(public, tx)
@@ -518,18 +497,23 @@ func (n *Node) PreVerifyPendingN(budget int) int {
 		confidential = append(confidential, public...)
 		public = nil
 	}
-	for _, tx := range n.confEngine.PreVerifyBatch(confidential) {
-		if n.promoteVerified(tx) {
-			n.tracer.Mark(n.traceKey(tx.Hash()), "preverify")
-			moved++
+	// A transaction refused here has left the pools for good: its block
+	// committed while it was in transit, after that commit's DropPreVerified
+	// ran (or the verified pool is full). The metadata PreVerifyBatch just
+	// cached for it, k_tx included, must leave the enclave now. A duplicate
+	// keeps its entry: the copy already in the verified pool still needs it
+	// at proposal time.
+	verify := func(engine *core.Engine, txs []*chain.Tx) {
+		var refused []chain.Hash
+		for _, tx := range engine.PreVerifyBatch(txs) {
+			if err := promote(tx); err != nil && !errors.Is(err, chain.ErrDuplicateTx) {
+				refused = append(refused, tx.Hash())
+			}
 		}
+		engine.DropPreVerified(refused)
 	}
-	for _, tx := range n.pubEngine.PreVerifyBatch(public) {
-		if n.promoteVerified(tx) {
-			n.tracer.Mark(n.traceKey(tx.Hash()), "preverify")
-			moved++
-		}
-	}
+	verify(n.confEngine, confidential)
+	verify(n.pubEngine, public)
 	return moved
 }
 
@@ -910,14 +894,14 @@ func (n *Node) executeBlock(block *chain.Block) ([]*core.ExecResult, *storage.Ba
 		gov[i] = true
 		results[i] = n.applyGovernance(tx, block.Header.Height)
 	}
-	if n.lanes != nil && len(txs) > 1 {
-		// Speculative pass over the persistent OCC lane pool. Each lane
-		// reads only the pre-block snapshot, so worker count cannot change
-		// results — the sequential validation pass below is the only place
-		// effects become visible, in block order, on every replica. Without
-		// lanes there is nothing to speculate with: the validation pass
-		// executes every transaction once, in order.
-		n.lanes.Run(len(txs), func(i int) {
+	if n.cfg.ExecWorkers > 1 && len(txs) > 1 {
+		// Speculative pass over the OCC lanes. Each lane reads only the
+		// pre-block snapshot, so worker count cannot change results — the
+		// sequential validation pass below is the only place effects become
+		// visible, in block order, on every replica. Without lanes there is
+		// nothing to speculate with: the validation pass executes every
+		// transaction once, in order.
+		pipeline.RunLanes(n.cfg.ExecWorkers, len(txs), func(i int) {
 			if skip[i] || gov[i] {
 				return
 			}
@@ -1089,9 +1073,6 @@ func (n *Node) Kill() {
 		n.executor.Close()
 		n.replica.Close()
 		n.endpoint.Close()
-		if n.lanes != nil {
-			n.lanes.Close()
-		}
 	})
 }
 

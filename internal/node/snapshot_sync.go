@@ -39,6 +39,8 @@ const (
 	// snapBadPeerScore is the badness at which a peer stops being selected
 	// while any alternative exists.
 	snapBadPeerScore = 3
+	// snapFetchWorkers bounds parallel chunk fetches during fast-sync.
+	snapFetchWorkers = 4
 )
 
 // snapFetchSession tracks one in-flight snapshot fetch. Fields after the
@@ -320,13 +322,7 @@ func (n *Node) runSnapshotFetch(s *snapFetchSession) {
 	}
 	close(work)
 
-	workers := n.cfg.SnapshotFetchWorkers
-	if workers > total {
-		workers = total
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(snapFetchWorkers, total)
 	failed := make(chan struct{})
 	done := make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {

@@ -9,26 +9,37 @@ import (
 	"confide/internal/chain"
 )
 
-// TestSubmitTxSizeBound exercises the wire-size boundary at SubmitTx: an
-// encoded transaction over Config.MaxTxBytes is refused with the distinct
-// ErrTxTooLarge before touching the pool, and the bound is discoverable.
+// TestSubmitTxSizeBound exercises SubmitTx's two refusals: an encoded
+// transaction over Config.MaxTxBytes gets the distinct ErrTxTooLarge before
+// touching the pool (and the bound is discoverable), and one that already
+// committed gets ErrAlreadyCommitted.
 func TestSubmitTxSizeBound(t *testing.T) {
-	c := newTestCluster(t, ClusterOptions{Node: Config{MaxTxBytes: 256}})
+	c := newTestCluster(t, ClusterOptions{Node: Config{MaxTxBytes: 2048}})
+	client := newClusterClient(t, c)
 	n := c.Nodes[0]
 
-	if got := n.MaxTxBytes(); got != 256 {
-		t.Fatalf("MaxTxBytes() = %d, want 256", got)
+	if got := n.MaxTxBytes(); got != 2048 {
+		t.Fatalf("MaxTxBytes() = %d, want 2048", got)
 	}
-	big := &chain.Tx{Type: chain.TxTypePublic, Payload: make([]byte, 512)}
+	big := &chain.Tx{Type: chain.TxTypePublic, Payload: make([]byte, 4096)}
 	if err := n.SubmitTx(big); !errors.Is(err, ErrTxTooLarge) {
 		t.Fatalf("oversized SubmitTx: %v, want ErrTxTooLarge", err)
 	}
 	if n.UnverifiedPoolLen() != 0 {
 		t.Fatal("oversized transaction entered the pool")
 	}
-	small := &chain.Tx{Type: chain.TxTypePublic, Payload: make([]byte, 16)}
+	small, _, err := client.NewConfidentialTx(ledgerAddr, "credit", acct("ba"), []byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := n.SubmitTx(small); err != nil {
 		t.Fatalf("in-bound SubmitTx: %v", err)
+	}
+	if _, err := c.DrainAll(10, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SubmitTx(small); !errors.Is(err, ErrAlreadyCommitted) {
+		t.Fatalf("re-submit after commit: %v, want ErrAlreadyCommitted", err)
 	}
 }
 
@@ -43,45 +54,6 @@ func TestSubmitTxUnbounded(t *testing.T) {
 	big := &chain.Tx{Type: chain.TxTypePublic, Payload: make([]byte, DefaultMaxTxBytes+1)}
 	if err := n.SubmitTx(big); err != nil {
 		t.Fatalf("unbounded SubmitTx rejected: %v", err)
-	}
-}
-
-// TestSubmitTxBatch checks the pipelined submission path: one error slot per
-// transaction, oversized and already-committed entries individually flagged.
-func TestSubmitTxBatch(t *testing.T) {
-	c := newTestCluster(t, ClusterOptions{Node: Config{MaxTxBytes: 2048}})
-	client := newClusterClient(t, c)
-
-	tx1, _, err := client.NewConfidentialTx(ledgerAddr, "credit", acct("ba"), []byte{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx2, _, err := client.NewConfidentialTx(ledgerAddr, "credit", acct("bb"), []byte{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := &chain.Tx{Type: chain.TxTypePublic, Payload: make([]byte, 4096)}
-
-	errs := c.Nodes[0].SubmitTxBatch([]*chain.Tx{tx1, big, tx2})
-	if len(errs) != 3 {
-		t.Fatalf("batch returned %d slots", len(errs))
-	}
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("valid batch entries rejected: %v / %v", errs[0], errs[2])
-	}
-	if !errors.Is(errs[1], ErrTxTooLarge) {
-		t.Fatalf("oversized batch entry: %v, want ErrTxTooLarge", errs[1])
-	}
-
-	if _, err := c.DrainAll(10, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Re-submitting a committed batch reports ErrAlreadyCommitted per slot.
-	errs = c.Nodes[0].SubmitTxBatch([]*chain.Tx{tx1, tx2})
-	for i, err := range errs {
-		if !errors.Is(err, ErrAlreadyCommitted) {
-			t.Fatalf("slot %d after commit: %v, want ErrAlreadyCommitted", i, err)
-		}
 	}
 }
 

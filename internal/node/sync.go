@@ -21,6 +21,9 @@ const (
 	syncStatusTopic = "confide/sync/status"
 	syncReqTopic    = "confide/sync/req"
 	syncRespTopic   = "confide/sync/resp"
+
+	// syncBatch bounds blocks served per sync response.
+	syncBatch = 16
 )
 
 // startSync subscribes the sync handlers and launches the height-gossip
@@ -89,7 +92,7 @@ func (n *Node) onSyncStatus(m p2p.Message) {
 	n.endpoint.Send(m.From, syncReqTopic, chain.Encode(chain.Uint(height)))
 }
 
-// onSyncReq serves up to SyncBatch stored blocks starting at the requested
+// onSyncReq serves up to syncBatch stored blocks starting at the requested
 // height as one response.
 func (n *Node) onSyncReq(m p2p.Message) {
 	it, err := chain.Decode(m.Data)
@@ -101,7 +104,7 @@ func (n *Node) onSyncReq(m p2p.Message) {
 		return
 	}
 	var blocks []chain.Item
-	for h := from; h < from+uint64(n.cfg.SyncBatch); h++ {
+	for h := from; h < from+syncBatch; h++ {
 		raw, found, err := n.store.Get(blockKey(h))
 		if err != nil || !found {
 			break

@@ -279,9 +279,6 @@ func (n *Network) Join(id NodeID, zone int) (*Endpoint, error) {
 // ID returns the endpoint's node id.
 func (e *Endpoint) ID() NodeID { return e.id }
 
-// Zone returns the endpoint's zone.
-func (e *Endpoint) Zone() int { return e.zone }
-
 // Subscribe registers a handler for a topic.
 func (e *Endpoint) Subscribe(topic string, h Handler) {
 	e.mu.Lock()

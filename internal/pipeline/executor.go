@@ -21,7 +21,7 @@ type queued struct {
 // so PBFT rounds for later instances proceed while execution catches up).
 //
 // Sequential application is deliberate: block order is the serialization
-// contract. Concurrency lives inside a block (Lanes), not across blocks.
+// contract. Concurrency lives inside a block (RunLanes), not across blocks.
 type Executor struct {
 	apply func(*chain.Block, []byte)
 	queue chan queued

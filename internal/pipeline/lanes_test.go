@@ -9,27 +9,26 @@ import (
 
 // Every index runs exactly once, and distinct-index writes need no locking.
 func TestLanesRunsEveryIndexOnce(t *testing.T) {
-	l := NewLanes(4)
-	defer l.Close()
 	const n = 100
-	counts := make([]int32, n)
-	l.Run(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("index %d ran %d times", i, c)
+	for _, workers := range []int{1, 4, 2 * n} {
+		counts := make([]int32, n)
+		RunLanes(workers, n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("%d workers: index %d ran %d times", workers, i, c)
+			}
 		}
 	}
+	RunLanes(4, 0, func(int) { t.Fatal("ran an index of an empty range") })
 }
 
-// The pool actually runs tasks concurrently across lanes.
+// The lanes actually run tasks concurrently.
 func TestLanesParallelism(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs ≥ 2 procs")
 	}
-	l := NewLanes(4)
-	defer l.Close()
 	var peak, cur atomic.Int32
-	l.Run(8, func(i int) {
+	RunLanes(4, 8, func(i int) {
 		now := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -42,42 +41,5 @@ func TestLanesParallelism(t *testing.T) {
 	})
 	if peak.Load() < 2 {
 		t.Fatalf("peak concurrency %d, want ≥ 2", peak.Load())
-	}
-	if l.BusyTime(0)+l.BusyTime(1)+l.BusyTime(2)+l.BusyTime(3) == 0 {
-		t.Fatal("no lane accumulated busy time")
-	}
-}
-
-// Run completes all indexes even when the pool closes mid-run (tasks fall
-// back to inline execution on the caller).
-func TestLanesRunSurvivesClose(t *testing.T) {
-	l := NewLanes(2)
-	const n = 50
-	counts := make([]int32, n)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		l.Run(n, func(i int) {
-			time.Sleep(time.Millisecond)
-			atomic.AddInt32(&counts[i], 1)
-		})
-	}()
-	time.Sleep(5 * time.Millisecond)
-	l.Close()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run wedged after Close")
-	}
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("index %d ran %d times after mid-run close", i, c)
-		}
-	}
-	// The closed pool still completes fresh runs, inline.
-	ran := int32(0)
-	l.Run(3, func(i int) { atomic.AddInt32(&ran, 1) })
-	if ran != 3 {
-		t.Fatalf("closed pool ran %d/3 tasks", ran)
 	}
 }

@@ -2,8 +2,7 @@ package pipeline
 
 import "confide/internal/metrics"
 
-// Pipeline observability: the depth×workers bench sweep explains its own
-// results from these series. Gauges aggregate by delta across the in-process
+// Pipeline observability. Gauges aggregate by delta across the in-process
 // nodes of a cluster, like the node package's counters.
 var (
 	// Scheduler: predicted-chain depth and the abort/repool recovery path.
@@ -21,10 +20,4 @@ var (
 		"delivered blocks awaiting execution (including the one executing)")
 	mExecQueueTxs = metrics.Default().Gauge("confide_pipeline_exec_queue_txs",
 		"transactions inside delivered blocks awaiting execution")
-
-	// Lanes: per-block pool utilization (busy time / workers × wall time).
-	// Per-lane busy counters are registered per lane index in NewLanes.
-	mLaneUtilization = metrics.Default().Histogram("confide_pipeline_lane_utilization",
-		"fraction of the OCC lane pool kept busy per Run (0..1)",
-		[]float64{0.1, 0.25, 0.5, 0.75, 0.9, 1})
 )

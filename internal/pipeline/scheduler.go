@@ -14,9 +14,9 @@
 //     enqueues ordered blocks into a bounded channel and returns, so PBFT
 //     instances N+1..N+k run their message rounds while block N executes.
 //
-//   - Lanes is a persistent worker pool for the speculative OCC pass, with
-//     per-lane occupancy accounting (validation stays sequential — block
-//     order is the serialization the paper's OCC scheduler preserves).
+//   - RunLanes fans one block's speculative OCC pass out over a few
+//     goroutines (validation stays sequential — block order is the
+//     serialization the paper's OCC scheduler preserves).
 package pipeline
 
 import (

@@ -78,14 +78,6 @@ func (c *CrashPoints) Arm(point string) <-chan struct{} {
 	return c.fired
 }
 
-// Disarm cancels an armed point that has not fired yet.
-func (c *CrashPoints) Disarm() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.armed = ""
-	c.fired = nil
-}
-
 // Force crashes immediately, between points — the "power cable" fault. It is
 // a no-op after a crash already happened.
 func (c *CrashPoints) Force() {

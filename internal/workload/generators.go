@@ -170,11 +170,6 @@ func SCFTransferInput(rng *rand.Rand) (string, [][]byte) {
 	return "transfer", [][]byte{MakeAssetFlat(rng, 256)}
 }
 
-// EncodeCall frames a generated workload call for submission.
-func EncodeCall(method string, args [][]byte) []byte {
-	return core.EncodeInput(method, args...)
-}
-
 // Compiled contract cache: compiling CCL is cheap but not free, and
 // benchmarks rebuild workloads repeatedly.
 var (
