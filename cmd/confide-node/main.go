@@ -98,6 +98,8 @@ func main() {
 		fatal(err)
 	}
 	defer cluster.Close()
+	// Nodes cut their own blocks, for the workload below and gateway clients alike.
+	defer cluster.StartDriver(0)()
 
 	if *gatewayAddr != "" {
 		gateways, err := serveGateways(cluster, *gatewayAddr, *gatewayRate, *drainTimeout)
@@ -109,13 +111,6 @@ func main() {
 				gw.Close() // graceful: refuse new work, drain in-flight
 			}
 		}()
-		// Remote clients need continuous block production once the built-in
-		// workload's synchronous drain loop is done; the background driver
-		// provides it (started here so submissions that race the workload
-		// commit too — driver and DrainAll proposals arbitrate through
-		// consensus, and a stale cut re-pools).
-		stopDriver := cluster.StartDriver(3 * time.Millisecond)
-		defer stopDriver()
 	}
 
 	addr := chain.AddressFromBytes([]byte("demo-contract"))
@@ -189,9 +184,9 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	// Count commits from receipts, not from DrainAll's return: with -gateway
-	// the background driver proposes concurrently, so transactions commit
-	// through its blocks and the synchronous loop's own tally undercounts.
+	// Count commits from receipts, not from DrainAll's return: the nodes'
+	// proposers cut blocks concurrently, so transactions commit through
+	// their blocks and the synchronous loop's own tally undercounts.
 	committed, ok, failed := 0, 0, 0
 	for _, h := range hashes {
 		rpt, found := cluster.Leader().Receipt(h)

@@ -230,17 +230,9 @@ func clusterThroughput(p clusterParams) (float64, error) {
 	// Pre-verification runs concurrently with the ordering of earlier
 	// blocks in production (Figure 7); the synchronous driver cannot
 	// overlap phases, so the pipeline's steady state is modelled by
-	// letting every node finish pre-verifying before the timed region.
-	for attempt := 0; attempt < 100; attempt++ {
-		total := 0
-		for _, n := range cluster.Nodes {
-			n.PreVerifyPending()
-			total += n.VerifiedPoolLen()
-		}
-		if total >= p.txs*len(cluster.Nodes) {
-			break
-		}
-		time.Sleep(500 * time.Microsecond)
+	// letting the leader finish pre-verifying before the timed region.
+	for leader.UnverifiedPoolLen() > 0 {
+		leader.PreVerifyPending()
 	}
 
 	start := time.Now()

@@ -176,17 +176,9 @@ func confTokenThroughput(txCount int) ([]ConfAssetsRow, error) {
 			}
 		}
 		// As in clusterThroughput: pre-verification overlaps ordering in
-		// production, so let it finish before the timed region.
-		for attempt := 0; attempt < 100; attempt++ {
-			total := 0
-			for _, n := range cluster.Nodes {
-				n.PreVerifyPending()
-				total += n.VerifiedPoolLen()
-			}
-			if total >= len(txs)*len(cluster.Nodes) {
-				break
-			}
-			time.Sleep(500 * time.Microsecond)
+		// production, so let the leader finish it before the timed region.
+		for leader.UnverifiedPoolLen() > 0 {
+			leader.PreVerifyPending()
 		}
 		start := time.Now()
 		if _, err := cluster.DrainAll(64, 60*time.Second); err != nil {

@@ -4,7 +4,8 @@
 // crashes with restarts, and a partition that splits and heals — then
 // requires full convergence: every transaction committed with an OK receipt
 // on every node, identical chains, identical state roots. Nothing in the
-// harness touches consensus internals; recovery comes entirely from the
+// harness touches consensus internals or produces blocks: the nodes cut
+// their own (Cluster.StartDriver), and recovery comes entirely from the
 // automatic timers, retransmission and catch-up sync.
 //
 // The package imports node and gateway and is imported only by tests and
@@ -135,7 +136,7 @@ type Options struct {
 	// transient read EIO, read bit-flips, lying fsyncs. Requires Crashes.
 	DiskFaults bool
 	// PipelineDepth is every node's in-flight proposal window (default 0 =
-	// depth 1): each believed leader fills it every duty-cycle step. At
+	// depth 1), which the leader's proposer loop fills under load. At
 	// depth > 1 faults — leader kills included — land mid-pipeline,
 	// exercising the predicted-parent abort/re-pool path; the run still
 	// certifies that no committed transaction is lost and every chain
@@ -147,7 +148,7 @@ type Options struct {
 	// are scheduled sequentially so at most one is active at a time,
 	// keeping the fault count within f.
 	FaultFor time.Duration
-	// StepEvery paces the driver duty cycle (default 25ms).
+	// StepEvery paces the harness loop: faults, retries, convergence (default 25ms).
 	StepEvery time.Duration
 	// Timeout aborts a run that fails to converge (default 120s).
 	Timeout time.Duration
@@ -282,6 +283,7 @@ func Run(opts Options) (*Report, error) {
 		return nil, err
 	}
 	defer cluster.Close()
+	defer cluster.StartDriver(0)()
 
 	// With gateway kills scheduled the workload enters through the HTTP edge;
 	// gws stays nil otherwise and transactions go straight to SubmitTx.
@@ -663,16 +665,6 @@ func Run(opts Options) (*Report, error) {
 			}
 		}
 
-		// Duty cycle: every live node pre-verifies; every believed leader
-		// proposes its backlog up to its in-flight window (several may
-		// believe during a view change — consensus arbitrates).
-		for i, n := range cluster.Nodes {
-			if i == crashed {
-				continue
-			}
-			n.PreVerifyPending()
-			n.ProposePending()
-		}
 		time.Sleep(opts.StepEvery)
 	}
 

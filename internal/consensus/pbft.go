@@ -82,6 +82,10 @@ type Options struct {
 	// It gates the leader-silence timer: without it only in-flight
 	// instances arm the timer.
 	WorkPending func() bool
+	// ViewAdopted, when set, is called every time this replica moves to a new
+	// view (the application may lead now). Like WorkPending it runs with the
+	// replica's lock held: it must only signal, never block or call back.
+	ViewAdopted func()
 }
 
 func (o Options) withDefaults() Options {
@@ -400,6 +404,9 @@ func (r *Replica) adoptView(v uint64) {
 		}
 	}
 	r.lastProgress = time.Now()
+	if r.opts.ViewAdopted != nil {
+		r.opts.ViewAdopted()
+	}
 }
 
 // Leader returns the current view's leader id.

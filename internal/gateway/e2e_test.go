@@ -72,7 +72,7 @@ fn invoke() {
 var ledgerAddr = chain.AddressFromBytes([]byte("gwledger"))
 
 // testNet is a 4-node cluster fronted by one gateway per node, with the
-// background duty-cycle driver producing blocks — the full remote topology.
+// nodes cutting their own blocks (StartDriver) — the full remote topology.
 type testNet struct {
 	cluster  *node.Cluster
 	gateways []*gateway.Gateway
@@ -106,7 +106,7 @@ func startNet(t *testing.T, gwCfg gateway.Config) *testNet {
 	if err := cluster.DeployEverywhere(ledgerAddr, owner, core.VMCVM, mod.Encode(), true, 1); err != nil {
 		t.Fatal(err)
 	}
-	stop := cluster.StartDriver(5 * time.Millisecond)
+	stop := cluster.StartDriver(0)
 	t.Cleanup(stop)
 
 	n := &testNet{cluster: cluster}

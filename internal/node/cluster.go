@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"confide/internal/chain"
@@ -83,6 +82,10 @@ type Cluster struct {
 	// store and the node.
 	faults  []*faultfs.FS
 	crashes []*vfs.CrashPoints
+	// While StartDriver is in effect (nil otherwise): each node's proposer stop
+	// function, and their linger for the nodes rebuildNode creates meanwhile.
+	proposers []func()
+	linger    time.Duration
 }
 
 // NewCluster boots a network: a software root of trust, per-node platforms,
@@ -282,7 +285,8 @@ func (c *Cluster) buildNodes(opts ClusterOptions, platforms []*tee.Platform, kmN
 // state from its peers (snapshot fast-sync when checkpoints are enabled);
 // without wipe it recovers from its durable store (StoreDir required). The
 // engines are rebuilt on a freshly attested enclave re-provisioned with the
-// cluster secrets, which is the HSM-backed restart flow.
+// cluster secrets, which is the HSM-backed restart flow. Under StartDriver the
+// replacement's proposer is started with it.
 func (c *Cluster) RestartNode(i int, wipe bool) error {
 	if i < 0 || i >= len(c.Nodes) {
 		return fmt.Errorf("node: no node %d", i)
@@ -339,6 +343,9 @@ func (c *Cluster) rebuildNode(i int, store storage.KVStore) error {
 	base := c.peerBase(i)
 	cfg.replicaBase = &base
 	c.Nodes[i] = New(cfg, endpoint, len(c.Nodes), confEngine, pubEngine, store)
+	if c.proposers != nil {
+		c.proposers[i] = c.Nodes[i].StartProposer(c.linger)
+	}
 	return nil
 }
 
@@ -479,14 +486,14 @@ func (c *Cluster) Submit(tx *chain.Tx) error {
 	return c.Leader().SubmitTx(tx)
 }
 
-// ProcessRound drives one synchronous round: every node pre-verifies its
-// backlog, the leader proposes one block, and the call returns once every
-// node has committed it. Returns the number of transactions in the block.
+// ProcessRound drives one synchronous round by the proposer loop's rule: the
+// leader pre-verifies its backlog and proposes one block, and the call
+// returns once every node has committed it. Returns the number of
+// transactions in the block — exactly what was pooled when no proposer runs,
+// which makes this the reference the tests and experiments compare against.
 func (c *Cluster) ProcessRound(timeout time.Duration) (int, error) {
-	for _, n := range c.Nodes {
-		n.PreVerifyPending()
-	}
 	leader := c.Leader()
+	leader.PreVerifyPending()
 	target := leader.Height() + 1
 	count, err := leader.ProposeBlock()
 	if err != nil {
@@ -500,60 +507,22 @@ func (c *Cluster) ProcessRound(timeout time.Duration) (int, error) {
 	return count, nil
 }
 
-// StartDriver runs the cluster duty cycle in the background: every interval,
-// each node pre-verifies its backlog and every node that believes it leads
-// proposes its pending blocks (ProposePending; consensus arbitrates when
-// several believe during a view change). This is what gives an over-the-wire
-// workload — gateway clients on real TCP — continuous block production
-// without a synchronous ProcessRound caller. The returned stop function halts
-// the loop and waits for it to exit. Don't combine with RestartNode: the
-// driver reads c.Nodes unlocked.
-func (c *Cluster) StartDriver(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 5 * time.Millisecond
+// StartDriver starts every node's proposer (Node.StartProposer; linger 0
+// selects the default): from here the cluster produces blocks by itself, as an
+// over-the-wire workload needs, and a node replaced by RestartNode or
+// ReviveNode gets its proposer too. stop halts every proposer and waits. Both
+// belong, like RestartNode, to the goroutine that owns the cluster.
+func (c *Cluster) StartDriver(linger time.Duration) (stop func()) {
+	c.linger = linger
+	c.proposers = make([]func(), len(c.Nodes))
+	for i, n := range c.Nodes {
+		c.proposers[i] = n.StartProposer(linger)
 	}
-	// Pre-verification effort follows leadership: the leader needs a full
-	// verified pool to cut blocks from (and its enclave's attestation and key
-	// relay let followers skip re-verifying), while followers only need enough
-	// of a warm pool to take over smoothly on a view change. The followers'
-	// share is counted in transactions, one for every followerEvery the leader
-	// verified, not in ticks: a busy machine drops ticks, and with an allowance
-	// per tick the number of transactions a follower re-verifies — each at the
-	// cost of a private-key open and an ECDSA check the tag and relay would
-	// have spared it — follows the scheduler instead of the load.
-	const followerEvery = 8
-	fullBudget := c.opts.Node.withDefaults().BlockMaxTxs * 2
-	done := make(chan struct{})
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		owed := 0 // leader-verified transactions the followers have not matched yet
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-			}
-			share := owed / followerEvery
-			owed %= followerEvery
-			for _, n := range c.Nodes {
-				if n.IsLeader() {
-					owed += n.PreVerifyPendingN(fullBudget)
-				} else if share > 0 {
-					n.PreVerifyPendingN(share)
-				}
-				n.ProposePending()
-			}
-		}
-	}()
-	var once sync.Once
 	return func() {
-		once.Do(func() {
-			close(done)
-			<-stopped
-		})
+		for _, stop := range c.proposers {
+			stop()
+		}
+		c.proposers = nil
 	}
 }
 

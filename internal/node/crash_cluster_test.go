@@ -32,20 +32,12 @@ func crashClusterOptions(seed int64) ClusterOptions {
 	}
 }
 
-// driveHealthy runs one duty-cycle step on every node except skip (-1 = all):
-// pre-verify, and propose from whichever node believes it leads. A leader
-// with nothing pending and nothing in flight cuts an empty block, as
-// production does on a timer: the drills need the chain to keep moving
-// (activation heights, checkpoints) after their traffic has drained.
-func driveHealthy(c *Cluster, skip int) {
-	for i, n := range c.Nodes {
-		if i == skip {
-			continue
-		}
-		n.PreVerifyPending()
-		if n.ProposePending() == 0 && n.IsLeader() && n.ConsensusBacklog() == 0 {
-			n.ProposeBlock()
-		}
+// keepChainMoving has an idle leader cut an empty block. The proposer loop
+// never does, and the drills need the chain to keep moving (activation
+// heights, checkpoints) after their traffic has drained.
+func keepChainMoving(c *Cluster) {
+	if l := c.Leader(); l.Backlog() == 0 && l.replica.InFlight() == 0 {
+		l.ProposeBlock()
 	}
 }
 
@@ -94,6 +86,8 @@ func TestCrashReviveAtStoragePoints(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			defer c.StartDriver(0)()
+
 			victim := followerOf(c)
 			fired, err := c.ArmCrash(victim, tc.point)
 			if err != nil {
@@ -111,7 +105,6 @@ func TestCrashReviveAtStoragePoints(t *testing.T) {
 						t.Fatalf("crash point %q never fired", tc.point)
 					}
 					submit(1)
-					driveHealthy(c, -1)
 					time.Sleep(10 * time.Millisecond)
 				}
 			}
@@ -147,7 +140,7 @@ func TestCrashReviveAtStoragePoints(t *testing.T) {
 					t.Fatalf("revived node never converged: height %d vs leader %d",
 						c.Nodes[victim].Height(), c.Leader().Height())
 				}
-				driveHealthy(c, -1)
+				keepChainMoving(c)
 				time.Sleep(10 * time.Millisecond)
 			}
 
@@ -197,6 +190,8 @@ func TestCrashReviveAtCheckpointInstall(t *testing.T) {
 		}
 	}
 
+	defer c.StartDriver(0)()
+
 	victim := followerOf(c)
 	fired, err := c.ArmCrash(victim, vfs.CrashCheckpointInstall)
 	if err != nil {
@@ -241,7 +236,7 @@ func TestCrashReviveAtCheckpointInstall(t *testing.T) {
 			t.Fatalf("quarantined node never converged: height %d vs leader %d",
 				c.Nodes[victim].Height(), c.Leader().Height())
 		}
-		driveHealthy(c, -1)
+		keepChainMoving(c)
 		time.Sleep(10 * time.Millisecond)
 	}
 	if st, err := c.Nodes[victim].ConfidentialEngine().AuditSealedState(); err != nil || st.Opened == 0 {
@@ -280,6 +275,7 @@ func TestCrashReviveAtResealSweep(t *testing.T) {
 	if _, err := c.ProcessRound(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	defer c.StartDriver(0)()
 	victim := followerOf(c)
 	fired, err := c.ArmCrash(victim, vfs.CrashResealSweep)
 	if err != nil {
@@ -300,7 +296,7 @@ func TestCrashReviveAtResealSweep(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatal("reseal-sweep crash point never fired after rotation")
 			}
-			driveHealthy(c, -1)
+			keepChainMoving(c)
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
@@ -324,7 +320,7 @@ func TestCrashReviveAtResealSweep(t *testing.T) {
 			t.Fatalf("revived node stuck: epoch %d height %d (leader height %d)",
 				c.Nodes[victim].CurrentEpoch(), c.Nodes[victim].Height(), c.Leader().Height())
 		}
-		driveHealthy(c, -1)
+		keepChainMoving(c)
 		time.Sleep(10 * time.Millisecond)
 	}
 	if st, err := c.Nodes[victim].ConfidentialEngine().AuditSealedState(); err != nil || st.Opened == 0 {

@@ -74,7 +74,7 @@ func TestExecutionDeterministicAcrossConfigurations(t *testing.T) {
 		// The background driver, not ProcessRound: it is what fills the
 		// window, so the deeper configurations really have several blocks in
 		// flight and queued behind execution.
-		stop := c.StartDriver(2 * time.Millisecond)
+		stop := c.StartDriver(0)
 		waitCommittedEverywhere(t, c, txs, 30*time.Second)
 		stop()
 

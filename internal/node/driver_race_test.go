@@ -60,7 +60,7 @@ func testDrainAllWithDriver(t *testing.T, depth int) {
 		if err := cluster.DeployEverywhere(addr, owner, core.VMCVM, code, true, 1); err != nil {
 			t.Fatal(err)
 		}
-		stop := cluster.StartDriver(3 * time.Millisecond)
+		stop := cluster.StartDriver(0)
 
 		epoch, pk := cluster.EnvelopeKeyInfo()
 		client, err := core.NewClient(pk)

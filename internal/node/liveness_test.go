@@ -27,33 +27,28 @@ func faultOpts(nodes int) ClusterOptions {
 	}
 }
 
-// driveUntil runs the pre-verify/propose duty cycle on the given nodes until
-// cond holds or the deadline passes. Every believed leader proposes — during
-// a view change two nodes may both try, and consensus sorts it out.
-func driveUntil(t *testing.T, nodes []*Node, timeout time.Duration, cond func() bool) {
+// waitUntil polls cond until it holds or the deadline passes. The cluster
+// under test drives itself (StartDriver).
+func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatal("cluster did not converge while being driven")
+			t.Fatal("cluster did not converge")
 		}
-		for _, n := range nodes {
-			n.PreVerifyPending()
-			if n.IsLeader() {
-				n.ProposeBlock()
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestAutomaticFailoverNoManualVotes is the tentpole scenario: the leader
-// crashes with a gossiped transaction pending, and the cluster recovers
+// TestAutomaticFailoverNoManualVotes is the tentpole scenario: the leader is
+// dead when a transaction reaches the survivors, and the cluster recovers
 // with ZERO RequestViewChange calls — the progress timers detect the silent
 // leader, vote, and the successor commits the transaction.
 func TestAutomaticFailoverNoManualVotes(t *testing.T) {
 	c := newTestCluster(t, faultOpts(4))
 	client := newClusterClient(t, c)
+	c.Nodes[0].Endpoint().Crash() // view-0 leader dies
+	defer c.StartDriver(0)()
 
 	tx, _, err := client.NewConfidentialTx(ledgerAddr, "credit", acct("af"), []byte{9})
 	if err != nil {
@@ -62,11 +57,9 @@ func TestAutomaticFailoverNoManualVotes(t *testing.T) {
 	if err := c.Nodes[1].SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // let gossip spread
-	c.Nodes[0].Endpoint().Crash()     // view-0 leader dies
 
 	survivors := c.Nodes[1:]
-	driveUntil(t, survivors, 15*time.Second, func() bool {
+	waitUntil(t, 15*time.Second, func() bool {
 		for _, n := range survivors {
 			if rpt, ok := n.Receipt(tx.Hash()); !ok || rpt.Status != chain.ReceiptOK {
 				return false
@@ -85,6 +78,7 @@ func TestAutomaticFailoverNoManualVotes(t *testing.T) {
 func TestPartitionHealConvergence(t *testing.T) {
 	c := newTestCluster(t, faultOpts(4))
 	client := newClusterClient(t, c)
+	defer c.StartDriver(0)()
 
 	// Isolate node 3; {0,1,2} keep a 2f+1 quorum.
 	c.Net().Partition([][]p2p.NodeID{{0, 1, 2}})
@@ -101,7 +95,7 @@ func TestPartitionHealConvergence(t *testing.T) {
 		}
 		majority := c.Nodes[:3]
 		target := c.Nodes[0].Height() + 1
-		driveUntil(t, majority, 10*time.Second, func() bool {
+		waitUntil(t, 10*time.Second, func() bool {
 			for _, n := range majority {
 				if n.Height() < target {
 					return false
@@ -149,7 +143,7 @@ func TestPartitionHealConvergence(t *testing.T) {
 	if err := c.Nodes[0].SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
-	driveUntil(t, c.Nodes, 10*time.Second, func() bool {
+	waitUntil(t, 10*time.Second, func() bool {
 		rpt, ok := c.Nodes[3].Receipt(tx.Hash())
 		return ok && rpt.Status == chain.ReceiptOK
 	})

@@ -34,6 +34,11 @@ var (
 		"transactions skipped at execution because an earlier block already held them")
 	mOversizedRejected = metrics.Default().Counter("confide_node_oversized_tx_rejections_total",
 		"transactions rejected at the submission boundary or on gossip receive for exceeding MaxTxBytes")
+	// Why the proposer loop cut a block: a full one, or a partial one lingered.
+	mBlocksCutFull = metrics.Default().Counter("confide_node_blocks_cut_total",
+		"blocks cut by this process's proposer loops, by reason", metrics.L{K: "reason", V: "full"})
+	mBlocksCutLinger = metrics.Default().Counter("confide_node_blocks_cut_total",
+		"blocks cut by this process's proposer loops, by reason", metrics.L{K: "reason", V: "linger"})
 	mBlockExecSeconds = metrics.Default().Histogram("confide_node_block_execute_seconds",
 		"per-block execution time (OCC passes)", nil)
 	mBlockCommitSeconds = metrics.Default().Histogram("confide_node_block_commit_seconds",

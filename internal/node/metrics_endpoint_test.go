@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"confide/internal/chain"
 	"confide/internal/metrics"
 )
 
@@ -198,6 +199,32 @@ func TestMetricsEndpointDuringClusterRun(t *testing.T) {
 			t.Errorf("series %s moved by %v over the relayed block, want %v", series, got, want)
 		}
 	}
+
+	// "Why did this block carry 4 transactions" from a scrape: under the
+	// driver every proposal is a proposer loop's, cut for one of two reasons.
+	stop := c.StartDriver(0)
+	defer stop()
+	var driven []*chain.Tx
+	for i := 0; i < 12; i++ {
+		tx, _, err := client.NewConfidentialTx(ledgerAddr, "credit", acct("alice"), []byte{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Submit(tx); err != nil {
+			t.Fatal(err)
+		}
+		driven = append(driven, tx)
+		time.Sleep(time.Millisecond)
+	}
+	waitCommittedEverywhere(t, c, driven, 10*time.Second)
+	stop()
+	fourth := scrape(t, srv.URL, nil)
+	moved := func(series string) float64 { return fourth[series] - third[series] }
+	cut := moved(`confide_node_blocks_cut_total{reason="full"}`) + moved(`confide_node_blocks_cut_total{reason="linger"}`)
+	if proposed := moved("confide_consensus_proposals_total"); cut == 0 || cut != proposed {
+		t.Errorf("blocks_cut_total moved by %v over %v driver proposals", cut, proposed)
+	}
+
 	summary := metrics.Default().Summary()
 	for _, series := range []string{
 		`confide_core_envelope_opens_total{path="relayed"}`,

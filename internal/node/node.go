@@ -2,6 +2,10 @@
 // endpoint, the PBFT ordering replica, the transaction pools and
 // pre-verification pipeline, the public and confidential execution engines,
 // and the KV store — the complete platform of Figure 2.
+//
+// A node cuts its own blocks once StartProposer runs: a leader pre-verifies
+// its pool and proposes on size-or-linger, a follower verifies nothing.
+// Cluster.ProcessRound drives the same two steps synchronously (the reference).
 package node
 
 import (
@@ -28,7 +32,7 @@ type Config struct {
 	// BlockMaxTxs bounds transactions per block. Default 64.
 	BlockMaxTxs int
 	// PipelineDepth is the window of consensus proposals a leader keeps in
-	// flight ahead of block application (ProposePending's bound, and the
+	// flight ahead of block application (the proposer loop's bound, and the
 	// -pipeline-depth flag). Default 1: the next block is proposed once the
 	// previous one has been delivered. Proposals chain off the predicted
 	// parent (the tip of the in-flight chain), and delivered blocks always
@@ -145,6 +149,9 @@ type Node struct {
 	stopOnce  sync.Once
 	storeOnce sync.Once // closes the store (Close only; Kill leaves it)
 
+	wake      chan struct{}  // the proposer loop's doorbell (kick): one slot, so rings coalesce
+	proposers sync.WaitGroup // running StartProposer loops; Kill waits for them
+
 	// fatal records the first unrecoverable storage error: the node killed
 	// itself rather than acknowledge commits whose durability is unknown or
 	// execute on state that reads back wrong.
@@ -215,6 +222,7 @@ func New(cfg Config, endpoint *p2p.Endpoint, n int, confEngine, pubEngine *core.
 		commitHooks: make(map[uint64]func(uint64, []chain.Hash)),
 		heightCh:    make(chan struct{}),
 		stop:        make(chan struct{}),
+		wake:        make(chan struct{}, 1),
 		tracer:      newPipelineTracer(),
 		snapshots:   snapshot.NewManager(),
 		badPeers:    make(map[p2p.NodeID]int),
@@ -238,6 +246,7 @@ func New(cfg Config, endpoint *p2p.Endpoint, n int, confEngine, pubEngine *core.
 	opts.WorkPending = func() bool {
 		return node.unverified.Len()+node.verified.Len() > 0
 	}
+	opts.ViewAdopted = node.kick // this node may lead now
 	node.replica = consensus.NewReplicaWithOptions(endpoint, n, node.onCommit, opts)
 	if node.height > node.baseHeight {
 		node.replica.AdvanceTo(node.height - node.baseHeight)
@@ -253,6 +262,7 @@ func New(cfg Config, endpoint *p2p.Endpoint, n int, confEngine, pubEngine *core.
 		if tx, err := chain.DecodeTx(m.Data); err == nil && !node.isCommitted(tx.Hash()) {
 			if node.unverified.Add(tx) == nil {
 				node.tracer.Begin(node.traceKey(tx.Hash()))
+				node.kick()
 			}
 		}
 	})
@@ -353,14 +363,10 @@ func (n *Node) SubmitTx(tx *chain.Tx) error {
 		return err
 	}
 	n.tracer.Begin(n.traceKey(tx.Hash()))
+	n.kick()
 	n.endpoint.Broadcast(gossipTopic, encoded)
 	return nil
 }
-
-// ConsensusBacklog reports how many consensus instances this node has
-// proposed that have not yet been delivered to the application — the depth
-// of the ordering pipeline. ProposePending paces proposals with it.
-func (n *Node) ConsensusBacklog() uint64 { return n.replica.InFlight() }
 
 // Backlog reports this node's total uncommitted submission backlog: both
 // transaction pools, the transactions riding in-flight proposals (counted
@@ -423,6 +429,7 @@ func (n *Node) repoolUncommitted(txs []*chain.Tx) {
 			n.unverified.Add(tx)
 		}
 	}
+	n.kick()
 }
 
 // promoteVerified moves a pre-verified transaction into the verified pool
@@ -447,20 +454,13 @@ func (n *Node) promoteVerified(tx *chain.Tx) error {
 }
 
 // PreVerifyPending moves valid transactions from the un-verified to the
-// verified pool (Figure 7 P1–P5) at the full per-call budget.
+// verified pool (Figure 7 P1–P5), up to two blocks' worth per call, and
+// returns how many it moved. Only a leader calls it (the proposer loop, or
+// ProcessRound): followers execute on the proposer enclave's tag and key
+// relay, so their own ECDH open and ECDSA check per transaction would only
+// warm a pool for after a view change — whose winner verifies it cold then.
 func (n *Node) PreVerifyPending() int {
-	return n.PreVerifyPendingN(n.cfg.BlockMaxTxs * 2)
-}
-
-// PreVerifyPendingN is PreVerifyPending with an explicit transaction budget.
-// The driver gives the leader the full budget and followers a fixed share of
-// what the leader verified: with block-level attestation and the key relay,
-// follower execution accepts the proposer enclave's signature checks and
-// keys, so a follower's own pre-verification only feeds the pool it would
-// propose from after a view change — worth keeping warm, not worth three
-// replicas' worth of redundant ECDH and ECDSA per transaction.
-func (n *Node) PreVerifyPendingN(budget int) int {
-	batch := n.unverified.PopBatch(budget)
+	batch := n.unverified.PopBatch(n.cfg.BlockMaxTxs * 2)
 	if len(batch) == 0 {
 		return 0
 	}
@@ -517,9 +517,10 @@ func (n *Node) PreVerifyPendingN(budget int) int {
 	return moved
 }
 
-// ProposeBlock makes the leader cut a block from the verified pool (empty
-// blocks are allowed — production emits them on a timer) and start
-// consensus on it. Returns the number of transactions proposed.
+// ProposeBlock makes the leader cut a block from the verified pool and start
+// consensus on it. Empty blocks are allowed: the proposer loop never asks for
+// one, a drill that must cross an activation height or a checkpoint without
+// traffic does. Returns the number of transactions proposed.
 //
 // The block chains off the *predicted* parent: the tip of the in-flight
 // proposal chain, which is the committed tip when nothing is in flight.
@@ -577,23 +578,89 @@ func (n *Node) ProposeBlock() (int, error) {
 	return len(txs), nil
 }
 
-// ProposePending is the proposer's duty cycle: while this node leads and its
-// verified pool is non-empty, it cuts blocks until its in-flight window
-// (Config.PipelineDepth) is full. With predicted-parent chaining every one of
-// those blocks is applicable on delivery. The bound matters: an unbounded
-// leader opens a new instance on every call, in-flight instances pile up far
-// ahead of sequential application, and their retransmit timers flood the
-// network. Every driver — StartDriver, the chaos harness, the crash drills —
-// proposes through here. Returns the number of blocks proposed.
-func (n *Node) ProposePending() int {
-	blocks := 0
-	for n.IsLeader() && n.verified.Len() > 0 && n.ConsensusBacklog() < uint64(n.cfg.PipelineDepth) {
-		if _, err := n.ProposeBlock(); err != nil {
-			break
-		}
-		blocks++
+// defaultLinger is how long a partial block waits for more transactions: the
+// mean wait under the 5 ms driver tick this loop replaced.
+const defaultLinger = 2500 * time.Microsecond
+
+// StartProposer makes this node produce blocks by itself: one goroutine,
+// parked until a transaction is pooled, consensus delivers (a window slot
+// freed) or the replica adopts a view. While the node leads, each pass
+// pre-verifies one budget of the un-verified pool, then cuts blocks while
+// fewer than Config.PipelineDepth proposals are in flight (more only pile up
+// ahead of execution and flood the network with retransmits) and the verified
+// pool holds a full block or has been non-empty for linger (0: defaultLinger).
+// Wake-ups coalesce, so batches grow with load. stop halts the loop and waits.
+func (n *Node) StartProposer(linger time.Duration) (stop func()) {
+	if linger <= 0 {
+		linger = defaultLinger
 	}
-	return blocks
+	quit := make(chan struct{})
+	n.proposers.Add(1)
+	go n.runProposer(linger, quit)
+	n.kick() // whatever is pooled already
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(quit) })
+		n.proposers.Wait()
+	}
+}
+
+// kick rings the proposer loop's doorbell (a no-op when already rung).
+func (n *Node) kick() {
+	select {
+	case n.wake <- struct{}{}:
+	default:
+	}
+}
+
+func (n *Node) runProposer(linger time.Duration, quit <-chan struct{}) {
+	defer n.proposers.Done()
+	timer := time.NewTimer(linger)
+	defer timer.Stop()
+	var since time.Time // when the verified pool was first seen non-empty after the last cut
+	for {
+		select {
+		case <-quit:
+			return
+		case <-n.stop:
+			return
+		case <-n.wake:
+		case <-timer.C:
+		}
+		if !n.replica.IsLeader() {
+			continue
+		}
+		n.PreVerifyPending()
+		if n.unverified.Len() > 0 {
+			n.kick() // more than one budget pooled: cut what this one filled, then come back
+		}
+		for {
+			pooled := n.verified.Len()
+			if pooled == 0 {
+				since = time.Time{}
+				break
+			}
+			if since.IsZero() {
+				since = time.Now()
+			}
+			if n.replica.InFlight() >= uint64(n.cfg.PipelineDepth) {
+				break // onCommit kicks when a slot frees
+			}
+			cut := mBlocksCutFull
+			if pooled < n.cfg.BlockMaxTxs {
+				if wait := linger - time.Since(since); wait > 0 {
+					timer.Reset(wait)
+					break
+				}
+				cut = mBlocksCutLinger
+			}
+			if _, err := n.ProposeBlock(); err != nil {
+				break // lost the view; adopting the next one kicks
+			}
+			cut.Inc()
+			since = time.Time{}
+		}
+	}
 }
 
 // onCommit receives a consensus-committed block. Every replica sees
@@ -602,13 +669,17 @@ func (n *Node) ProposePending() int {
 // handed to the execute-behind-order queue so the delivery loop returns to
 // consensus while execution proceeds.
 func (n *Node) onCommit(seq uint64, payload []byte) {
+	defer n.kick() // a window slot freed, no-op payloads included
 	block, err := chain.DecodeBlock(payload)
 	if err != nil {
 		return
 	}
 	// From delivery to application the block's transactions are accounted
-	// to the executor queue, not the predicted chain.
-	n.sched.Delivered(block.Header.Height, block.Hash())
+	// to the executor queue, not the predicted chain. If it skipped an earlier
+	// proposal of ours, the chain predicted off that one goes back to the pool.
+	if aborted := n.sched.Delivered(block.Header.Height, block.Hash()); len(aborted) > 0 {
+		n.repoolUncommitted(aborted)
+	}
 	n.executor.Submit(block, payload)
 }
 
@@ -1066,7 +1137,8 @@ func (n *Node) Close() {
 func (n *Node) Kill() {
 	n.stopOnce.Do(func() {
 		close(n.stop)
-		// First: unblock a delivery loop parked in Submit and wait out the
+		n.proposers.Wait() // first, so no ProposeBlock races the dying replica
+		// Then: unblock a delivery loop parked in Submit and wait out the
 		// in-progress block application, so replica.Close below cannot
 		// deadlock against it and the store sees no new writes after Kill
 		// returns.

@@ -111,7 +111,7 @@ func TestPipelinedDriverCommitsAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	txs := pipelineLedgerTxs(t, cluster, 7, 96)
-	stop := cluster.StartDriver(2 * time.Millisecond)
+	stop := cluster.StartDriver(0)
 	defer stop()
 	for _, tx := range txs {
 		if err := cluster.Leader().SubmitTx(tx); err != nil {
@@ -137,49 +137,6 @@ func TestPipelinedDriverCommitsAll(t *testing.T) {
 		if got := headerChainRoot(t, n, height); got != root {
 			t.Fatalf("node %d header chain %x != node 0 %x", n.ID(), got[:8], root[:8])
 		}
-	}
-}
-
-// TestDriverFollowerShareIsPerTransaction pins what makes the driver's cost
-// per transaction independent of timing: followers pre-verify one
-// transaction for every eight the leader does, however many ticks that takes.
-// The load is paced below the leader's per-tick budget, where an allowance
-// counted in ticks lets every follower verify every transaction (4 per
-// transaction in the cluster instead of 1 + 3/8).
-func TestDriverFollowerShareIsPerTransaction(t *testing.T) {
-	cluster, err := NewCluster(ClusterOptions{
-		Nodes: 4,
-		Node: Config{
-			BlockMaxTxs:   8,
-			PipelineDepth: 4,
-			EngineOpts:    core.AllOptimizations(),
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	if err := cluster.DeployEverywhere(ledgerAddr, chain.AddressFromBytes([]byte("own")), core.VMCVM, ledgerModule(t), true, 1); err != nil {
-		t.Fatal(err)
-	}
-	txs := pipelineLedgerTxs(t, cluster, 11, 64)
-	preVerified := func() uint64 {
-		return metrics.Default().Snapshot().CounterSum("confide_core_preverified_total")
-	}
-	before := preVerified()
-	stop := cluster.StartDriver(2 * time.Millisecond)
-	defer stop()
-	for _, tx := range txs {
-		if err := cluster.Leader().SubmitTx(tx); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	waitCommittedEverywhere(t, cluster, txs, 30*time.Second)
-	stop()
-	n := uint64(len(txs))
-	if got, most := preVerified()-before, n+3*(n/8); got < n || got > most {
-		t.Fatalf("%d pre-verifications of %d transactions, want %d (the leader's) to %d (plus an eighth on each follower)", got, n, n, most)
 	}
 }
 
@@ -257,7 +214,7 @@ func TestMixedExecWorkersDeterminism(t *testing.T) {
 	}
 	txs := pipelineLedgerTxs(t, cluster, 11, 80)
 	client := newClusterClient(t, cluster)
-	stop := cluster.StartDriver(2 * time.Millisecond)
+	stop := cluster.StartDriver(0)
 	defer stop()
 	for _, tx := range txs {
 		if err := cluster.Leader().SubmitTx(tx); err != nil {
@@ -457,8 +414,8 @@ func TestDefaultConfigAppliesThroughExecutor(t *testing.T) {
 		}
 		txs = append(txs, tx)
 		leader.PreVerifyPending()
-		if n := leader.ProposePending(); n != 1 {
-			t.Fatalf("leader proposed %d blocks, want 1", n)
+		if n, err := leader.ProposeBlock(); err != nil || n != 1 {
+			t.Fatalf("leader proposed %d transactions (err=%v), want 1", n, err)
 		}
 	}
 

@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzScheduler drives the scheduler through arbitrary interleavings of
-// propose (Predict+Track), deliver, apply-predicted, apply-foreign,
-// view-change and tip-jump events — the delivered-vs-predicted permutations
-// the abort/re-pool path must survive — and checks the no-loss invariant:
+// propose (Predict+Track), deliver in order, deliver past a lost slot,
+// apply-predicted, apply-foreign, view-change and tip-jump events — the
+// delivered-vs-predicted permutations the abort/re-pool path must survive —
+// and checks the no-loss invariant:
 // every transaction ever tracked ends the run in exactly one of three
 // states — committed (its block applied as predicted), returned by an abort
 // for re-pooling, or still in flight. A transaction that vanishes here is
@@ -22,6 +23,9 @@ func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 2, 2})
 	f.Add([]byte{0, 4, 0, 3, 0, 1, 2, 5, 0, 2})
 	f.Add([]byte{0, 0, 3, 0, 2, 4, 0, 5, 2, 2, 2})
+	// The head's consensus slot is lost and the second proposal delivers: the
+	// next prediction must fall back to the committed tip.
+	f.Add([]byte{0, 0, 6, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
@@ -44,9 +48,10 @@ func FuzzScheduler(f *testing.F) {
 		// pendingTxs[i] mirrors the scheduler's entries: the txs of each
 		// in-flight predicted block, in chain order, with its block hash.
 		type pend struct {
-			height uint64
-			hash   chain.Hash
-			txs    []uint32
+			height    uint64
+			hash      chain.Hash
+			txs       []uint32
+			delivered bool
 		}
 		var pending []pend
 
@@ -67,7 +72,7 @@ func FuzzScheduler(f *testing.F) {
 		}
 
 		for _, op := range ops {
-			switch op % 6 {
+			switch op % 7 {
 			case 0: // propose: Predict + Track a 1-3 tx block
 				h, parent, ab := s.Predict(view, tipHeight, tipHash)
 				account(ab)
@@ -84,7 +89,7 @@ func FuzzScheduler(f *testing.F) {
 				} else if h != tipHeight || parent != tipHash {
 					t.Fatalf("prediction (%d, %x) does not extend committed tip (%d, %x)", h, parent[:2], tipHeight, tipHash[:2])
 				}
-				ntx := 1 + int(op/6)%3
+				ntx := 1 + int(op/7)%3
 				var ids []uint32
 				var txs []*chain.Tx
 				for i := 0; i < ntx; i++ {
@@ -101,8 +106,14 @@ func FuzzScheduler(f *testing.F) {
 				s.Track(h, bh, parent, txs)
 				pending = append(pending, pend{height: h, hash: bh, txs: ids})
 			case 1: // deliver the oldest undelivered predicted block
-				if len(pending) > 0 {
-					s.Delivered(pending[0].height, pending[0].hash)
+				for i := range pending {
+					if !pending[i].delivered {
+						if ab := s.Delivered(pending[i].height, pending[i].hash); len(ab) > 0 {
+							t.Fatalf("in-order delivery at %d aborted %d txs", pending[i].height, len(ab))
+						}
+						pending[i].delivered = true
+						break
+					}
 				}
 			case 2: // the predicted head applies for real
 				if len(pending) == 0 {
@@ -136,6 +147,27 @@ func FuzzScheduler(f *testing.F) {
 				tipHeight += 5
 				tipHash = synthHash(0x03, nextHash)
 				nextHash++
+			case 6: // consensus delivers the newest predicted block while an
+				// earlier one never delivered: that one's slot went to another
+				// payload, so it and everything chained off it are dead.
+				lost := 0
+				for lost < len(pending) && pending[lost].delivered {
+					lost++
+				}
+				if lost >= len(pending)-1 {
+					continue
+				}
+				last := pending[len(pending)-1]
+				ab := s.Delivered(last.height, last.hash)
+				account(ab)
+				want := 0
+				for _, p := range pending[lost:] {
+					want += len(p.txs)
+				}
+				if len(ab) != want {
+					t.Fatalf("delivery past the lost slot at %d aborted %d txs, want the %d chained off it", pending[lost].height, len(ab), want)
+				}
+				pending = pending[:lost]
 			}
 		}
 

@@ -44,7 +44,8 @@ type entry struct {
 // The invariant it maintains: entries form a contiguous hash-linked chain
 // whose first entry's parent is the committed tip. Any observation that
 // breaks the link — a different block applied at a predicted height, a view
-// change, a tip that jumped (snapshot install) — aborts the broken suffix
+// change, a tip that jumped (snapshot install), a delivery that skipped an
+// earlier entry (its consensus slot was lost) — aborts the broken suffix
 // and returns its transactions so the caller can re-pool them. Re-pooling
 // is idempotent: pool insertion dedups, and execution-time dedup skips
 // transactions an earlier block already committed.
@@ -111,15 +112,29 @@ func (s *Scheduler) Untrack(height uint64, hash chain.Hash) {
 
 // Delivered flags the entry whose block consensus just delivered: from here
 // until Applied, its transactions are accounted to the executor queue.
-func (s *Scheduler) Delivered(height uint64, hash chain.Hash) {
+// Consensus delivers in sequence order and a leader's proposals take
+// increasing sequences, so a delivery that skips an earlier entry proves that
+// entry's slot went to another payload (a carried block or a no-op) and it
+// will never deliver: it and everything chained off it abort and are returned
+// for re-pooling, or predictions would keep extending a chain that cannot apply.
+func (s *Scheduler) Delivered(height uint64, hash chain.Hash) (aborted []*chain.Tx) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	lost := -1 // first entry consensus has not delivered
 	for i := range s.entries {
-		if s.entries[i].height == height && s.entries[i].hash == hash {
-			s.entries[i].delivered = true
-			return
+		e := &s.entries[i]
+		if e.height == height && e.hash == hash {
+			if lost >= 0 {
+				return s.abortLocked(lost)
+			}
+			e.delivered = true
+			return nil
+		}
+		if lost < 0 && !e.delivered {
+			lost = i
 		}
 	}
+	return nil
 }
 
 // Applied observes a block that just applied at height, advancing the
