@@ -1,5 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
+# Appended to every drill of `make chaos` and `make crash`; CI passes -metrics.
+DRILLFLAGS ?=
 
 .PHONY: build test race vet chaos crash bench bench-record fuzz overhead all
 
@@ -32,11 +34,11 @@ vet:
 # the same fault schedule with pipelined block production (depth 8, four
 # OCC lanes), so leader kills land while several proposals are in flight.
 chaos:
-	$(GO) run ./cmd/benchrunner -chaos -seed 1
-	$(GO) run ./cmd/benchrunner -chaos -seed 1 -wipe 1
-	$(GO) run ./cmd/benchrunner -chaos -seed 1 -rotations 1
-	$(GO) run ./cmd/benchrunner -chaos -seed 1 -gwkills 2
-	$(GO) run ./cmd/benchrunner -chaos -seed 1 -pipeline-depth 8 -exec-workers 4
+	$(GO) run ./cmd/benchrunner -chaos -seed 1 $(DRILLFLAGS)
+	$(GO) run ./cmd/benchrunner -chaos -seed 1 -wipe 1 $(DRILLFLAGS)
+	$(GO) run ./cmd/benchrunner -chaos -seed 1 -rotations 1 $(DRILLFLAGS)
+	$(GO) run ./cmd/benchrunner -chaos -seed 1 -gwkills 2 $(DRILLFLAGS)
+	$(GO) run ./cmd/benchrunner -chaos -seed 1 -pipeline-depth 8 -exec-workers 4 $(DRILLFLAGS)
 
 # Seeded crash drill: power-cut nodes at named storage crash points under
 # live traffic, with transient disk faults (ENOSPC, EIO, bit-flips, lying
@@ -47,8 +49,8 @@ chaos:
 # keeps the disk clean but widens the window (depth 8, four OCC lanes), so
 # crash points fire with several delivered blocks queued behind execution.
 crash:
-	$(GO) run ./cmd/benchrunner -chaos -seed 1 -crashes 3 -diskfaults
-	$(GO) run ./cmd/benchrunner -chaos -seed 2 -crashes 2 -pipeline-depth 8 -exec-workers 4
+	$(GO) run ./cmd/benchrunner -chaos -seed 1 -crashes 3 -diskfaults $(DRILLFLAGS)
+	$(GO) run ./cmd/benchrunner -chaos -seed 2 -crashes 2 -pipeline-depth 8 -exec-workers 4 $(DRILLFLAGS)
 
 bench:
 	$(GO) run ./cmd/benchrunner -exp all -quick

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -20,6 +19,8 @@ import (
 	"strings"
 
 	"confide/internal/chain"
+	"confide/internal/core"
+	"confide/internal/node"
 	"confide/internal/storage"
 )
 
@@ -48,15 +49,8 @@ func main() {
 	}
 }
 
-func blockKey(height uint64) []byte {
-	key := make([]byte, 12)
-	copy(key, "blk/")
-	binary.BigEndian.PutUint64(key[4:], height)
-	return key
-}
-
 func loadBlock(store storage.KVStore, height uint64) (*chain.Block, bool) {
-	raw, found, err := store.Get(blockKey(height))
+	raw, found, err := store.Get(node.BlockKey(height))
 	if err != nil || !found {
 		return nil, false
 	}
@@ -111,8 +105,7 @@ func showBlock(store storage.KVStore, height uint64) {
 					raw.From, raw.Contract, raw.Method, len(raw.Args))
 			}
 		}
-		rk := []byte("rc/" + hex.EncodeToString(hash[:]))
-		if sealed, found, _ := store.Get(rk); found {
+		if sealed, found, _ := core.ReadReceipt(store, hash); found {
 			if rpt, err := chain.DecodeReceipt(sealed); err == nil {
 				fmt.Printf("    receipt: public, status %d, %d log(s)\n", rpt.Status, len(rpt.Logs))
 			} else {

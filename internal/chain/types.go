@@ -304,12 +304,19 @@ func (b *Block) Hash() Hash { return sha256.Sum256(b.HeaderBytes()) }
 // ComputeTxRoot fills the header's transaction Merkle root from the block's
 // transactions and returns it.
 func (b *Block) ComputeTxRoot() Hash {
-	leaves := make([]Hash, len(b.Txs))
-	for i, tx := range b.Txs {
+	b.Header.TxRoot = TxRoot(b.Txs)
+	return b.Header.TxRoot
+}
+
+// TxRoot is the Merkle root over the transactions' hashes in order: what a
+// block header commits to, and what every reader of a block that travelled
+// outside consensus recomputes before trusting its contents.
+func TxRoot(txs []*Tx) Hash {
+	leaves := make([]Hash, len(txs))
+	for i, tx := range txs {
 		leaves[i] = tx.Hash()
 	}
-	b.Header.TxRoot = MerkleRoot(leaves)
-	return b.Header.TxRoot
+	return MerkleRoot(leaves)
 }
 
 // Encode serializes the whole block.

@@ -96,9 +96,7 @@ func (r *Replica) tick() {
 		r.vcLastSent = now
 		r.vcInterval = backoff(r.vcInterval, r.opts.RetransmitMax)
 		mRetransmits.Inc()
-		out = append(out, outMsg{to: broadcastTo, topic: topicViewChange,
-			data: encodeMsg(msgViewChange, r.votedFor, 0, zeroDigest[:],
-				encodeVCEntries(r.preparedSet()))})
+		out = append(out, outMsg{to: broadcastTo, topic: topicViewChange, data: r.viewVote()})
 	}
 
 	// A new leader first re-proposes payloads carried across the view

@@ -74,9 +74,6 @@ type Options struct {
 	// HeartbeatInterval paces the status broadcast that drives view and
 	// delivery catch-up. Default 100ms.
 	HeartbeatInterval time.Duration
-	// CommittedLog bounds how many recently delivered payloads are retained
-	// to serve catch-up fetches. Default 512.
-	CommittedLog int
 	// WorkPending, when set, reports whether the application has work an
 	// honest leader should be ordering (e.g. non-empty transaction pools).
 	// It gates the leader-silence timer: without it only in-flight
@@ -101,11 +98,12 @@ func (o Options) withDefaults() Options {
 	if o.HeartbeatInterval == 0 {
 		o.HeartbeatInterval = 100 * time.Millisecond
 	}
-	if o.CommittedLog == 0 {
-		o.CommittedLog = 512
-	}
 	return o
 }
+
+// committedLogCap bounds how many recently delivered payloads are retained to
+// serve catch-up fetches.
+const committedLogCap = 512
 
 // CommitFn is called exactly once per sequence number, in order, with the
 // committed payload.
@@ -257,11 +255,7 @@ func (r *Replica) RequestViewChange() {
 		r.mu.Unlock()
 		return
 	}
-	r.votedFor = target
-	r.recordViewVote(target, r.id, nil)
-	r.vcLastSent = time.Now()
-	r.vcInterval = r.opts.RetransmitInterval
-	vote := encodeMsg(msgViewChange, target, 0, zeroDigest[:], encodeVCEntries(r.preparedSet()))
+	vote := r.castViewVote(target)
 	r.mu.Unlock()
 	r.endpoint.Broadcast(topicViewChange, vote)
 	r.mu.Lock()
@@ -285,11 +279,7 @@ func (r *Replica) onViewChange(m p2p.Message) {
 	join := len(r.viewVotes[target]) >= r.f+1 && r.votedFor < target
 	var vote []byte
 	if join {
-		r.votedFor = target
-		r.recordViewVote(target, r.id, nil)
-		r.vcLastSent = time.Now()
-		r.vcInterval = r.opts.RetransmitInterval
-		vote = encodeMsg(msgViewChange, target, 0, zeroDigest[:], encodeVCEntries(r.preparedSet()))
+		vote = r.castViewVote(target)
 	}
 	r.mu.Unlock()
 	if join {
@@ -298,6 +288,23 @@ func (r *Replica) onViewChange(m p2p.Message) {
 	r.mu.Lock()
 	r.maybeSwitchView(target)
 	r.mu.Unlock()
+}
+
+// castViewVote makes this replica a voter for view target, restarts the
+// vote's retransmission backoff and returns the encoded vote for the caller
+// to broadcast once it has unlocked. Caller holds r.mu.
+func (r *Replica) castViewVote(target uint64) []byte {
+	r.votedFor = target
+	r.recordViewVote(target, r.id, nil)
+	r.vcLastSent = time.Now()
+	r.vcInterval = r.opts.RetransmitInterval
+	return r.viewVote()
+}
+
+// viewVote encodes this replica's outstanding vote (for votedFor) with its
+// prepared certificates as they stand now. Caller holds r.mu.
+func (r *Replica) viewVote() []byte {
+	return encodeMsg(msgViewChange, r.votedFor, 0, zeroDigest[:], encodeVCEntries(r.preparedSet()))
 }
 
 // recordViewVote tallies a vote with the prepared certificates it shipped.
@@ -386,16 +393,7 @@ func (r *Replica) adoptView(v uint64) {
 	}
 	r.instances = make(map[uint64]*instance)
 	r.nextSeq = r.delivered
-	for seq := range r.pending {
-		if seq >= r.nextSeq {
-			r.nextSeq = seq + 1
-		}
-	}
-	for seq := range r.carry {
-		if seq >= r.nextSeq {
-			r.nextSeq = seq + 1
-		}
-	}
+	r.liftNextSeq()
 	// Prune vote maps for every view at or below the adopted one — stale
 	// lower-view votes can never form a quorum again.
 	for target := range r.viewVotes {
@@ -406,6 +404,21 @@ func (r *Replica) adoptView(v uint64) {
 	r.lastProgress = time.Now()
 	if r.opts.ViewAdopted != nil {
 		r.opts.ViewAdopted()
+	}
+}
+
+// liftNextSeq raises nextSeq past every committed-but-undelivered and carried
+// sequence, so a fresh proposal never lands on one. Caller holds r.mu.
+func (r *Replica) liftNextSeq() {
+	for seq := range r.pending {
+		if seq >= r.nextSeq {
+			r.nextSeq = seq + 1
+		}
+	}
+	for seq := range r.carry {
+		if seq >= r.nextSeq {
+			r.nextSeq = seq + 1
+		}
 	}
 }
 
@@ -616,7 +629,7 @@ func (r *Replica) deliverReady() {
 func (r *Replica) recordDelivered(seq uint64, payload []byte) {
 	mDelivered.Inc()
 	r.committedLog[seq] = payload
-	for len(r.committedLog) > r.opts.CommittedLog {
+	for len(r.committedLog) > committedLogCap {
 		delete(r.committedLog, r.logMin)
 		r.logMin++
 	}
@@ -661,16 +674,7 @@ func (r *Replica) AdvanceTo(seq uint64) {
 	if r.nextSeq < seq {
 		r.nextSeq = seq
 	}
-	for s := range r.pending {
-		if s >= r.nextSeq {
-			r.nextSeq = s + 1
-		}
-	}
-	for s := range r.carry {
-		if s >= r.nextSeq {
-			r.nextSeq = s + 1
-		}
-	}
+	r.liftNextSeq()
 	r.lastProgress = time.Now()
 	r.fetchInterval = r.opts.RetransmitInterval
 	close(r.deliveredCh)

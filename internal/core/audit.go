@@ -25,55 +25,31 @@ type AuditStatus struct {
 //
 // This is the post-crash certification primitive: after a node restarts
 // from a crash (or rebuilds from a snapshot), a clean audit proves the
-// D-Protocol's sealed state survived intact. The walk uses the same
-// iteration the reseal sweep does, so it audits exactly the records the
+// D-Protocol's sealed state survived intact. It is a visitor over the walk the
+// reseal sweep uses (SDM.walkSealed), so it audits exactly the records the
 // engine would ever open.
 func (e *Engine) AuditSealedState() (AuditStatus, error) {
 	var st AuditStatus
-	confidential := make(map[string]bool)
-	var auditErr error
-	err := e.sdm.store.Iterate([]byte(nsCode), func(key, value []byte) bool {
-		addrHex := string(key[len(nsCode):])
-		rec, derr := decodeRecord(value)
-		if derr != nil {
-			auditErr = fmt.Errorf("core: audit: contract %s: %w", addrHex, derr)
-			return false
-		}
-		st.Contracts++
-		confidential[addrHex] = rec.Confidential
-		if !rec.Confidential {
-			return true
-		}
-		var addr chain.Address
-		copy(addr[:], mustHex(addrHex))
-		if _, oerr := e.sdm.openSealed(rec.Code, codeAAD(addr, rec.Owner, rec.SecVer)); oerr != nil {
-			auditErr = fmt.Errorf("core: audit: code %s: %w", addrHex, oerr)
-			return false
+	open := func(stored, aad []byte) error {
+		if _, err := e.sdm.openSealed(stored, aad); err != nil {
+			return err
 		}
 		st.Opened++
-		return true
-	})
-	if err == nil && auditErr == nil {
-		err = e.sdm.store.Iterate([]byte(nsState), func(key, value []byte) bool {
-			if len(key) < len(nsState)+41 {
-				return true
+		return nil
+	}
+	err := e.sdm.walkSealed(
+		func(_ []byte, addr chain.Address, rec *ContractRecord) error {
+			st.Contracts++
+			if !rec.Confidential {
+				return nil
 			}
-			addrHex := string(key[len(nsState) : len(nsState)+40])
-			if !confidential[addrHex] {
-				return true
-			}
-			var addr chain.Address
-			copy(addr[:], mustHex(addrHex))
-			if _, oerr := e.sdm.openSealed(value, stateAAD(addr)); oerr != nil {
-				auditErr = fmt.Errorf("core: audit: state %s/%q: %w", addrHex, key[len(nsState)+41:], oerr)
-				return false
-			}
-			st.Opened++
-			return true
+			return open(rec.Code, codeAAD(addr, rec.Owner, rec.SecVer))
+		},
+		func(_ []byte, addr chain.Address, stored []byte) error {
+			return open(stored, stateAAD(addr))
 		})
+	if err != nil {
+		return st, fmt.Errorf("core: audit: %w", err)
 	}
-	if err == nil {
-		err = auditErr
-	}
-	return st, err
+	return st, nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"crypto/hmac"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -39,8 +41,6 @@ type Options struct {
 	Compile bool
 	// GasLimit per transaction; 0 = VM default.
 	GasLimit uint64
-	// CodeCacheSize bounds the code cache; 0 = 128 programs.
-	CodeCacheSize int
 	// EpochWindow is the key-epoch acceptance window (how many epochs behind
 	// the current one an envelope may be sealed to); 0 selects
 	// keyepoch.DefaultWindow.
@@ -88,7 +88,11 @@ func NewConfidentialEngine(platform *tee.Platform, secrets *kms.Secrets, store s
 	if enclaveCfg.CodeIdentity == "" {
 		enclaveCfg.CodeIdentity = CSEnclaveIdentity
 	}
-	enclave, err := platform.CreateEnclave("cs-"+randomHex(), enclaveCfg)
+	suffix, err := randomHex()
+	if err != nil {
+		return nil, err
+	}
+	enclave, err := platform.CreateEnclave("cs-"+suffix, enclaveCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -128,26 +132,25 @@ func NewPublicEngine(store storage.KVStore, opts Options) *Engine {
 	return e
 }
 
+// codeCachePrograms bounds the decoded-program cache.
+const codeCachePrograms = 128
+
 func (e *Engine) initCaches() {
-	size := e.opts.CodeCacheSize
-	if size == 0 {
-		size = 128
-	}
 	if e.opts.CodeCache {
-		e.codeCache = cvm.NewCodeCache(size)
+		e.codeCache = cvm.NewCodeCache(codeCachePrograms)
 	}
 	if e.opts.PreVerify {
 		e.preCache = newPreVerifyCache()
 	}
 }
 
-func randomHex() string {
+// randomHex names an enclave uniquely on its platform.
+func randomHex() (string, error) {
 	var b [6]byte
-	_, _ = crypto.RandomKey() // ensure crypto linkage; suffix below
-	for i := range b {
-		b[i] = byte(time.Now().UnixNano() >> (8 * i))
+	if _, err := rand.Read(b[:]); err != nil {
+		return "", err
 	}
-	return fmt.Sprintf("%x", b)
+	return hex.EncodeToString(b[:]), nil
 }
 
 // checkpointMACLabel scopes the snapshot-manifest MAC key under k_states.

@@ -72,7 +72,8 @@ type testStack struct {
 	secrets *kms.Secrets
 }
 
-// sharedSecrets caches one RSA keypair across tests (keygen is slow).
+// sharedSecrets caches one set of engine secrets (the ECIES envelope key pair
+// and k_states) across tests.
 var sharedSecrets *kms.Secrets
 
 func newStack(t testing.TB, opts Options) *testStack {
@@ -530,7 +531,8 @@ func TestPreVerifySavesDecryptionWork(t *testing.T) {
 	tx, _, _ := client.NewConfidentialTx(counterAddr, "get")
 
 	// Execute with pre-verification: decryption happens once (in
-	// pre-verify, RSA) and the execution path takes the symmetric branch.
+	// pre-verify, the ECIES private-key open) and the execution path takes
+	// the symmetric branch.
 	s.engine.Profile().Reset()
 	s.engine.PreVerifyBatch([]*chain.Tx{tx})
 	preSnap := s.engine.Profile().Snapshot()
@@ -543,7 +545,7 @@ func TestPreVerifySavesDecryptionWork(t *testing.T) {
 	execSnap := s.engine.Profile().Snapshot()
 	execDecrypt := execSnap[OpTxDecrypt].Duration
 	if execDecrypt*2 >= preDecrypt {
-		t.Errorf("cache-hit decrypt (%v) should be far cheaper than RSA path (%v)", execDecrypt, preDecrypt)
+		t.Errorf("cache-hit decrypt (%v) should be far cheaper than the ECIES open (%v)", execDecrypt, preDecrypt)
 	}
 	if execSnap[OpTxVerify].Count != 0 {
 		t.Error("signature must not be re-verified on a cache hit")

@@ -12,8 +12,8 @@ import (
 
 // preMeta is the metadata cached per transaction by pre-verification (step
 // P4 of Figure 7): the recovered one-time key and the signature result.
-// Execution consumes the entry (C2), replacing the expensive RSA
-// private-key decryption with a symmetric one (C3) and skipping signature
+// Execution consumes the entry (C2), replacing the expensive ECIES
+// private-key open with a symmetric one (C3) and skipping signature
 // re-verification.
 type preMeta struct {
 	ktx      []byte
@@ -181,11 +181,7 @@ func (e *Engine) PreVerifyBatch(txs []*chain.Tx) []*chain.Tx {
 
 	// P1: the whole batch enters the enclave in one ecall (confidential
 	// engine only; the public engine verifies in the untrusted host).
-	if e.enclave != nil {
-		_ = e.enclave.Ecall(batchBytes, tee.CopyInOut, run)
-	} else {
-		_ = run()
-	}
+	_ = e.enclave.Ecall(batchBytes, tee.CopyInOut, run)
 
 	valid := make([]*chain.Tx, 0, len(txs))
 	for _, r := range results {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/hex"
 	"fmt"
 
 	"confide/internal/chain"
@@ -46,7 +45,6 @@ func (e *Engine) ResealSweep(budget int) (ResealStatus, error) {
 	type update struct{ key, value []byte }
 	var updates []update
 	var forget [][]byte
-	var sweepErr error
 	remaining := budget
 
 	// reseal migrates one stored record if it is stale and budget remains.
@@ -78,66 +76,36 @@ func (e *Engine) ResealSweep(budget int) (ResealStatus, error) {
 		return sealed, true, nil
 	}
 
-	// Pass 1: contract-code records. Also builds the confidentiality map
-	// pass 2 needs to skip public contracts' plaintext state.
-	confidential := make(map[string]bool)
-	err := e.sdm.store.Iterate([]byte(nsCode), func(key, value []byte) bool {
-		addrHex := string(key[len(nsCode):])
-		rec, derr := decodeRecord(value)
-		if derr != nil {
-			sweepErr = fmt.Errorf("core: reseal: contract %s: %w", addrHex, derr)
-			return false
-		}
-		confidential[addrHex] = rec.Confidential
-		if !rec.Confidential {
-			return true
-		}
-		var addr chain.Address
-		copy(addr[:], mustHex(addrHex))
-		sealed, changed, rerr := reseal(rec.Code, codeAAD(addr, rec.Owner, rec.SecVer))
-		if rerr != nil {
-			sweepErr = fmt.Errorf("core: reseal code %s: %w", addrHex, rerr)
-			return false
-		}
-		if changed {
+	// Code records, then state records. The SDM caches code records as raw
+	// stored bytes — forget the re-sealed ones so reads pick up the new
+	// ciphertext, not a stale copy; state cache entries hold plaintext, which
+	// re-sealing does not change.
+	err := e.sdm.walkSealed(
+		func(key []byte, addr chain.Address, rec *ContractRecord) error {
+			if !rec.Confidential {
+				return nil
+			}
+			sealed, changed, err := reseal(rec.Code, codeAAD(addr, rec.Owner, rec.SecVer))
+			if err != nil || !changed {
+				return err
+			}
 			out := *rec
 			out.Code = sealed
-			updates = append(updates, update{key: append([]byte(nil), key...), value: encodeRecord(&out)})
-			// The SDM caches code records as raw stored bytes; forget them
-			// so reads pick up the re-sealed ciphertext, not a stale copy.
-			forget = append(forget, append([]byte(nil), key...))
-		}
-		return true
-	})
-	if err == nil && sweepErr == nil {
-		// Pass 2: state records (st/<40-hex-addr>/<raw key>). State cache
-		// entries hold plaintext, which re-sealing does not change.
-		err = e.sdm.store.Iterate([]byte(nsState), func(key, value []byte) bool {
-			if len(key) < len(nsState)+41 {
-				return true
+			key = append([]byte(nil), key...)
+			updates = append(updates, update{key: key, value: encodeRecord(&out)})
+			forget = append(forget, key)
+			return nil
+		},
+		func(key []byte, addr chain.Address, stored []byte) error {
+			sealed, changed, err := reseal(stored, stateAAD(addr))
+			if err != nil || !changed {
+				return err
 			}
-			addrHex := string(key[len(nsState) : len(nsState)+40])
-			if !confidential[addrHex] {
-				return true
-			}
-			var addr chain.Address
-			copy(addr[:], mustHex(addrHex))
-			sealed, changed, rerr := reseal(value, stateAAD(addr))
-			if rerr != nil {
-				sweepErr = fmt.Errorf("core: reseal state %s: %w", hex.EncodeToString(key), rerr)
-				return false
-			}
-			if changed {
-				updates = append(updates, update{key: append([]byte(nil), key...), value: sealed})
-			}
-			return true
+			updates = append(updates, update{key: append([]byte(nil), key...), value: sealed})
+			return nil
 		})
-	}
-	if err == nil {
-		err = sweepErr
-	}
 	if err != nil {
-		return st, err
+		return st, fmt.Errorf("core: reseal: %w", err)
 	}
 
 	if len(updates) > 0 {
@@ -147,11 +115,9 @@ func (e *Engine) ResealSweep(budget int) (ResealStatus, error) {
 			batch.Put(u.key, u.value)
 			bytes += len(u.key) + len(u.value)
 		}
-		if e.enclave != nil {
-			// The migrated slice leaves the enclave in one ocall.
-			if oerr := e.enclave.Ocall(bytes, tee.UserCheck, func() error { return nil }); oerr != nil {
-				return st, oerr
-			}
+		// The migrated slice leaves the enclave in one ocall.
+		if oerr := e.enclave.Ocall(bytes, tee.UserCheck, func() error { return nil }); oerr != nil {
+			return st, oerr
 		}
 		if werr := e.sdm.store.WriteBatch(&batch); werr != nil {
 			return st, werr

@@ -366,3 +366,102 @@ func TestEngineEnclaveChargesResealOcall(t *testing.T) {
 		t.Error("re-seal sweep should charge enclave boundary crossings")
 	}
 }
+
+// TestWalkSealedIsTheOneWalk: the reseal sweep and the audit are visitors
+// over SDM.walkSealed, so they see exactly the same records — every contract's
+// code record, and the state of the confidential ones only. A public
+// contract's plaintext state and a foreign key under st/ whose address
+// segment is no contract's (here: 40 bytes that are not hex) are not visited,
+// and stay byte-for-byte what they were.
+func TestWalkSealedIsTheOneWalk(t *testing.T) {
+	s := newStack(t, AllOptimizations())
+	secondAddr := chain.AddressFromBytes([]byte("second-confidential"))
+	publicAddr := chain.AddressFromBytes([]byte("public-contract"))
+	deployCounter(t, s.engine, counterAddr, VMCVM, true)
+	deployCounter(t, s.engine, secondAddr, VMCVM, true)
+	deployCounter(t, s.public, publicAddr, VMCVM, false)
+	client, _ := NewClient(s.engine.EnvelopePublicKey())
+	for _, addr := range []chain.Address{counterAddr, secondAddr} {
+		tx, _, _ := client.NewConfidentialTx(addr, "set", []byte("sealed"))
+		res, err := s.engine.Execute(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commit(t, s, res)
+	}
+	tx, _ := client.NewPublicTx(publicAddr, "set", []byte("plain"))
+	res, err := s.public.Execute(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit(t, s, res)
+	foreign := []byte("st/this-segment-has-forty-bytes-and-no-hex!/key")
+	if err := s.store.Put(foreign, []byte("not a sealed record")); err != nil {
+		t.Fatal(err)
+	}
+	publicState := stateKey(publicAddr, []byte("v"))
+	untouched := map[string][]byte{}
+	for _, k := range [][]byte{foreign, publicState} {
+		v, found, _ := s.store.Get(k)
+		if !found {
+			t.Fatalf("setup: %q missing", k)
+		}
+		untouched[string(k)] = v
+	}
+
+	var codes, states []string
+	err = s.engine.sdm.walkSealed(
+		func(key []byte, addr chain.Address, rec *ContractRecord) error {
+			if string(key) != string(codeKey(addr)) {
+				t.Errorf("code visitor got key %q for address %s", key, addr)
+			}
+			codes = append(codes, string(key))
+			return nil
+		},
+		func(key []byte, addr chain.Address, _ []byte) error {
+			if addr != counterAddr && addr != secondAddr {
+				t.Errorf("state visitor called for %s (%q), not a confidential contract", addr, key)
+			}
+			states = append(states, string(key))
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(codes) != 3 || len(states) != 2 {
+		t.Fatalf("walk visited %d code and %d state records, want 3 and 2", len(codes), len(states))
+	}
+	sealedRecords := 2 + len(states) // two confidential code records + their state
+
+	audit, err := s.engine.AuditSealedState()
+	if err != nil {
+		t.Fatalf("audit tripped over a record the walk should skip: %v", err)
+	}
+	if audit.Contracts != len(codes) || audit.Opened != sealedRecords {
+		t.Errorf("audit saw %d contracts and opened %d records, want %d and %d", audit.Contracts, audit.Opened, len(codes), sealedRecords)
+	}
+	if _, err := s.engine.AdvanceEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := s.engine.ResealSweep(0)
+	if err != nil {
+		t.Fatalf("reseal tripped over a record the walk should skip: %v", err)
+	}
+	if sweep.Scanned != audit.Opened || sweep.Resealed != audit.Opened || !sweep.Done {
+		t.Errorf("reseal scanned %d and migrated %d records, the audit opened %d", sweep.Scanned, sweep.Resealed, audit.Opened)
+	}
+	for _, k := range states {
+		v, _, _ := s.store.Get([]byte(k))
+		if e, _, err := keyepoch.ParseRecord(v); err != nil || e != 2 {
+			t.Errorf("%q not re-sealed under epoch 2 (epoch %d, %v)", k, e, err)
+		}
+	}
+	for k, before := range untouched {
+		if after, _, _ := s.store.Get([]byte(k)); !bytes.Equal(after, before) {
+			t.Errorf("%q was rewritten by the sweep", k)
+		}
+	}
+	if again, err := s.engine.AuditSealedState(); err != nil || again != audit {
+		t.Errorf("audit after the sweep: %+v (%v), want %+v", again, err, audit)
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -38,6 +37,68 @@ func codeKey(addr chain.Address) []byte {
 // ReceiptKey is where a transaction's receipt lives in the KV store.
 func ReceiptKey(txHash chain.Hash) []byte {
 	return []byte(nsReceipt + hex.EncodeToString(txHash[:]))
+}
+
+// addrFromHex inverts the address segment codeKey and stateKey write.
+func addrFromHex(b []byte) (addr chain.Address, ok bool) {
+	if len(b) != hex.EncodedLen(len(addr)) {
+		return addr, false
+	}
+	_, err := hex.Decode(addr[:], b)
+	return addr, err == nil
+}
+
+// walkSealed is the one walk over the contract store, and the only place that
+// parses cd/<addr-hex> and st/<addr-hex>/<raw key> back into an address. It
+// calls code for every contract record, public ones included, then state for
+// every state record of a confidential contract: a public contract's state is
+// plaintext, and a key under st/ whose address segment names no contract is
+// not the engine's and is skipped. key, rec and stored are valid only during
+// the call; a visitor's error ends the walk.
+func (s *SDM) walkSealed(
+	code func(key []byte, addr chain.Address, rec *ContractRecord) error,
+	state func(key []byte, addr chain.Address, stored []byte) error,
+) error {
+	sealed := make(map[string]chain.Address) // addr-hex → confidential contract
+	var walkErr error
+	err := s.store.Iterate([]byte(nsCode), func(key, value []byte) bool {
+		addrHex := key[len(nsCode):]
+		rec, err := decodeRecord(value)
+		addr, ok := addrFromHex(addrHex)
+		switch {
+		case err != nil:
+		case !ok:
+			err = errors.New("core: contract key is not an address")
+		default:
+			if rec.Confidential {
+				sealed[string(addrHex)] = addr
+			}
+			err = code(key, addr, rec)
+		}
+		if err != nil {
+			walkErr = fmt.Errorf("contract %s: %w", addrHex, err)
+		}
+		return err == nil
+	})
+	if err != nil || walkErr != nil {
+		return errors.Join(err, walkErr)
+	}
+	segment := len(nsState) + hex.EncodedLen(len(chain.Address{})) // "st/<addr-hex>"
+	err = s.store.Iterate([]byte(nsState), func(key, stored []byte) bool {
+		if len(key) <= segment {
+			return true
+		}
+		addrHex := key[len(nsState):segment]
+		addr, ok := sealed[string(addrHex)]
+		if !ok {
+			return true
+		}
+		if err := state(key, addr, stored); err != nil {
+			walkErr = fmt.Errorf("state %s/%q: %w", addrHex, key[segment+1:], err)
+		}
+		return walkErr == nil
+	})
+	return errors.Join(err, walkErr)
 }
 
 // SDM is the Secure Data Module: every interaction between the
@@ -123,12 +184,7 @@ func (s *SDM) load(addr chain.Address, secver uint64, confidential bool, key []b
 		raw, found, err = s.store.Get(sk)
 		return err
 	}
-	var err error
-	if s.enclave != nil {
-		err = s.enclave.Ocall(len(sk)+len(raw), tee.CopyInOut, fetch)
-	} else {
-		err = fetch()
-	}
+	err := s.enclave.Ocall(len(sk)+len(raw), tee.CopyInOut, fetch)
 	if err != nil {
 		return nil, false, err
 	}
@@ -169,11 +225,9 @@ func (s *SDM) sealWrites(addr chain.Address, secver uint64, confidential bool, w
 			}
 			stored = sealed
 		}
-		if s.enclave != nil {
-			// The sealed value leaves the enclave in one ocall.
-			if err := s.enclave.Ocall(len(sk)+len(stored), tee.UserCheck, func() error { return nil }); err != nil {
-				return err
-			}
+		// The sealed value leaves the enclave in one ocall.
+		if err := s.enclave.Ocall(len(sk)+len(stored), tee.UserCheck, func() error { return nil }); err != nil {
+			return err
 		}
 		batch.Put(sk, stored)
 		s.mu.Lock()
@@ -284,13 +338,7 @@ func (s *SDM) loadContract(addr chain.Address) (*ContractRecord, []byte, error) 
 			data, found, err = s.store.Get(ck)
 			return err
 		}
-		var err error
-		if s.enclave != nil {
-			err = s.enclave.Ocall(len(ck), tee.CopyInOut, fetch)
-		} else {
-			err = fetch()
-		}
-		if err != nil {
+		if err := s.enclave.Ocall(len(ck), tee.CopyInOut, fetch); err != nil {
 			return nil, nil, err
 		}
 		if !found {
@@ -440,6 +488,3 @@ func (tx *txContext) writeSetKeys() map[string]struct{} {
 	}
 	return out
 }
-
-// receiptDigestKey derives the cache key hash for receipts.
-func receiptDigestKey(txHash chain.Hash) [32]byte { return sha256.Sum256(txHash[:]) }

@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 )
 
-// testEnvelopeKey is generated once; RSA keygen is slow and the tests only
-// need a valid key pair.
+// testEnvelopeKey is generated once; the tests only need a valid P-256 key
+// pair.
 var testEnvelopeKey = mustEnvelopeKey()
 
 func mustEnvelopeKey() *EnvelopeKey {

@@ -1,6 +1,6 @@
 // Package crypto provides the cryptographic substrate used by CONFIDE:
 // Keccak-256 (implemented from scratch, since the standard library has no
-// legacy-Keccak), the RSA-OAEP crypto digital envelope of the T-Protocol,
+// legacy-Keccak), the ECIES-over-P-256 digital envelope of the T-Protocol,
 // one-time transaction key derivation, authenticated encryption with
 // associated data for the D-Protocol, and ECDSA transaction signatures.
 package crypto

@@ -65,13 +65,16 @@ var (
 // from any gateway that issued them.
 type disclosureCache struct {
 	mu    sync.Mutex
-	cap   int
 	bykey map[[32]byte][]byte
 	order [][32]byte
 }
 
-func newDisclosureCache(capacity int) *disclosureCache {
-	return &disclosureCache{cap: capacity, bykey: make(map[[32]byte][]byte)}
+// disclosureIndexCap bounds the issued-receipt index GET /v1/disclosure/{hash}
+// serves from.
+const disclosureIndexCap = 1024
+
+func newDisclosureCache() *disclosureCache {
+	return &disclosureCache{bykey: make(map[[32]byte][]byte)}
 }
 
 func (c *disclosureCache) put(h [32]byte, enc []byte) {
@@ -80,7 +83,7 @@ func (c *disclosureCache) put(h [32]byte, enc []byte) {
 	if _, ok := c.bykey[h]; ok {
 		return
 	}
-	for len(c.order) >= c.cap {
+	for len(c.order) >= disclosureIndexCap {
 		old := c.order[0]
 		c.order = c.order[1:]
 		delete(c.bykey, old)

@@ -32,9 +32,6 @@ type Config struct {
 	// RateBurst is the per-client token-bucket capacity (default
 	// 2×RateLimit, minimum 1).
 	RateBurst float64
-	// MaxInFlight caps concurrently-served submission requests (default
-	// 256, negative disables).
-	MaxInFlight int
 	// MaxPoolDepth sheds new submissions once the backing node's
 	// uncommitted backlog (both pools plus in-flight consensus instances)
 	// holds this many transactions (default 4096, negative disables).
@@ -43,19 +40,19 @@ type Config struct {
 	// own submission bound, so the edge rejects before decode what the
 	// node would reject after).
 	MaxTxBytes int
-	// MaxBatchTxs bounds one batch-submit request (default 256).
-	MaxBatchTxs int
 	// DrainTimeout bounds graceful shutdown: in-flight requests get this
 	// long to finish before connections are closed (default 5s).
 	DrainTimeout time.Duration
-	// LongPollMax caps one receipt long-poll park (default 30s).
-	LongPollMax time.Duration
 	// DedupCap bounds the accepted-tx-hash dedup index (default 65536).
 	DedupCap int
-	// DisclosureCacheCap bounds the issued-disclosure-receipt index served
-	// by GET /v1/disclosure/{hash} (default 1024).
-	DisclosureCacheCap int
 }
+
+// Bounds no deployment tunes.
+const (
+	inFlightCap = 256              // concurrently-served submission requests
+	batchTxsCap = 256              // transactions in one batch-submit request
+	longPollCap = 30 * time.Second // one receipt long-poll park
+)
 
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
@@ -67,29 +64,17 @@ func (c Config) withDefaults() Config {
 			c.RateBurst = 1
 		}
 	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 256
-	}
 	if c.MaxPoolDepth == 0 {
 		c.MaxPoolDepth = 4096
 	}
 	if c.MaxTxBytes == 0 {
 		c.MaxTxBytes = c.Node.MaxTxBytes()
 	}
-	if c.MaxBatchTxs == 0 {
-		c.MaxBatchTxs = 256
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
-	if c.LongPollMax <= 0 {
-		c.LongPollMax = 30 * time.Second
-	}
 	if c.DedupCap <= 0 {
 		c.DedupCap = 65536
-	}
-	if c.DisclosureCacheCap <= 0 {
-		c.DisclosureCacheCap = 1024
 	}
 	return c
 }
@@ -134,7 +119,7 @@ func Serve(cfg Config) (*Gateway, error) {
 		ln:          ln,
 		limiter:     newClientLimiter(cfg.RateLimit, cfg.RateBurst, 0),
 		seen:        make(map[chain.Hash]struct{}),
-		disclosures: newDisclosureCache(cfg.DisclosureCacheCap),
+		disclosures: newDisclosureCache(),
 		waiters:     make(map[chain.Hash][]chan struct{}),
 		drainCh:     make(chan struct{}),
 		closed:      make(chan struct{}),
@@ -283,7 +268,7 @@ func (g *Gateway) admit(w http.ResponseWriter, r *http.Request, cost float64) bo
 			return false
 		}
 	}
-	if m := g.cfg.MaxInFlight; m > 0 && g.inFlight.Load() > int64(m) {
+	if g.inFlight.Load() > inFlightCap {
 		mShedInflight.Inc()
 		writeError(w, http.StatusServiceUnavailable, ErrorBody{
 			Error: CodeOverloaded, Detail: "too many in-flight requests", RetryAfterMs: 100,
@@ -438,7 +423,7 @@ func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrorBody{Error: CodeBadRequest, Detail: err.Error()})
 		return
 	}
-	txs, err := decodeBatch(body, g.cfg.MaxBatchTxs, g.cfg.MaxTxBytes)
+	txs, err := decodeBatch(body, batchTxsCap, g.cfg.MaxTxBytes)
 	if err != nil {
 		writeDecodeError(w, err)
 		return
@@ -477,7 +462,7 @@ func (g *Gateway) handleReceipt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wantProof := r.URL.Query().Get("proof") == "1"
-	wait := parseWait(r.URL.Query().Get("wait"), g.cfg.LongPollMax)
+	wait := parseWait(r.URL.Query().Get("wait"), longPollCap)
 
 	if resp, ok := g.receiptNow(h, wantProof); ok {
 		writeJSON(w, http.StatusOK, resp)

@@ -24,20 +24,16 @@ import (
 // under that key fails — tampering converts to a deterministic decrypt
 // failure, which is exactly how a wrong-key ciphertext already fails.
 //
-// Envelope parsing grandfathers the pre-epoch format: a legacy envelope
-// begins with the 0x04 type byte of an uncompressed SEC1 point (the
-// ephemeral public key), which the header magic is chosen to never collide
-// with, so untagged envelopes parse as epoch 1. Record tags are strict — the
-// storage format has no pre-existing deployments to honour.
+// Both are strict: a payload without its tag is ErrBadHeader. The magics are
+// chosen away from 0x04, the first byte of the uncompressed SEC1 point an
+// envelope proper begins with, so a client that forgot WrapEnvelope is
+// rejected rather than misread.
 
 const (
-	// envelopeMagic starts an epoch-tagged envelope. Distinct from 0x04
-	// (uncompressed SEC1 point), which marks a legacy envelope.
+	// envelopeMagic starts an epoch-tagged envelope.
 	envelopeMagic byte = 0xE7
 	// recordMagic starts an epoch-tagged sealed storage record.
 	recordMagic byte = 0xE8
-	// legacySEC1 is the first byte of an uncompressed P-256 point.
-	legacySEC1 byte = 0x04
 )
 
 // ErrBadHeader reports a malformed epoch header or record tag.
@@ -69,15 +65,8 @@ func WrapEnvelope(e uint64, env []byte) []byte {
 }
 
 // ParseEnvelope splits a confidential transaction payload into its epoch and
-// the envelope proper. Legacy payloads (no header; they open directly with
-// an uncompressed point) report epoch 1.
+// the envelope proper.
 func ParseEnvelope(payload []byte) (uint64, []byte, error) {
-	if len(payload) == 0 {
-		return 0, nil, ErrBadHeader
-	}
-	if payload[0] == legacySEC1 {
-		return 1, payload, nil
-	}
 	return parseTag(payload, envelopeMagic)
 }
 

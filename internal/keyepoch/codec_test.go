@@ -8,7 +8,7 @@ import (
 
 func TestEnvelopeHeaderRoundTrip(t *testing.T) {
 	for _, e := range []uint64{1, 2, 127, 128, 1 << 20, 1<<63 - 1} {
-		env := []byte{0x04, 0xAA, 0xBB} // looks like a legacy point inside
+		env := []byte{0x04, 0xAA, 0xBB} // an envelope proper opens with a SEC1 point
 		wrapped := WrapEnvelope(e, env)
 		gotE, gotEnv, err := ParseEnvelope(wrapped)
 		if err != nil {
@@ -17,20 +17,6 @@ func TestEnvelopeHeaderRoundTrip(t *testing.T) {
 		if gotE != e || !bytes.Equal(gotEnv, env) {
 			t.Fatalf("epoch %d: got (%d, %x)", e, gotE, gotEnv)
 		}
-	}
-}
-
-func TestLegacyEnvelopeParsesAsEpochOne(t *testing.T) {
-	legacy := append([]byte{0x04}, bytes.Repeat([]byte{0x11}, 64)...)
-	e, env, err := ParseEnvelope(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e != 1 {
-		t.Fatalf("legacy epoch = %d, want 1", e)
-	}
-	if !bytes.Equal(env, legacy) {
-		t.Fatal("legacy envelope must pass through untouched")
 	}
 }
 
@@ -56,21 +42,18 @@ func TestMalformedHeadersRejected(t *testing.T) {
 		{recordMagic},         // record magic, no epoch
 		{recordMagic, 0x00},   // record epoch 0
 		{0x05, 0x01, 0x02},    // unknown leading byte
+		{0x04, 0x01},          // an un-tagged envelope or record (bare SEC1 point)
 		append([]byte{envelopeMagic}, bytes.Repeat([]byte{0xFF}, 10)...), // unterminated uvarint
 	}
 	for _, b := range bad {
-		if _, _, err := ParseEnvelope(b); err == nil && (len(b) == 0 || b[0] != legacySEC1) {
-			t.Errorf("ParseEnvelope(%x) accepted", b)
+		if _, _, err := ParseEnvelope(b); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("ParseEnvelope(%x) = %v, want ErrBadHeader", b, err)
 		}
 	}
 	for _, b := range bad {
-		if _, _, err := ParseRecord(b); err == nil {
-			t.Errorf("ParseRecord(%x) accepted", b)
+		if _, _, err := ParseRecord(b); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("ParseRecord(%x) = %v, want ErrBadHeader", b, err)
 		}
-	}
-	// Records are strict: a bare legacy-looking value has no tag.
-	if _, _, err := ParseRecord([]byte{legacySEC1, 0x01}); !errors.Is(err, ErrBadHeader) {
-		t.Fatal("untagged record accepted")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // record tags are read back from disk — so it must be total.
 func FuzzEpochHeader(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0x04, 0xAA, 0xBB})                                                 // legacy SEC1 envelope
+	f.Add([]byte{0x04, 0xAA, 0xBB})                                                 // un-tagged envelope (bare SEC1 point)
 	f.Add(WrapEnvelope(1, []byte("env")))                                           // tagged envelope
 	f.Add(WrapEnvelope(1<<40, []byte{}))                                            // big epoch, empty body
 	f.Add(WrapRecord(3, []byte("sealed")))                                          // record tag
@@ -26,18 +26,11 @@ func FuzzEpochHeader(f *testing.F) {
 			if e == 0 {
 				t.Fatal("ParseEnvelope returned epoch 0")
 			}
-			if len(data) > 0 && data[0] == 0x04 {
-				// Legacy: passes through whole.
-				if e != 1 || !bytes.Equal(env, data) {
-					t.Fatalf("legacy parse mangled payload: (%d, %x)", e, env)
-				}
-			} else {
-				// Re-wrap and re-parse: the semantics must round-trip even
-				// when the input used a non-minimal uvarint encoding.
-				e2, env2, err := ParseEnvelope(WrapEnvelope(e, env))
-				if err != nil || e2 != e || !bytes.Equal(env2, env) {
-					t.Fatalf("envelope re-wrap mismatch: epoch %d (%v)", e, err)
-				}
+			// Re-wrap and re-parse: the semantics must round-trip even
+			// when the input used a non-minimal uvarint encoding.
+			e2, env2, err := ParseEnvelope(WrapEnvelope(e, env))
+			if err != nil || e2 != e || !bytes.Equal(env2, env) {
+				t.Fatalf("envelope re-wrap mismatch: epoch %d (%v)", e, err)
 			}
 		}
 		// Record path.

@@ -134,7 +134,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		for i := 0; i < opts.Nodes; i++ {
 			kmNodes[i].Enclave().Destroy()
 		}
-		return c.buildNodes(opts, platforms, nil)
+		return c.buildNodes(platforms, nil)
 	}
 	if opts.CentralKMS {
 		central, err = kms.NewCentralKMS(root.Verifier(), kmNodes[0].Enclave().Measurement())
@@ -173,7 +173,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		}
 	}
 
-	return c.buildNodes(opts, platforms, kmNodes)
+	return c.buildNodes(platforms, kmNodes)
 }
 
 // engineOpts resolves node i's engine options: the per-node override when
@@ -205,15 +205,21 @@ func (c *Cluster) storeOptions(i int) storage.LSMOptions {
 }
 
 // openStore opens node i's store: a durable LSM store when StoreDir is set
-// (over faultfs under DiskFaults), the in-memory store otherwise.
-func (c *Cluster) openStore(i int) (storage.KVStore, error) {
+// (over faultfs under DiskFaults), the in-memory store otherwise. Every
+// durable open is a recovering open (OpenRecoveredStore): a clean shutdown is
+// a crash that lost nothing.
+func (c *Cluster) openStore(i int) (store storage.KVStore, quarantined bool, err error) {
 	if c.opts.StoreDir != "" {
-		return storage.OpenLSM(c.nodeDir(i), c.storeOptions(i))
+		lsm, quarantined, err := OpenRecoveredStore(c.nodeDir(i), c.storeOptions(i))
+		if err != nil {
+			return nil, quarantined, err
+		}
+		return lsm, quarantined, nil
 	}
 	mem := storage.NewMemStore()
 	mem.SetReadLatency(c.opts.StoreReadLatency)
 	mem.SetWriteLatency(c.opts.StoreWriteLatency)
-	return mem, nil
+	return mem, false, nil
 }
 
 // nodeConfig is node i's Config: the shared template plus the node's
@@ -229,54 +235,71 @@ func (c *Cluster) nodeConfig(i int) Config {
 	return cfg
 }
 
-// buildNodes assembles the per-node stores, enclaves and engines. With
-// kmNodes nil, the engines receive c.Secrets directly (pre-provisioned
-// restart path); otherwise each node's KM enclave provisions its CS enclave
-// over local attestation and is destroyed.
-func (c *Cluster) buildNodes(opts ClusterOptions, platforms []*tee.Platform, kmNodes []*kms.NodeKM) (*Cluster, error) {
-	for i := 0; i < opts.Nodes; i++ {
-		zone := 0
-		if opts.Zones != nil {
-			zone = opts.Zones[i]
-		}
-		endpoint, err := c.net.Join(p2p.NodeID(i), zone)
-		if err != nil {
-			return nil, err
-		}
-		store, err := c.openStore(i)
-		if err != nil {
-			return nil, err
-		}
-
-		// CS enclave receives the secrets from the KM enclave over local
-		// attestation; the KM enclave is then destroyed to free EPC.
-		enclaveCfg := opts.Enclave
-		if enclaveCfg.CodeIdentity == "" {
-			enclaveCfg.CodeIdentity = core.CSEnclaveIdentity
-		}
-		cs, err := platforms[i].CreateEnclave("cs", enclaveCfg)
-		if err != nil {
-			return nil, err
-		}
-		secrets := c.Secrets
+// buildNodes boots every node. With kmNodes nil, the engines receive
+// c.Secrets directly (pre-provisioned restart path); otherwise each node's KM
+// enclave provisions its CS enclave over local attestation and is destroyed.
+func (c *Cluster) buildNodes(platforms []*tee.Platform, kmNodes []*kms.NodeKM) (*Cluster, error) {
+	for i := range platforms {
+		var km *kms.NodeKM
 		if kmNodes != nil {
-			secrets, err = kmNodes[i].ProvisionCS(cs)
-			if err != nil {
-				return nil, err
-			}
-			if c.Secrets == nil {
-				c.Secrets = secrets
-			}
+			km = kmNodes[i]
 		}
-
-		confEngine, err := core.NewConfidentialEngineOn(cs, secrets, store, c.engineOpts(i))
+		node, _, err := c.bootNode(i, platforms[i], km, c.nodeConfig(i))
 		if err != nil {
 			return nil, err
 		}
-		pubEngine := core.NewPublicEngine(store, c.engineOpts(i))
-		c.Nodes = append(c.Nodes, New(c.nodeConfig(i), endpoint, opts.Nodes, confEngine, pubEngine, store))
+		c.Nodes = append(c.Nodes, node)
 	}
 	return c, nil
+}
+
+// bootNode is the one way node i of the cluster comes up, first boot and
+// replacement alike: it joins the network, opens its store through crash
+// recovery, creates and attests its CS enclave on platform, provisions it
+// from km over local attestation (km nil: with the cluster secrets, the
+// HSM-backed restart flow), and assembles both engines and the node.
+func (c *Cluster) bootNode(i int, platform *tee.Platform, km *kms.NodeKM, cfg Config) (node *Node, quarantined bool, err error) {
+	zone := 0
+	if c.opts.Zones != nil {
+		zone = c.opts.Zones[i]
+	}
+	endpoint, err := c.net.Join(p2p.NodeID(i), zone)
+	if err != nil {
+		return nil, false, err
+	}
+	store, quarantined, err := c.openStore(i)
+	if err != nil {
+		return nil, quarantined, err
+	}
+	defer func() {
+		if err != nil {
+			store.Close()
+		}
+	}()
+	enclaveCfg := c.opts.Enclave
+	if enclaveCfg.CodeIdentity == "" {
+		enclaveCfg.CodeIdentity = core.CSEnclaveIdentity
+	}
+	cs, err := platform.CreateEnclave("cs", enclaveCfg)
+	if err != nil {
+		return nil, quarantined, err
+	}
+	secrets := c.Secrets
+	if km != nil {
+		// The KM enclave is destroyed once it has provisioned, to free EPC.
+		if secrets, err = km.ProvisionCS(cs); err != nil {
+			return nil, quarantined, err
+		}
+		if c.Secrets == nil {
+			c.Secrets = secrets
+		}
+	}
+	confEngine, err := core.NewConfidentialEngineOn(cs, secrets, store, c.engineOpts(i))
+	if err != nil {
+		return nil, quarantined, err
+	}
+	pubEngine := core.NewPublicEngine(store, c.engineOpts(i))
+	return New(cfg, endpoint, c.opts.Nodes, confEngine, pubEngine, store), quarantined, nil
 }
 
 // RestartNode tears one node down and boots a replacement on the same
@@ -304,49 +327,26 @@ func (c *Cluster) RestartNode(i int, wipe bool) error {
 			return err
 		}
 	}
-	store, err := c.openStore(i)
-	if err != nil {
-		return err
-	}
-	return c.rebuildNode(i, store)
+	_, err := c.rebuildNode(i)
+	return err
 }
 
-// rebuildNode boots a replacement node i over store on the same network
-// identity: a fresh platform and attested enclave re-provisioned with the
-// cluster secrets (the HSM-backed restart flow), with the replica's
-// seq↔height base aligned to a peer that kept running.
-func (c *Cluster) rebuildNode(i int, store storage.KVStore) error {
-	zone := 0
-	if c.opts.Zones != nil {
-		zone = c.opts.Zones[i]
-	}
-	endpoint, err := c.net.Join(p2p.NodeID(i), zone)
-	if err != nil {
-		return err
-	}
-	platform := tee.NewPlatform(c.Root)
-	enclaveCfg := c.opts.Enclave
-	if enclaveCfg.CodeIdentity == "" {
-		enclaveCfg.CodeIdentity = core.CSEnclaveIdentity
-	}
-	cs, err := platform.CreateEnclave("cs", enclaveCfg)
-	if err != nil {
-		return err
-	}
-	confEngine, err := core.NewConfidentialEngineOn(cs, c.Secrets, store, c.engineOpts(i))
-	if err != nil {
-		return err
-	}
-	pubEngine := core.NewPublicEngine(store, c.engineOpts(i))
-
+// rebuildNode boots a replacement node i on the same network identity, on a
+// fresh platform, with the replica's seq↔height base aligned to a peer that
+// kept running. Reports whether crash recovery quarantined its store.
+func (c *Cluster) rebuildNode(i int) (quarantined bool, err error) {
 	cfg := c.nodeConfig(i)
 	base := c.peerBase(i)
 	cfg.replicaBase = &base
-	c.Nodes[i] = New(cfg, endpoint, len(c.Nodes), confEngine, pubEngine, store)
-	if c.proposers != nil {
-		c.proposers[i] = c.Nodes[i].StartProposer(c.linger)
+	node, quarantined, err := c.bootNode(i, tee.NewPlatform(c.Root), nil, cfg)
+	if err != nil {
+		return quarantined, err
 	}
-	return nil
+	c.Nodes[i] = node
+	if c.proposers != nil {
+		c.proposers[i] = node.StartProposer(c.linger)
+	}
+	return quarantined, nil
 }
 
 // peerBase returns the replica base of a healthy peer of node i — under
@@ -401,16 +401,10 @@ func (c *Cluster) ReviveNode(i int) (quarantined bool, err error) {
 	c.faults[i].Calm()
 	c.faults[i].Reopen()
 	c.crashes[i].Reset()
-	store, quarantined, err := OpenRecoveredStore(c.nodeDir(i), c.storeOptions(i))
-	if err != nil {
-		return quarantined, err
+	if quarantined, err = c.rebuildNode(i); err == nil {
+		mCrashRecoveries.Inc()
 	}
-	mCrashRecoveries.Inc()
-	if err := c.rebuildNode(i, store); err != nil {
-		store.Close()
-		return quarantined, err
-	}
-	return quarantined, nil
+	return quarantined, err
 }
 
 // FaultFS exposes node i's fault filesystem (nil outside DiskFaults) for

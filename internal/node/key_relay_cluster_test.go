@@ -116,12 +116,12 @@ func proposeLeaderOnly(t *testing.T, c *Cluster, nodes []*Node, mutate func(*cha
 // receipts — and that the stored form decodes with no relay.
 func requireIdenticalBlock(t *testing.T, nodes []*Node, height uint64, txs []*chain.Tx) {
 	t.Helper()
-	want, found, err := nodes[0].store.Get(blockKey(height))
+	want, found, err := nodes[0].store.Get(BlockKey(height))
 	if err != nil || !found {
 		t.Fatalf("node %d has no block %d (err=%v)", nodes[0].ID(), height, err)
 	}
 	for _, n := range nodes {
-		raw, _, _ := n.store.Get(blockKey(height))
+		raw, _, _ := n.store.Get(BlockKey(height))
 		if !bytes.Equal(raw, want) {
 			t.Errorf("node %d stored block %d differs from node %d's", n.ID(), height, nodes[0].ID())
 		}
@@ -232,7 +232,7 @@ func TestStoredAndSyncedBlocksCarryNoRelay(t *testing.T) {
 	}
 	requireIdenticalBlock(t, c.Nodes, height, txs)
 	for _, n := range c.Nodes {
-		raw, _, _ := n.store.Get(blockKey(height))
+		raw, _, _ := n.store.Get(BlockKey(height))
 		if bytes.Contains(raw, relay[8:]) {
 			t.Errorf("node %d persisted the relay under blockKey", n.ID())
 		}

@@ -248,24 +248,10 @@ func New(cfg Config, endpoint *p2p.Endpoint, n int, confEngine, pubEngine *core.
 	}
 	opts.ViewAdopted = node.kick // this node may lead now
 	node.replica = consensus.NewReplicaWithOptions(endpoint, n, node.onCommit, opts)
-	if node.height > node.baseHeight {
-		node.replica.AdvanceTo(node.height - node.baseHeight)
-	}
-	endpoint.Subscribe(gossipTopic, func(m p2p.Message) {
-		if cfg.MaxTxBytes > 0 && len(m.Data) > cfg.MaxTxBytes {
-			// A peer relayed an oversized transaction (its own boundary
-			// check failed, or it is malicious); drop it here instead of
-			// pooling and re-gossiping it.
-			mOversizedRejected.Inc()
-			return
-		}
-		if tx, err := chain.DecodeTx(m.Data); err == nil && !node.isCommitted(tx.Hash()) {
-			if node.unverified.Add(tx) == nil {
-				node.tracer.Begin(node.traceKey(tx.Hash()))
-				node.kick()
-			}
-		}
-	})
+	node.alignReplica()
+	// A peer's relay enters by the same door as a client's submission; one
+	// that fails it (oversized, undecodable, stale) is dropped, not re-gossiped.
+	endpoint.Subscribe(gossipTopic, func(m p2p.Message) { _ = node.admit(nil, m.Data) })
 	// Snapshot topics first: a height status heard while checkpoint announces
 	// still go unheard sends a far-behind node down genesis replay instead of
 	// fast-sync.
@@ -289,7 +275,7 @@ func (n *Node) recoverChainState() {
 		n.prunedTo = height
 	}
 	for {
-		raw, found, err := n.store.Get(blockKey(n.height))
+		raw, found, err := n.store.Get(BlockKey(n.height))
 		if err != nil || !found {
 			return
 		}
@@ -315,14 +301,35 @@ func (n *Node) recoverChainState() {
 	}
 }
 
+// seqAfter maps a chain height to the replica sequence that orders the block
+// at that height: replica sequence s ↔ block height baseHeight + s, 0 for a
+// height at or below the base. The only place the base is subtracted.
+func (n *Node) seqAfter(height uint64) uint64 {
+	if height <= n.baseHeight {
+		return 0
+	}
+	return height - n.baseHeight
+}
+
+// alignReplica tells consensus that everything below this node's tip is
+// settled, however it got there (a recovered store, catch-up sync, a snapshot
+// install), so the replica rejoins ordering at the live tip.
+func (n *Node) alignReplica() {
+	n.replica.AdvanceTo(n.seqAfter(n.Height())) // a no-op at or below what it delivered
+}
+
 // isCommitted reports whether this node has already executed the
-// transaction (late gossip must not resurrect it in the pools).
+// transaction (late gossip must not resurrect it in the pools). txHeight is
+// the index to ask: every key of committed is a key of txHeight, because
+// recoverChainState and applyDecoded only ever write the two together.
 func (n *Node) isCommitted(h chain.Hash) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, ok := n.committed[h]; ok {
-		return true
-	}
+	return n.committedLocked(h)
+}
+
+// committedLocked is isCommitted for callers that hold n.mu.
+func (n *Node) committedLocked(h chain.Hash) bool {
 	_, ok := n.txHeight[h]
 	return ok
 }
@@ -352,9 +359,28 @@ func (n *Node) Height() uint64 {
 // SubmitTx accepts a client transaction and gossips it to the network.
 func (n *Node) SubmitTx(tx *chain.Tx) error {
 	encoded := tx.Encode()
+	if err := n.admit(tx, encoded); err != nil {
+		return err
+	}
+	n.endpoint.Broadcast(gossipTopic, encoded)
+	return nil
+}
+
+// admit is the one door into the un-verified pool, for a client's submission
+// and a peer's gossip alike: the wire size bound (checked before decoding, so
+// one oversized envelope is neither parsed nor amplified cluster-wide), the
+// already-committed check, the pool add, the tracer span and the proposer's
+// doorbell. tx is nil when only the wire form is in hand (gossip).
+func (n *Node) admit(tx *chain.Tx, encoded []byte) error {
 	if n.cfg.MaxTxBytes > 0 && len(encoded) > n.cfg.MaxTxBytes {
 		mOversizedRejected.Inc()
 		return ErrTxTooLarge
+	}
+	if tx == nil {
+		var err error
+		if tx, err = chain.DecodeTx(encoded); err != nil {
+			return err
+		}
 	}
 	if n.isCommitted(tx.Hash()) {
 		return ErrAlreadyCommitted
@@ -364,7 +390,6 @@ func (n *Node) SubmitTx(tx *chain.Tx) error {
 	}
 	n.tracer.Begin(n.traceKey(tx.Hash()))
 	n.kick()
-	n.endpoint.Broadcast(gossipTopic, encoded)
 	return nil
 }
 
@@ -441,13 +466,9 @@ func (n *Node) repoolUncommitted(txs []*chain.Tx) {
 // commits would be re-added after the sweep and sit in a follower's verified
 // pool forever (followers never propose, so nothing else clears it).
 func (n *Node) promoteVerified(tx *chain.Tx) error {
-	h := tx.Hash()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, done := n.committed[h]; done {
-		return ErrAlreadyCommitted
-	}
-	if _, done := n.txHeight[h]; done {
+	if n.committedLocked(tx.Hash()) {
 		return ErrAlreadyCommitted
 	}
 	return n.verified.Add(tx)
@@ -464,7 +485,7 @@ func (n *Node) PreVerifyPending() int {
 	if len(batch) == 0 {
 		return 0
 	}
-	var confidential, public []*chain.Tx
+	var contract []*chain.Tx
 	moved := 0
 	promote := func(tx *chain.Tx) error {
 		err := n.promoteVerified(tx)
@@ -475,45 +496,34 @@ func (n *Node) PreVerifyPending() int {
 		return err
 	}
 	for _, tx := range batch {
-		switch tx.Type {
-		case chain.TxTypeConfidential:
-			confidential = append(confidential, tx)
-		case chain.TxTypeGovernance:
-			// Structural check only here; the semantic checks (successor
-			// epoch, future height) run against chain state at execution.
-			if _, err := keyepoch.DecodeRotation(tx.Payload); err == nil {
-				_ = promote(tx) // a refused rotation holds no enclave entry to release
-			}
-		default:
-			public = append(public, tx)
+		if tx.Type != chain.TxTypeGovernance {
+			contract = append(contract, tx)
+			continue
+		}
+		// Structural check only here; the semantic checks (successor
+		// epoch, future height) run against chain state at execution.
+		if _, err := keyepoch.DecodeRotation(tx.Payload); err == nil {
+			_ = promote(tx) // a refused rotation holds no enclave entry to release
 		}
 	}
-	// When a confidential engine is present, public transactions pre-verify
-	// through the CS enclave too (PreVerifyBatch handles both classes): the
-	// block attestation tag only vouches for signatures checked inside the
-	// enclave, so host-side verification could never be covered by it. A
-	// pure-public deployment keeps verifying in the host and emits no tags.
-	if n.confEngine.Confidential() {
-		confidential = append(confidential, public...)
-		public = nil
-	}
+	// Public transactions pre-verify through the CS enclave too
+	// (PreVerifyBatch handles both classes): the block attestation tag only
+	// vouches for signatures checked inside the enclave, so host-side
+	// verification could never be covered by it.
+	//
 	// A transaction refused here has left the pools for good: its block
 	// committed while it was in transit, after that commit's DropPreVerified
 	// ran (or the verified pool is full). The metadata PreVerifyBatch just
 	// cached for it, k_tx included, must leave the enclave now. A duplicate
 	// keeps its entry: the copy already in the verified pool still needs it
 	// at proposal time.
-	verify := func(engine *core.Engine, txs []*chain.Tx) {
-		var refused []chain.Hash
-		for _, tx := range engine.PreVerifyBatch(txs) {
-			if err := promote(tx); err != nil && !errors.Is(err, chain.ErrDuplicateTx) {
-				refused = append(refused, tx.Hash())
-			}
+	var refused []chain.Hash
+	for _, tx := range n.confEngine.PreVerifyBatch(contract) {
+		if err := promote(tx); err != nil && !errors.Is(err, chain.ErrDuplicateTx) {
+			refused = append(refused, tx.Hash())
 		}
-		engine.DropPreVerified(refused)
 	}
-	verify(n.confEngine, confidential)
-	verify(n.pubEngine, public)
+	n.confEngine.DropPreVerified(refused)
 	return moved
 }
 
@@ -719,11 +729,7 @@ func (n *Node) applyDecoded(block *chain.Block, payload []byte) bool {
 	}
 	// A synced block travelled outside consensus; re-derive the tx root
 	// before trusting its contents.
-	leaves := make([]chain.Hash, len(block.Txs))
-	for i, tx := range block.Txs {
-		leaves[i] = tx.Hash()
-	}
-	if chain.MerkleRoot(leaves) != block.Header.TxRoot {
+	if chain.TxRoot(block.Txs) != block.Header.TxRoot {
 		return false
 	}
 
@@ -793,7 +799,7 @@ func (n *Node) applyDecoded(block *chain.Block, payload []byte) bool {
 	}
 
 	commitStart := time.Now()
-	batch.Put(blockKey(block.Header.Height), payload)
+	batch.Put(BlockKey(block.Header.Height), payload)
 	if activated {
 		// The epoch marker flips in the same atomic batch as the block that
 		// crossed the activation height.
@@ -898,9 +904,7 @@ func (n *Node) maybeCheckpoint() {
 	n.snapshots.Set(cp)
 	// Peers lagging past this checkpoint get a snapshot, not block replay:
 	// the consensus committed log below it serves nobody.
-	if height > n.baseHeight {
-		n.replica.CompactLog(height - n.baseHeight)
-	}
+	n.replica.CompactLog(n.seqAfter(height)) // a no-op at or below the log's floor
 	n.pruneBlocks(height)
 }
 
@@ -929,8 +933,7 @@ func (n *Node) executeBlock(block *chain.Block) ([]*core.ExecResult, *storage.Ba
 	n.mu.Lock()
 	skipped := uint64(0)
 	for i, tx := range txs {
-		_, skip[i] = n.txHeight[tx.Hash()]
-		if skip[i] {
+		if skip[i] = n.committedLocked(tx.Hash()); skip[i] {
 			skipped++
 		}
 	}

@@ -87,7 +87,7 @@ func (n *Node) pruneBlocks(checkpointHeight uint64) {
 	}
 	batch := &storage.Batch{}
 	for h := from; h < floor; h++ {
-		batch.Delete(blockKey(h))
+		batch.Delete(BlockKey(h))
 	}
 	batch.Put(metaBaseKey, encodeStoreBase(floor, blockAtFloor.Header.PrevHash))
 	if err := n.store.WriteBatch(batch); err != nil {

@@ -1,11 +1,13 @@
 package node
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"confide/internal/chain"
 	"confide/internal/core"
+	"confide/internal/snapshot"
 )
 
 // TestClusterRestartRecoversChain shuts a durable (LSM-backed) cluster
@@ -93,5 +95,91 @@ func TestClusterRestartRecoversChain(t *testing.T) {
 	}
 	if res.Receipt.Status != chain.ReceiptOK || res.Receipt.Output[0] != 80 {
 		t.Fatalf("balance after restart = %v (%d), want [80]", res.Receipt.Output, res.Receipt.Status)
+	}
+}
+
+// TestOrdinaryRestartQuarantinesHalfInstalledSnapshot: a node that crashed
+// between snapshot.Install's first mutation and the base-marker commit, then
+// boots the ordinary way (RestartNode without wipe, confide-node -store),
+// must go through crash recovery like ReviveNode does — quarantine the
+// half-adopted checkpoint and rebuild from its peers — not run on it.
+func TestOrdinaryRestartQuarantinesHalfInstalledSnapshot(t *testing.T) {
+	c := newTestCluster(t, ClusterOptions{
+		Nodes:    4,
+		StoreDir: t.TempDir(),
+		Node:     Config{CheckpointInterval: 3, SyncInterval: 15 * time.Millisecond},
+	})
+	driveBlocks(t, c, 4, "half") // height 4: a checkpoint at 3 carries the contract
+	tip := c.Nodes[0].Height()
+
+	victim := victimOf(c)
+	if err := c.Nodes[victim].Store().Put(snapshot.InstallingKey, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	quarantines := mStoreQuarantines.Value()
+	if err := c.RestartNode(victim, false); err != nil {
+		t.Fatal(err)
+	}
+	restarted := c.Nodes[victim]
+	if _, found, err := restarted.Store().Get(snapshot.InstallingKey); err != nil || found {
+		t.Fatalf("restarted on a store that still carries the half-installed-snapshot marker (found=%v err=%v)", found, err)
+	}
+	if got := mStoreQuarantines.Value() - quarantines; got != 1 {
+		t.Errorf("confide_node_store_quarantines_total moved by %d, want 1", got)
+	}
+	if err := restarted.WaitHeight(tip, 15*time.Second); err != nil {
+		t.Fatalf("quarantined node never rejoined: %v", err)
+	}
+	want := readBalance(t, c.Nodes[(victim+1)%4], c, "half")
+	if got := readBalance(t, restarted, c, "half"); !bytes.Equal(got, want) {
+		t.Errorf("balance on restarted node = %v, want %v", got, want)
+	}
+}
+
+// TestCommittedIsSubsetOfTxHeight pins the fact isCommitted and
+// promoteVerified lean on when they consult txHeight alone: every key of
+// Node.committed is a key of Node.txHeight, on every node, whichever way the
+// node came by its chain — applied blocks, a durable restart
+// (recoverChainState), or a snapshot install plus tail replay.
+func TestCommittedIsSubsetOfTxHeight(t *testing.T) {
+	c := newTestCluster(t, ClusterOptions{
+		Nodes:    4,
+		StoreDir: t.TempDir(),
+		Node:     Config{CheckpointInterval: 3, SyncInterval: 15 * time.Millisecond},
+	})
+	driveBlocks(t, c, 4, "subset")
+	restarted := victimOf(c)
+	if err := c.RestartNode(restarted, false); err != nil {
+		t.Fatal(err)
+	}
+	driveBlocks(t, c, 3, "subset") // height 7: checkpoints at 3 and 6
+	wiped := (restarted + 1) % 4
+	if wiped == int(c.Leader().ID()) {
+		wiped = (wiped + 1) % 4
+	}
+	installs := mSyncPathSnapshot.Value()
+	if err := c.RestartNode(wiped, true); err != nil {
+		t.Fatal(err)
+	}
+	tip := c.Leader().Height()
+	if err := c.Nodes[wiped].WaitHeight(tip, 15*time.Second); err != nil {
+		t.Fatalf("wiped node never caught up: %v", err)
+	}
+	if mSyncPathSnapshot.Value() == installs {
+		t.Fatal("the wiped node rejoined without a snapshot install")
+	}
+	driveBlocks(t, c, 1, "subset")
+
+	for _, n := range c.Nodes {
+		n.mu.Lock()
+		if len(n.committed) == 0 {
+			t.Errorf("node %d indexes no receipt at all", n.ID())
+		}
+		for h := range n.committed {
+			if _, ok := n.txHeight[h]; !ok {
+				t.Errorf("node %d: %s has a receipt in committed but no txHeight entry", n.ID(), h)
+			}
+		}
+		n.mu.Unlock()
 	}
 }

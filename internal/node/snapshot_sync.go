@@ -456,9 +456,7 @@ func (n *Node) installSnapshot(man *snapshot.Manifest, chunks [][]byte) bool {
 	// Fast-forward consensus after releasing applyMu: AdvanceTo delivers any
 	// commits queued above the checkpoint, and the executor applying them
 	// takes applyMu itself.
-	if man.Height > n.baseHeight {
-		n.replica.AdvanceTo(man.Height - n.baseHeight)
-	}
+	n.alignReplica()
 	mSyncPathSnapshot.Inc()
 	mSnapInstallHeight.Set(int64(man.Height))
 	return true

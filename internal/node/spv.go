@@ -38,7 +38,8 @@ type TxProof struct {
 // ErrNotFound reports an unknown transaction.
 var ErrNotFound = errors.New("node: transaction not found")
 
-func blockKey(height uint64) []byte {
+// BlockKey is where the block at height lives in a node's store.
+func BlockKey(height uint64) []byte {
 	var key [12]byte
 	copy(key[:4], "blk/")
 	binary.BigEndian.PutUint64(key[4:], height)
@@ -47,7 +48,7 @@ func blockKey(height uint64) []byte {
 
 // BlockAt loads a committed block from this node's store.
 func (n *Node) BlockAt(height uint64) (*chain.Block, error) {
-	raw, found, err := n.store.Get(blockKey(height))
+	raw, found, err := n.store.Get(BlockKey(height))
 	if err != nil {
 		return nil, err
 	}

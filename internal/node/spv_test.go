@@ -116,7 +116,7 @@ func TestMaliciousHostDetectedByQuorum(t *testing.T) {
 	fake := &chain.Block{Header: block.Header}
 	fake.Txs = []*chain.Tx{{Type: chain.TxTypePublic, Payload: []byte("rewritten history")}}
 	fake.ComputeTxRoot() // header now differs from the canonical one
-	if err := evil.Store().Put(blockKey(proof.Height), fake.Encode()); err != nil {
+	if err := evil.Store().Put(BlockKey(proof.Height), fake.Encode()); err != nil {
 		t.Fatal(err)
 	}
 

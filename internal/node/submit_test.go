@@ -9,9 +9,11 @@ import (
 	"confide/internal/chain"
 )
 
-// TestSubmitTxSizeBound exercises SubmitTx's two refusals: an encoded
-// transaction over Config.MaxTxBytes gets the distinct ErrTxTooLarge before
-// touching the pool (and the bound is discoverable), and one that already
+// TestSubmitTxSizeBound exercises the two refusals at the door into the
+// un-verified pool (Node.admit), by both roads to it: an encoded transaction
+// over Config.MaxTxBytes gets the distinct ErrTxTooLarge before touching the
+// pool (and the bound is discoverable) whether a client submits it or a peer
+// gossips it, counted once per refusing node either way; and one that already
 // committed gets ErrAlreadyCommitted.
 func TestSubmitTxSizeBound(t *testing.T) {
 	c := newTestCluster(t, ClusterOptions{Node: Config{MaxTxBytes: 2048}})
@@ -22,11 +24,27 @@ func TestSubmitTxSizeBound(t *testing.T) {
 		t.Fatalf("MaxTxBytes() = %d, want 2048", got)
 	}
 	big := &chain.Tx{Type: chain.TxTypePublic, Payload: make([]byte, 4096)}
+	rejected := mOversizedRejected.Value()
 	if err := n.SubmitTx(big); !errors.Is(err, ErrTxTooLarge) {
 		t.Fatalf("oversized SubmitTx: %v, want ErrTxTooLarge", err)
 	}
-	if n.UnverifiedPoolLen() != 0 {
-		t.Fatal("oversized transaction entered the pool")
+	if got := mOversizedRejected.Value() - rejected; got != 1 {
+		t.Fatalf("the submit path counted %d oversized rejections, want 1", got)
+	}
+	// The same bytes relayed by a peer that skipped its own check: each of the
+	// three receivers refuses them the same way.
+	rejected = mOversizedRejected.Value()
+	n.Endpoint().Broadcast(gossipTopic, big.Encode())
+	for deadline := time.Now().Add(5 * time.Second); mOversizedRejected.Value()-rejected < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the gossip path counted %d oversized rejections, want 3", mOversizedRejected.Value()-rejected)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, peer := range c.Nodes {
+		if peer.UnverifiedPoolLen() != 0 {
+			t.Fatalf("oversized transaction entered node %d's pool", peer.ID())
+		}
 	}
 	small, _, err := client.NewConfidentialTx(ledgerAddr, "credit", acct("ba"), []byte{1})
 	if err != nil {

@@ -105,7 +105,7 @@ func (n *Node) onSyncReq(m p2p.Message) {
 	}
 	var blocks []chain.Item
 	for h := from; h < from+syncBatch; h++ {
-		raw, found, err := n.store.Get(blockKey(h))
+		raw, found, err := n.store.Get(BlockKey(h))
 		if err != nil || !found {
 			break
 		}
@@ -136,9 +136,5 @@ func (n *Node) onSyncResp(m p2p.Message) {
 		return
 	}
 	mSyncPathBlocks.Inc()
-	// Replica seq s ↔ block height baseHeight + s, so the synced tip means
-	// every seq below height-baseHeight is settled.
-	if height := n.Height(); height > n.baseHeight {
-		n.replica.AdvanceTo(height - n.baseHeight)
-	}
+	n.alignReplica()
 }

@@ -62,10 +62,7 @@ func (e *Executor) run() {
 		select {
 		case q := <-e.queue:
 			e.apply(q.block, q.payload)
-			e.queuedBlocks.Add(-1)
-			e.queuedTxs.Add(-int64(len(q.block.Txs)))
-			mExecQueueBlocks.Add(-1)
-			mExecQueueTxs.Add(-int64(len(q.block.Txs)))
+			e.account(-1, q.block)
 		case <-e.stop:
 			// Queued blocks are dropped, not applied: they are ordered
 			// consensus output the replica's committed log (or catch-up
@@ -74,10 +71,7 @@ func (e *Executor) run() {
 			for {
 				select {
 				case q := <-e.queue:
-					e.queuedBlocks.Add(-1)
-					e.queuedTxs.Add(-int64(len(q.block.Txs)))
-					mExecQueueBlocks.Add(-1)
-					mExecQueueTxs.Add(-int64(len(q.block.Txs)))
+					e.account(-1, q.block)
 				default:
 					return
 				}
@@ -98,20 +92,24 @@ func (e *Executor) Submit(block *chain.Block, payload []byte) bool {
 		return false
 	default:
 	}
-	e.queuedBlocks.Add(1)
-	e.queuedTxs.Add(int64(len(block.Txs)))
-	mExecQueueBlocks.Add(1)
-	mExecQueueTxs.Add(int64(len(block.Txs)))
+	e.account(+1, block)
 	select {
 	case e.queue <- queued{block: block, payload: payload}:
 		return true
 	case <-e.stop:
-		e.queuedBlocks.Add(-1)
-		e.queuedTxs.Add(-int64(len(block.Txs)))
-		mExecQueueBlocks.Add(-1)
-		mExecQueueTxs.Add(-int64(len(block.Txs)))
+		e.account(-1, block)
 		return false
 	}
+}
+
+// account moves one block into (+1) or out of (-1) the queue's books: the
+// executor's own counts and the process-wide gauges.
+func (e *Executor) account(sign int64, block *chain.Block) {
+	txs := sign * int64(len(block.Txs))
+	e.queuedBlocks.Add(sign)
+	e.queuedTxs.Add(txs)
+	mExecQueueBlocks.Add(sign)
+	mExecQueueTxs.Add(txs)
 }
 
 // QueuedTxs reports transactions sitting in delivered-but-unexecuted blocks
@@ -137,10 +135,7 @@ func (e *Executor) Close() {
 	for {
 		select {
 		case q := <-e.queue:
-			e.queuedBlocks.Add(-1)
-			e.queuedTxs.Add(-int64(len(q.block.Txs)))
-			mExecQueueBlocks.Add(-1)
-			mExecQueueTxs.Add(-int64(len(q.block.Txs)))
+			e.account(-1, q.block)
 		default:
 			return
 		}

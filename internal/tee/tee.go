@@ -27,39 +27,23 @@ import (
 	"time"
 )
 
-// CostModel holds the simulated hardware cost parameters. The defaults are
-// calibrated to the numbers the paper cites for its Xeon E3-1240 v6 testbed.
-type CostModel struct {
-	// CPUGHz converts cycle charges into nanoseconds.
-	CPUGHz float64
-	// EcallCycles / OcallCycles are charged per boundary crossing. The
-	// paper's ocall range is 8,314 (cache hit) to 14,160 (miss); we charge
-	// the midpoint per call.
-	EcallCycles uint64
-	OcallCycles uint64
-	// CopyCyclesPerByte models the proxy/bridge copy-and-check of [in]/[out]
+// The simulated hardware cost parameters, calibrated to the numbers the paper
+// cites for its Xeon E3-1240 v6 testbed.
+const (
+	// cpuGHz converts cycle charges into nanoseconds.
+	cpuGHz = 3.7
+	// ecallCycles / ocallCycles are charged per boundary crossing. The
+	// paper's ocall range is 8,314 (cache hit) to 14,160 (miss), charged at
+	// its midpoint (HotCalls); sgx-perf: ecalls cost slightly less.
+	ecallCycles = 8600
+	ocallCycles = 11237
+	// copyCyclesPerByte models the proxy/bridge copy-and-check of [in]/[out]
 	// EDL pointers. user_check transfers skip it.
-	CopyCyclesPerByte float64
-	// PageSwapCycles is charged per 4 KiB EPC page evicted or reloaded
-	// (encrypt + copy + EWB bookkeeping).
-	PageSwapCycles uint64
-	// MEEFactor inflates in-enclave compute to model the Memory Encryption
-	// Engine's bandwidth tax. Applied by callers that meter compute; the
-	// boundary itself only charges transitions.
-	MEEFactor float64
-}
-
-// DefaultCostModel returns the paper-calibrated cost model.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		CPUGHz:            3.7,
-		EcallCycles:       8600,  // sgx-perf: ecalls cost slightly less than ocalls
-		OcallCycles:       11237, // midpoint of 8,314–14,160 (HotCalls)
-		CopyCyclesPerByte: 0.35,
-		PageSwapCycles:    40000, // ~11 µs per 4 KiB page encrypt+evict
-		MEEFactor:         1.10,
-	}
-}
+	copyCyclesPerByte = 0.35
+	// pageSwapCycles is charged per 4 KiB EPC page evicted or reloaded
+	// (encrypt + copy + EWB bookkeeping, ~11 µs).
+	pageSwapCycles = 40000
+)
 
 // PageSize is the EPC page granularity.
 const PageSize = 4096
@@ -75,8 +59,6 @@ type Config struct {
 	// InjectDelays makes every charged cycle cost also consume wall-clock
 	// time (spin wait), so end-to-end benchmarks feel the TEE tax.
 	InjectDelays bool
-	// Costs is the hardware cost model; zero value means DefaultCostModel.
-	Costs CostModel
 }
 
 // DefaultEPCPages is the usable SGX v1 EPC budget (93.5 MiB) in pages.
@@ -139,9 +121,6 @@ func (p *Platform) CreateEnclave(name string, cfg Config) (*Enclave, error) {
 	if cfg.EPCPages == 0 {
 		cfg.EPCPages = DefaultEPCPages
 	}
-	if cfg.Costs == (CostModel{}) {
-		cfg.Costs = DefaultCostModel()
-	}
 	e := &Enclave{
 		name:        name,
 		measurement: sha256.Sum256([]byte("enclave-code:" + cfg.CodeIdentity)),
@@ -197,7 +176,7 @@ func (e *Enclave) chargeCycles(c uint64) {
 	e.cycles.Add(c)
 	mCycles.Add(c)
 	if e.cfg.InjectDelays && c > 0 {
-		spin(time.Duration(float64(c) / e.cfg.Costs.CPUGHz))
+		spin(time.Duration(float64(c) / cpuGHz))
 	}
 }
 
@@ -225,36 +204,39 @@ const (
 
 // Ecall enters the enclave, charging the transition and (unless flag is
 // UserCheck) the copy-and-check cost for argBytes of pointer arguments, then
-// runs fn "inside" the enclave.
+// runs fn "inside" the enclave. On a nil enclave — the public engine's, which
+// has no boundary to cross — Ecall and Ocall just run fn.
 func (e *Enclave) Ecall(argBytes int, flag TransferFlag, fn func() error) error {
-	if e.destroyed.Load() {
-		return ErrDestroyed
-	}
-	e.ecalls.Add(1)
-	mEcalls.Inc()
-	cost := e.cfg.Costs.EcallCycles
-	if flag == CopyInOut && argBytes > 0 {
-		e.bytesCopied.Add(uint64(argBytes))
-		mBytesCopied.Add(uint64(argBytes))
-		cost += uint64(float64(argBytes) * e.cfg.Costs.CopyCyclesPerByte)
-	}
-	e.chargeCycles(cost)
-	return fn()
+	return e.cross(false, argBytes, flag, fn)
 }
 
 // Ocall leaves the enclave to run fn in the untrusted host, with the same
 // cost accounting as Ecall.
 func (e *Enclave) Ocall(argBytes int, flag TransferFlag, fn func() error) error {
+	return e.cross(true, argBytes, flag, fn)
+}
+
+// cross is one boundary transition, out of the enclave or into it.
+func (e *Enclave) cross(out bool, argBytes int, flag TransferFlag, fn func() error) error {
+	if e == nil {
+		return fn()
+	}
 	if e.destroyed.Load() {
 		return ErrDestroyed
 	}
-	e.ocalls.Add(1)
-	mOcalls.Inc()
-	cost := e.cfg.Costs.OcallCycles
+	cost := uint64(ecallCycles)
+	if out {
+		cost = ocallCycles
+		e.ocalls.Add(1)
+		mOcalls.Inc()
+	} else {
+		e.ecalls.Add(1)
+		mEcalls.Inc()
+	}
 	if flag == CopyInOut && argBytes > 0 {
 		e.bytesCopied.Add(uint64(argBytes))
 		mBytesCopied.Add(uint64(argBytes))
-		cost += uint64(float64(argBytes) * e.cfg.Costs.CopyCyclesPerByte)
+		cost += uint64(float64(argBytes) * copyCyclesPerByte)
 	}
 	e.chargeCycles(cost)
 	return fn()
@@ -286,7 +268,7 @@ func (e *Enclave) Alloc(n int) error {
 	if over > 0 {
 		e.pageSwaps.Add(uint64(over))
 		mPageSwaps.Add(uint64(over))
-		e.chargeCycles(uint64(over) * e.cfg.Costs.PageSwapCycles)
+		e.chargeCycles(uint64(over) * pageSwapCycles)
 	}
 	return nil
 }

@@ -24,9 +24,6 @@ func TestCreateEnclaveDefaults(t *testing.T) {
 	if e.cfg.EPCPages != DefaultEPCPages {
 		t.Errorf("EPCPages = %d, want default %d", e.cfg.EPCPages, DefaultEPCPages)
 	}
-	if e.cfg.Costs.CPUGHz == 0 {
-		t.Error("cost model not defaulted")
-	}
 }
 
 func TestCreateEnclaveRequiresIdentity(t *testing.T) {
@@ -75,7 +72,7 @@ func TestBoundaryCostAccounting(t *testing.T) {
 	if st.BytesCopied != 1000 {
 		t.Errorf("bytes copied = %d, want 1000", st.BytesCopied)
 	}
-	base := e.cfg.Costs.EcallCycles + e.cfg.Costs.OcallCycles
+	base := uint64(ecallCycles + ocallCycles)
 	if st.ChargedCycles <= base {
 		t.Errorf("cycles = %d, want > transition base %d (copy cost missing)", st.ChargedCycles, base)
 	}
@@ -363,5 +360,23 @@ func TestInjectDelaysConsumesWallClock(t *testing.T) {
 	// 100 ocalls * ~3 µs each ≈ 300 µs minimum.
 	if elapsed < 200_000 {
 		t.Errorf("elapsed = %d ns, want >= 200 µs of injected delay", elapsed)
+	}
+}
+
+// TestNilEnclaveHasNoBoundary: the public engine holds a nil enclave and
+// calls through it; fn runs, its error comes back, nothing is counted.
+func TestNilEnclaveHasNoBoundary(t *testing.T) {
+	var e *Enclave
+	ecalls, ocalls := mEcalls.Value(), mOcalls.Value()
+	want := errors.New("from fn")
+	if err := e.Ecall(64, CopyInOut, func() error { return want }); err != want {
+		t.Errorf("Ecall on a nil enclave returned %v, want fn's error", err)
+	}
+	ran := false
+	if err := e.Ocall(64, CopyInOut, func() error { ran = true; return nil }); err != nil || !ran {
+		t.Errorf("Ocall on a nil enclave: ran=%v err=%v", ran, err)
+	}
+	if mEcalls.Value() != ecalls || mOcalls.Value() != ocalls {
+		t.Error("a nil enclave counted a boundary crossing")
 	}
 }
