@@ -92,11 +92,12 @@ func runRotation(txs int) (any, error) {
 
 	rng := rand.New(rand.NewSource(11))
 	var submitted []*chain.Tx
+	var keys [][]byte // submitted[i]'s k_tx: its receipt opens with nothing else
 	// drive commits one transaction per synchronous round through client.
 	drive := func(client *core.Client, n int) error {
 		for i := 0; i < n; i++ {
 			method, args := workload.ABSFlatInput(rng)
-			tx, _, err := client.NewConfidentialTx(addr, method, args...)
+			tx, ktx, err := client.NewConfidentialTx(addr, method, args...)
 			if err != nil {
 				return err
 			}
@@ -106,7 +107,7 @@ func runRotation(txs int) (any, error) {
 			if _, err := cluster.ProcessRound(10 * time.Second); err != nil {
 				return err
 			}
-			submitted = append(submitted, tx)
+			submitted, keys = append(submitted, tx), append(keys, ktx)
 		}
 		return nil
 	}
@@ -114,13 +115,13 @@ func runRotation(txs int) (any, error) {
 	// then resets the window.
 	failures := func() int {
 		failed := 0
-		for _, tx := range submitted {
-			rpt, ok := cluster.Nodes[0].Receipt(tx.Hash())
-			if !ok || rpt.Status != chain.ReceiptOK {
+		for i, tx := range submitted {
+			rpt, err := cluster.Nodes[0].Receipt(tx.Hash(), keys[i])
+			if err != nil || rpt.Status != chain.ReceiptOK {
 				failed++
 			}
 		}
-		submitted = submitted[:0]
+		submitted, keys = submitted[:0], keys[:0]
 		return failed
 	}
 	result := &rotationResult{}

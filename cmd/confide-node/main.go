@@ -139,6 +139,7 @@ func main() {
 	fmt.Printf("submitting %d confidential %s transactions...\n", *txCount, *wl)
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	hashes := make([]chain.Hash, 0, *txCount)
+	keys := make([][]byte, 0, *txCount) // hashes[i]'s k_tx: its receipt opens with nothing else
 	phases := *rotate + 1
 	if phases > *txCount {
 		fatal(fmt.Errorf("need at least one transaction per rotation phase (%d txs, %d phases)", *txCount, phases))
@@ -157,14 +158,14 @@ func main() {
 		}
 		for i := 0; i < n; i++ {
 			method, args := gen(rng)
-			tx, _, err := client.NewConfidentialTx(addr, method, args...)
+			tx, ktx, err := client.NewConfidentialTx(addr, method, args...)
 			if err != nil {
 				fatal(err)
 			}
 			if err := cluster.Leader().SubmitTx(tx); err != nil {
 				fatal(err)
 			}
-			hashes = append(hashes, tx.Hash())
+			hashes, keys = append(hashes, tx.Hash()), append(keys, ktx)
 		}
 		if _, err := cluster.DrainAll(256, time.Minute); err != nil {
 			fatal(err)
@@ -188,12 +189,12 @@ func main() {
 	// proposers cut blocks concurrently, so transactions commit through
 	// their blocks and the synchronous loop's own tally undercounts.
 	committed, ok, failed := 0, 0, 0
-	for _, h := range hashes {
-		rpt, found := cluster.Leader().Receipt(h)
-		if found {
+	for i, h := range hashes {
+		rpt, err := cluster.Leader().Receipt(h, keys[i])
+		if err == nil {
 			committed++
 		}
-		if found && rpt.Status == chain.ReceiptOK {
+		if err == nil && rpt.Status == chain.ReceiptOK {
 			ok++
 		} else {
 			failed++

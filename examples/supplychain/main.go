@@ -132,15 +132,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	submit := func(method string, args ...[]byte) confide.Hash {
-		tx, _, err := client.NewConfidentialTx(ledger, method, args...)
+	// submit returns the transaction's hash and the one-time key its owner
+	// keeps: the receipt is stored sealed under it and opens with nothing else.
+	submit := func(method string, args ...[]byte) (confide.Hash, []byte) {
+		tx, ktx, err := client.NewConfidentialTx(ledger, method, args...)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := net.Submit(tx); err != nil {
 			log.Fatal(err)
 		}
-		return tx.Hash()
+		return tx.Hash(), ktx
 	}
 	drain := func() {
 		time.Sleep(5 * time.Millisecond)
@@ -179,9 +181,9 @@ func main() {
 	drain()
 
 	// 4. An over-transfer is rejected by the contract inside the enclave.
-	h := submit("transfer", []byte("supplier-1"), []byte("bank-B"), amountArg(900_000))
+	h, ktx := submit("transfer", []byte("supplier-1"), []byte("bank-B"), amountArg(900_000))
 	drain()
-	if rpt, ok := net.Leader().Receipt(h); ok && rpt.Status == confide.ReceiptFailed {
+	if rpt, err := net.Leader().Receipt(h, ktx); err == nil && rpt.Status == confide.ReceiptFailed {
 		fmt.Println("over-transfer of 900,000 AR correctly rejected (insufficient certificate)")
 	}
 

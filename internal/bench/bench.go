@@ -183,28 +183,28 @@ func clusterThroughput(p clusterParams) (float64, error) {
 	}
 
 	rng := rand.New(rand.NewSource(11))
-	build := func(n int) ([]*chain.Tx, error) {
-		txs := make([]*chain.Tx, 0, n)
-		for i := 0; i < n; i++ {
+	// build seals n transactions and keeps each one's k_tx (nil for a public
+	// one): the run's receipts are read back with them.
+	build := func(n int) ([]*chain.Tx, [][]byte, error) {
+		txs, keys := make([]*chain.Tx, n), make([][]byte, n)
+		for i := range txs {
 			method, args := p.gen(rng)
-			var tx *chain.Tx
 			if p.confidential {
-				tx, _, err = client.NewConfidentialTx(contractAddr, method, args...)
+				txs[i], keys[i], err = client.NewConfidentialTx(contractAddr, method, args...)
 			} else {
-				tx, err = client.NewPublicTx(contractAddr, method, args...)
+				txs[i], err = client.NewPublicTx(contractAddr, method, args...)
 			}
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			txs = append(txs, tx)
 		}
-		return txs, nil
+		return txs, keys, nil
 	}
 	leader := cluster.Leader()
 
 	// Warm-up block: populates code caches and JIT-warms the Go runtime so
 	// the measured region reflects steady state.
-	warm, err := build(2)
+	warm, _, err := build(2)
 	if err != nil {
 		return 0, err
 	}
@@ -217,7 +217,7 @@ func clusterThroughput(p clusterParams) (float64, error) {
 		return 0, err
 	}
 
-	txs, err := build(p.txs)
+	txs, keys, err := build(p.txs)
 	if err != nil {
 		return 0, err
 	}
@@ -246,9 +246,12 @@ func clusterThroughput(p clusterParams) (float64, error) {
 	}
 	// Verify no transaction failed (a failing workload would report a
 	// flattering TPS).
-	for _, tx := range txs {
-		rpt, ok := leader.Receipt(tx.Hash())
-		if !ok || rpt.Status != chain.ReceiptOK {
+	for i, tx := range txs {
+		rpt, err := leader.Receipt(tx.Hash(), keys[i])
+		if err != nil {
+			return 0, fmt.Errorf("bench: receipt of %s: %w", tx.Hash(), err)
+		}
+		if rpt.Status != chain.ReceiptOK {
 			return 0, fmt.Errorf("bench: transaction failed: %s", rpt.Output)
 		}
 	}

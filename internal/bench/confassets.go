@@ -168,6 +168,7 @@ func confTokenThroughput(txCount int) ([]ConfAssetsRow, error) {
 		return nil, err
 	}
 	leader := cluster.Leader()
+	keys := make(map[chain.Hash][]byte) // each sealed transaction's k_tx: its receipt opens with nothing else
 
 	runCell := func(op string, txs []*chain.Tx) (ConfAssetsRow, error) {
 		for _, tx := range txs {
@@ -186,8 +187,11 @@ func confTokenThroughput(txCount int) ([]ConfAssetsRow, error) {
 		}
 		elapsed := time.Since(start).Seconds()
 		for _, tx := range txs {
-			rpt, ok := leader.Receipt(tx.Hash())
-			if !ok || rpt.Status != chain.ReceiptOK {
+			rpt, err := leader.Receipt(tx.Hash(), keys[tx.Hash()])
+			if err != nil {
+				return ConfAssetsRow{}, fmt.Errorf("bench: %s receipt: %w", op, err)
+			}
+			if rpt.Status != chain.ReceiptOK {
 				return ConfAssetsRow{}, fmt.Errorf("bench: %s tx failed: %s", op, rpt.Output)
 			}
 		}
@@ -198,10 +202,11 @@ func confTokenThroughput(txCount int) ([]ConfAssetsRow, error) {
 	build := func(method string, args func(i int) [][]byte) ([]*chain.Tx, error) {
 		txs := make([]*chain.Tx, 0, txCount)
 		for i := 0; i < txCount; i++ {
-			tx, _, err := client.NewConfidentialTx(tokenAddr, method, args(i)...)
+			tx, ktx, err := client.NewConfidentialTx(tokenAddr, method, args(i)...)
 			if err != nil {
 				return nil, err
 			}
+			keys[tx.Hash()] = ktx
 			txs = append(txs, tx)
 		}
 		return txs, nil
@@ -209,10 +214,11 @@ func confTokenThroughput(txCount int) ([]ConfAssetsRow, error) {
 
 	// Seed: one uncapped issuance funds the transfer sender.
 	alice, bob := []byte("alice\x00\x00\x00"), []byte("bob\x00\x00\x00\x00\x00")
-	seed, _, err := client.NewConfidentialTx(tokenAddr, "issue", alice, beU64(1<<40), beU64(0))
+	seed, ktx, err := client.NewConfidentialTx(tokenAddr, "issue", alice, beU64(1<<40), beU64(0))
 	if err != nil {
 		return nil, err
 	}
+	keys[seed.Hash()] = ktx
 	if _, err := runCell("token_seed", []*chain.Tx{seed}); err != nil {
 		return nil, err
 	}

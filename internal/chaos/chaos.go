@@ -338,19 +338,19 @@ func Run(opts Options) (*Report, error) {
 	// Workload: credits spread over a few accounts, amounts seeded, with
 	// submission times spread across the whole fault schedule so every
 	// fault window hits in-flight work. Account and amount are kept so an
-	// uncommitted transaction can be re-sealed after a key rotation.
+	// uncommitted transaction can be re-sealed after a key rotation, and each
+	// k_tx so its receipt can be opened on any node.
 	txs := make([]*chain.Tx, opts.Txs)
+	keys := make([][]byte, opts.Txs)
 	submitAt := make([]time.Duration, opts.Txs)
 	accounts := make([][]byte, opts.Txs)
 	amounts := make([]byte, opts.Txs)
 	for i := range txs {
 		accounts[i] = []byte(fmt.Sprintf("acct-%03d", i%5))
 		amounts[i] = byte(1 + rng.Intn(5))
-		tx, _, err := client.NewConfidentialTx(chaosLedgerAddr, "credit", accounts[i], []byte{amounts[i]})
-		if err != nil {
+		if txs[i], keys[i], err = client.NewConfidentialTx(chaosLedgerAddr, "credit", accounts[i], []byte{amounts[i]}); err != nil {
 			return nil, err
 		}
-		txs[i] = tx
 		submitAt[i] = cursor * time.Duration(i) / time.Duration(opts.Txs)
 	}
 
@@ -365,8 +365,7 @@ func Run(opts Options) (*Report, error) {
 	crashed := -1
 	partitioned := false
 	gwKilled := -1
-	diskCrashed := -1           // disk-crash victim for the active window
-	wiped := make(map[int]bool) // nodes that lost their in-memory receipt map
+	diskCrashed := -1 // disk-crash victim for the active window
 	var lastSubmit time.Time
 	deadline := start.Add(opts.Timeout)
 
@@ -396,28 +395,30 @@ func Run(opts Options) (*Report, error) {
 	var govRot keyepoch.Rotation
 	targetEpoch := uint64(1)
 
+	// okOn asks the one question convergence needs of node n about workload
+	// transaction i: does its store hold the receipt, and does it open OK with
+	// the client's k_tx?
+	okOn := func(n *node.Node, i int) bool {
+		rpt, err := n.Receipt(txs[i].Hash(), keys[i])
+		return err == nil && rpt.Status == chain.ReceiptOK
+	}
 	allCommitted := func() bool {
 		for _, n := range cluster.Nodes {
-			for _, tx := range txs {
-				// The in-memory receipt map holds what this node executed
-				// itself; a node that rejoined through snapshot fast-sync —
-				// wiped, crash-recovered, or simply partitioned past its
-				// peers' pruning horizon — carries earlier receipts only in
-				// its snapshot-installed store (rc/). Presence there is the
-				// certification: their contents were already status-checked
-				// on the replicas that executed them.
-				if rpt, ok := n.Receipt(tx.Hash()); ok {
-					if rpt.Status != chain.ReceiptOK {
-						return false
-					}
-					continue
-				}
-				if _, found, err := n.StoredReceipt(tx.Hash()); err != nil || !found {
+			for i := range txs {
+				if !okOn(n, i) {
 					return false
 				}
 			}
 		}
 		return true
+	}
+	committedAnywhere := func(tx *chain.Tx) bool {
+		for _, n := range cluster.Nodes {
+			if _, found, _ := n.StoredReceipt(tx.Hash()); found {
+				return true
+			}
+		}
+		return false
 	}
 	converged := func() bool {
 		// Every ordered rotation must have fully played out: none left to
@@ -449,8 +450,8 @@ func Run(opts Options) (*Report, error) {
 			var state string
 			for i, n := range cluster.Nodes {
 				missing := 0
-				for _, tx := range txs {
-					if rpt, ok := n.Receipt(tx.Hash()); !ok || rpt.Status != chain.ReceiptOK {
+				for j := range txs {
+					if !okOn(n, j) {
 						missing++
 					}
 				}
@@ -499,7 +500,6 @@ func Run(opts Options) (*Report, error) {
 					if err := cluster.RestartNode(victim, true); err != nil {
 						return nil, fmt.Errorf("chaos: wipe-rejoin node %d: %w", victim, err)
 					}
-					wiped[victim] = true
 					logEvent("wipe node %d (store erased; must rejoin via snapshot)", victim)
 					faults = faults[1:]
 				}
@@ -545,10 +545,6 @@ func Run(opts Options) (*Report, error) {
 						return nil, fmt.Errorf("chaos: rebinding gateway %d after revive: %w", diskCrashed, rerr)
 					}
 				}
-				// Pre-crash confidential receipts survive only sealed in the
-				// store; the in-memory index is checked via StoredReceipt,
-				// like a wiped node's.
-				wiped[diskCrashed] = true
 				logEvent("revive node %d from crash image (quarantined=%v)", diskCrashed, quarantined)
 				diskCrashed = -1
 			}
@@ -590,7 +586,7 @@ func Run(opts Options) (*Report, error) {
 				// activation height before ordering): rebuild and resubmit,
 				// like any governance client would.
 				for _, n := range cluster.Nodes {
-					if rpt, ok := n.Receipt(govTx.Hash()); ok && rpt.Status == chain.ReceiptFailed {
+					if rpt, err := n.Receipt(govTx.Hash(), nil); err == nil && rpt.Status == chain.ReceiptFailed {
 						logEvent("rotation schedule rejected (%s); resubmitting", rpt.Output)
 						govTx = nil
 						break
@@ -613,16 +609,9 @@ func Run(opts Options) (*Report, error) {
 					epoch, pk := cluster.EnvelopeKeyInfo()
 					client.SetEnvelopeKey(epoch, pk)
 					for i := range txs {
-						committed := false
-						for _, n := range cluster.Nodes {
-							if _, ok := n.Receipt(txs[i].Hash()); ok {
-								committed = true
-								break
-							}
-						}
-						if !committed {
-							if tx, _, rerr := client.NewConfidentialTx(chaosLedgerAddr, "credit", accounts[i], []byte{amounts[i]}); rerr == nil {
-								txs[i] = tx
+						if !committedAnywhere(txs[i]) {
+							if tx, ktx, rerr := client.NewConfidentialTx(chaosLedgerAddr, "credit", accounts[i], []byte{amounts[i]}); rerr == nil {
+								txs[i], keys[i] = tx, ktx
 							}
 						}
 					}
@@ -652,14 +641,7 @@ func Run(opts Options) (*Report, error) {
 				if now < submitAt[i] {
 					continue
 				}
-				committed := false
-				for _, n := range cluster.Nodes {
-					if _, ok := n.Receipt(tx.Hash()); ok {
-						committed = true
-						break
-					}
-				}
-				if !committed {
+				if !committedAnywhere(tx) {
 					submit(rng.Intn(opts.Nodes), tx)
 				}
 			}

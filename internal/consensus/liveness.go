@@ -42,6 +42,7 @@ const broadcastTo = ^p2p.NodeID(0)
 // run is the liveness loop: one ticker drives heartbeats, the progress
 // timer and retransmission until Close.
 func (r *Replica) run() {
+	defer close(r.done)
 	tick := r.opts.RetransmitInterval / 2
 	if hb := r.opts.HeartbeatInterval / 2; hb < tick {
 		tick = hb

@@ -150,6 +150,7 @@ type Replica struct {
 	viewChanges   uint64
 	deliveredCh   chan struct{} // closed+replaced on every delivery
 	stop          chan struct{}
+	done          chan struct{} // closed when the liveness loop has exited
 }
 
 // carryEntry is a locally prepared (commit-voted) payload carried across a
@@ -212,6 +213,7 @@ func NewReplicaWithOptions(endpoint *p2p.Endpoint, n int, onCommit CommitFn, opt
 		lastProgress:  time.Now(),
 		deliveredCh:   make(chan struct{}),
 		stop:          make(chan struct{}),
+		done:          make(chan struct{}),
 	}
 	r.vcInterval = r.opts.RetransmitInterval
 	r.fetchInterval = r.opts.RetransmitInterval
@@ -723,15 +725,15 @@ func (r *Replica) InFlight() uint64 {
 	return r.nextSeq - r.delivered
 }
 
-// Close stops processing and the liveness loop.
+// Close stops processing and waits for the liveness loop to exit.
 func (r *Replica) Close() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
+	if !r.closed {
+		r.closed = true
+		close(r.stop)
 	}
-	r.closed = true
-	close(r.stop)
+	r.mu.Unlock()
+	<-r.done
 }
 
 // WaitDelivered blocks until the replica has delivered at least target

@@ -74,17 +74,17 @@ func TestMixedCompiledInterpretedCluster(t *testing.T) {
 	// interpreted replicas alike.
 	sawFailure := false
 	for ti, tx := range txs {
-		base, ok := c.Nodes[0].Receipt(tx.Hash())
-		if !ok {
-			t.Fatalf("node 0 missing receipt for tx %d", ti)
+		base, err := receiptOf(c.Nodes[0], tx)
+		if err != nil {
+			t.Fatalf("node 0 missing receipt for tx %d: %v", ti, err)
 		}
 		if base.Status != chain.ReceiptOK {
 			sawFailure = true
 		}
 		for i := 1; i < len(c.Nodes); i++ {
-			rpt, ok := c.Nodes[i].Receipt(tx.Hash())
-			if !ok {
-				t.Fatalf("node %d missing receipt for tx %d", i, ti)
+			rpt, err := receiptOf(c.Nodes[i], tx)
+			if err != nil {
+				t.Fatalf("node %d missing receipt for tx %d: %v", i, ti, err)
 			}
 			if rpt.Status != base.Status || !bytes.Equal(rpt.Output, base.Output) {
 				t.Fatalf("tx %d: node %d receipt (%d, %x) != node 0 (%d, %x)",

@@ -80,9 +80,9 @@ func TestExecutionDeterministicAcrossConfigurations(t *testing.T) {
 
 		out := outcome{balances: map[string][]byte{}}
 		for _, tx := range txs {
-			rpt, ok := c.Nodes[0].Receipt(tx.Hash())
-			if !ok {
-				t.Fatalf("missing receipt for tx")
+			rpt, err := receiptOf(c.Nodes[0], tx)
+			if err != nil {
+				t.Fatalf("missing receipt for tx: %v", err)
 			}
 			out.statuses = append(out.statuses, rpt.Status)
 			out.outputs = append(out.outputs, rpt.Output)

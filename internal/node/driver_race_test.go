@@ -87,7 +87,7 @@ func testDrainAllWithDriver(t *testing.T, depth int) {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		for _, h := range hashes {
-			if _, found := cluster.Leader().Receipt(h); !found {
+			if _, found, _ := cluster.Leader().StoredReceipt(h); !found {
 				t.Errorf("iter %d: tx %x drained but has no receipt", iter, h[:6])
 			}
 		}

@@ -3,8 +3,6 @@ package node
 import (
 	"testing"
 	"time"
-
-	"confide/internal/chain"
 )
 
 // TestLeaderFailover drives the full platform through a leader crash: the
@@ -57,8 +55,7 @@ func TestLeaderFailover(t *testing.T) {
 			t.Fatalf("node %d: %v", n.ID(), err)
 		}
 	}
-	rpt, ok := c.Nodes[2].Receipt(tx.Hash())
-	if !ok || rpt.Status != chain.ReceiptOK {
-		t.Fatalf("transaction lost across failover: %v", rpt)
+	if !receiptOK(c.Nodes[2], tx) {
+		t.Fatal("transaction lost across failover")
 	}
 }

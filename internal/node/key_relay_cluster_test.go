@@ -140,9 +140,9 @@ func requireIdenticalBlock(t *testing.T, nodes []*Node, height uint64, txs []*ch
 			t.Errorf("node %d: %d pre-verification entries outlive the commit", n.ID(), got)
 		}
 		for _, tx := range txs {
-			base, ok := nodes[0].Receipt(tx.Hash())
-			got, ok2 := n.Receipt(tx.Hash())
-			if !ok || !ok2 || base.Status != chain.ReceiptOK || !bytes.Equal(got.Encode(), base.Encode()) {
+			base, err := receiptOf(nodes[0], tx)
+			got, err2 := receiptOf(n, tx)
+			if err != nil || err2 != nil || base.Status != chain.ReceiptOK || !bytes.Equal(got.Encode(), base.Encode()) {
 				t.Fatalf("node %d: receipt diverges from node %d's (or failed)", n.ID(), nodes[0].ID())
 			}
 		}

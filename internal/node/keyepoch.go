@@ -164,7 +164,7 @@ func (n *Node) startResealLoop() {
 	if budget < 1 {
 		budget = 1
 	}
-	go func() {
+	n.spawn(func() {
 		ticker := time.NewTicker(resealTick)
 		defer ticker.Stop()
 		for {
@@ -194,5 +194,5 @@ func (n *Node) startResealLoop() {
 			}
 			n.applyMu.Unlock()
 		}
-	}()
+	})
 }

@@ -61,7 +61,7 @@ func TestAutomaticFailoverNoManualVotes(t *testing.T) {
 	survivors := c.Nodes[1:]
 	waitUntil(t, 15*time.Second, func() bool {
 		for _, n := range survivors {
-			if rpt, ok := n.Receipt(tx.Hash()); !ok || rpt.Status != chain.ReceiptOK {
+			if !receiptOK(n, tx) {
 				return false
 			}
 		}
@@ -130,7 +130,7 @@ func TestPartitionHealConvergence(t *testing.T) {
 		}
 	}
 	for _, tx := range txs {
-		if rpt, ok := c.Nodes[3].Receipt(tx.Hash()); !ok || rpt.Status != chain.ReceiptOK {
+		if !receiptOK(c.Nodes[3], tx) {
 			t.Fatalf("rejoined node lacks receipt for %x", tx.Hash())
 		}
 	}
@@ -143,8 +143,5 @@ func TestPartitionHealConvergence(t *testing.T) {
 	if err := c.Nodes[0].SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 10*time.Second, func() bool {
-		rpt, ok := c.Nodes[3].Receipt(tx.Hash())
-		return ok && rpt.Status == chain.ReceiptOK
-	})
+	waitUntil(t, 10*time.Second, func() bool { return receiptOK(c.Nodes[3], tx) })
 }

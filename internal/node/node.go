@@ -9,6 +9,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -149,8 +150,10 @@ type Node struct {
 	stopOnce  sync.Once
 	storeOnce sync.Once // closes the store (Close only; Kill leaves it)
 
-	wake      chan struct{}  // the proposer loop's doorbell (kick): one slot, so rings coalesce
-	proposers sync.WaitGroup // running StartProposer loops; Kill waits for them
+	wake chan struct{} // the proposer loop's doorbell (kick): one slot, so rings coalesce
+	// running counts every goroutine the node started (spawn): the proposer,
+	// the sync and re-seal loops, a snapshot fetch. Kill waits for all of them.
+	running sync.WaitGroup
 
 	// fatal records the first unrecoverable storage error: the node killed
 	// itself rather than acknowledge commits whose durability is unknown or
@@ -158,21 +161,15 @@ type Node struct {
 	fatalMu  sync.Mutex
 	fatalErr error
 
-	mu        sync.Mutex
-	height    uint64
-	prevHash  chain.Hash
-	heightCh  chan struct{}                 // closed and replaced on every height advance
-	committed map[chain.Hash]*chain.Receipt // plaintext receipts (local index)
-	txHeight  map[chain.Hash]uint64         // tx → containing block (SPV proofs)
+	mu       sync.Mutex
+	height   uint64
+	prevHash chain.Hash
+	heightCh chan struct{} // closed and replaced on every height advance
 	// commitHooks are receipt-notification callbacks (OnCommit): serving
 	// layers hosted on this node (the gateway's receipt long-poll) register
 	// here to learn which transactions each applied block committed.
 	commitHooks map[uint64]func(height uint64, hashes []chain.Hash)
 	nextHookID  uint64
-	// storeBase is the height below which block payloads (and hence the
-	// txHeight index) may be absent locally — set by snapshot install and
-	// pruning. Execution dedup below it falls back to the receipt store.
-	storeBase uint64
 
 	// Key-epoch rotation state (guarded by applyMu, like the chain state it
 	// mirrors). pendingRotation is a consensus-committed schedule awaiting
@@ -193,7 +190,6 @@ type Node struct {
 	snapMu    sync.Mutex
 	snapFetch *snapFetchSession
 	badPeers  map[p2p.NodeID]int // bad-chunk / bad-manifest score per peer
-	prunedTo  uint64             // lowest retained block height (prune.go)
 
 	tracer *metrics.Tracer
 
@@ -217,8 +213,6 @@ func New(cfg Config, endpoint *p2p.Endpoint, n int, confEngine, pubEngine *core.
 		pubEngine:   pubEngine,
 		unverified:  chain.NewTxPool(1 << 16),
 		verified:    chain.NewTxPool(1 << 16),
-		committed:   make(map[chain.Hash]*chain.Receipt),
-		txHeight:    make(map[chain.Hash]uint64),
 		commitHooks: make(map[uint64]func(uint64, []chain.Hash)),
 		heightCh:    make(chan struct{}),
 		stop:        make(chan struct{}),
@@ -261,43 +255,28 @@ func New(cfg Config, endpoint *p2p.Endpoint, n int, confEngine, pubEngine *core.
 	return node
 }
 
-// recoverChainState resumes height, prev-hash and the tx→block index from a
-// durable store after a restart (state and receipts are already there; the
+// recoverChainState resumes height and prev-hash from a durable store after a
+// restart (state, receipts and the tx→height records are already there; the
 // engine secrets re-arrive via the K-Protocol or an HSM-backed service).
-// When the store carries a base marker (written by snapshot install or
-// pruning), the block walk starts there instead of genesis, and dedup for
-// heights below it answers from the persisted receipts.
+// Payloads are contiguous from the base marker (snapshot install, pruning) or
+// genesis up to the tip, and only the tip block is decoded.
 func (n *Node) recoverChainState() {
 	if height, prevHash, ok := readStoreBase(n.store); ok {
-		n.height = height
-		n.prevHash = prevHash
-		n.storeBase = height
-		n.prunedTo = height
+		n.height, n.prevHash = height, prevHash
 	}
+	base := n.height
 	for {
-		raw, found, err := n.store.Get(BlockKey(n.height))
-		if err != nil || !found {
-			return
+		if _, found, err := n.store.Get(BlockKey(n.height)); err != nil || !found {
+			break
 		}
-		block, err := chain.DecodeBlock(raw)
-		if err != nil {
-			return
-		}
-		for _, tx := range block.Txs {
-			h := tx.Hash()
-			n.txHeight[h] = block.Header.Height
-			// Recover plaintext receipts for public transactions; for
-			// confidential ones only the sealed form exists (by design), so
-			// the local index records presence via txHeight alone and
-			// clients use StoredReceipt + k_tx.
-			if sealed, ok, err := core.ReadReceipt(n.store, h); err == nil && ok {
-				if rpt, err := chain.DecodeReceipt(sealed); err == nil {
-					n.committed[h] = rpt
-				}
-			}
-		}
-		n.prevHash = block.Hash()
 		n.height++
+	}
+	for n.height > base {
+		if tip, err := n.BlockAt(n.height - 1); err == nil {
+			n.prevHash = tip.Hash()
+			return
+		}
+		n.height-- // an unreadable tip is no tip: resume below it and sync it again
 	}
 }
 
@@ -318,20 +297,21 @@ func (n *Node) alignReplica() {
 	n.replica.AdvanceTo(n.seqAfter(n.Height())) // a no-op at or below what it delivered
 }
 
-// isCommitted reports whether this node has already executed the
-// transaction (late gossip must not resurrect it in the pools). txHeight is
-// the index to ask: every key of committed is a key of txHeight, because
-// recoverChainState and applyDecoded only ever write the two together.
-func (n *Node) isCommitted(h chain.Hash) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.committedLocked(h)
-}
-
-// committedLocked is isCommitted for callers that hold n.mu.
-func (n *Node) committedLocked(h chain.Hash) bool {
-	_, ok := n.txHeight[h]
-	return ok
+// uncommitted is the one answer to "has this transaction committed?": nil
+// while the store holds no receipt (rc/<hash>) for it, ErrAlreadyCommitted
+// once it does. The receipt lands in its block's atomic batch, rides in every
+// snapshot and outlives pruning, so the rule holds on a replica however it
+// came by its chain. A failed read is its own error and node-fatal, never
+// "not committed": the replica would re-execute a duplicate its peers skip.
+func (n *Node) uncommitted(h chain.Hash) error {
+	_, found, err := core.ReadReceipt(n.store, h)
+	if err != nil && !errors.Is(err, storage.ErrClosed) {
+		n.fatalStore(fmt.Errorf("committed lookup of %s: %w", h, err))
+	}
+	if found {
+		return ErrAlreadyCommitted
+	}
+	return err
 }
 
 // ID returns the node id.
@@ -382,8 +362,8 @@ func (n *Node) admit(tx *chain.Tx, encoded []byte) error {
 			return err
 		}
 	}
-	if n.isCommitted(tx.Hash()) {
-		return ErrAlreadyCommitted
+	if err := n.uncommitted(tx.Hash()); err != nil {
+		return err
 	}
 	if err := n.unverified.Add(tx); err != nil {
 		return err
@@ -450,7 +430,7 @@ var ErrAlreadyCommitted = errors.New("node: transaction already committed")
 // another block. Pool dedup makes this idempotent.
 func (n *Node) repoolUncommitted(txs []*chain.Tx) {
 	for _, tx := range txs {
-		if !n.isCommitted(tx.Hash()) {
+		if n.uncommitted(tx.Hash()) == nil {
 			n.unverified.Add(tx)
 		}
 	}
@@ -460,16 +440,17 @@ func (n *Node) repoolUncommitted(txs []*chain.Tx) {
 // promoteVerified moves a pre-verified transaction into the verified pool
 // unless it already committed (ErrAlreadyCommitted) or the pool refuses it.
 // The check and the Add hold the state lock, making them atomic against
-// applyBlock, which records the commit under the same lock before sweeping
-// the pools — whichever side runs second sees the other's effect. Without
-// this, a transaction in transit through pre-verification while its block
-// commits would be re-added after the sweep and sit in a follower's verified
-// pool forever (followers never propose, so nothing else clears it).
+// applyBlock, which takes the same lock between writing the block's receipts
+// and sweeping the pools — whichever side runs second sees the other's
+// effect. Without this, a transaction in transit through pre-verification
+// while its block commits would be re-added after the sweep and sit in a
+// follower's verified pool forever (followers never propose, so nothing else
+// clears it).
 func (n *Node) promoteVerified(tx *chain.Tx) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.committedLocked(tx.Hash()) {
-		return ErrAlreadyCommitted
+	if err := n.uncommitted(tx.Hash()); err != nil {
+		return err
 	}
 	return n.verified.Add(tx)
 }
@@ -605,14 +586,34 @@ func (n *Node) StartProposer(linger time.Duration) (stop func()) {
 		linger = defaultLinger
 	}
 	quit := make(chan struct{})
-	n.proposers.Add(1)
-	go n.runProposer(linger, quit)
+	done := n.spawn(func() { n.runProposer(linger, quit) })
 	n.kick() // whatever is pooled already
 	var once sync.Once
 	return func() {
 		once.Do(func() { close(quit) })
-		n.proposers.Wait()
+		<-done
 	}
+}
+
+// spawn runs fn on a goroutine Kill waits for; done closes when fn has
+// returned. Once Kill has begun it starts nothing and done is closed already.
+func (n *Node) spawn(fn func()) <-chan struct{} {
+	done := make(chan struct{})
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	select {
+	case <-n.stop:
+		close(done)
+		return done
+	default:
+	}
+	n.running.Add(1)
+	go func() {
+		defer n.running.Done()
+		defer close(done)
+		fn()
+	}()
+	return done
 }
 
 // kick rings the proposer loop's doorbell (a no-op when already rung).
@@ -624,7 +625,6 @@ func (n *Node) kick() {
 }
 
 func (n *Node) runProposer(linger time.Duration, quit <-chan struct{}) {
-	defer n.proposers.Done()
 	timer := time.NewTimer(linger)
 	defer timer.Stop()
 	var since time.Time // when the verified pool was first seen non-empty after the last cut
@@ -790,7 +790,11 @@ func (n *Node) applyDecoded(block *chain.Block, payload []byte) bool {
 	activated := n.maybeActivateEpoch(block.Header.Height)
 
 	start := time.Now()
-	results, batch := n.executeBlock(block)
+	batch, ok := n.executeBlock(block)
+	if !ok {
+		n.finishEpochTransitions(false, activated)
+		return false
+	}
 	execElapsed := time.Since(start)
 	n.execTimeNs.Add(int64(execElapsed))
 	mBlockExecSeconds.ObserveDuration(execElapsed)
@@ -822,18 +826,7 @@ func (n *Node) applyDecoded(block *chain.Block, payload []byte) bool {
 	n.commitTimeNs.Add(int64(commitElapsed))
 	mBlockCommitSeconds.ObserveDuration(commitElapsed)
 
-	n.mu.Lock()
-	n.height = block.Header.Height + 1
-	n.prevHash = block.Hash()
-	for _, res := range results {
-		if res != nil {
-			n.committed[res.TxHash] = res.Receipt
-			n.txHeight[res.TxHash] = block.Header.Height
-		}
-	}
-	close(n.heightCh) // wake WaitHeight parkers
-	n.heightCh = make(chan struct{})
-	n.mu.Unlock()
+	n.setTip(block.Header.Height+1, block.Hash())
 	// The committed tip advanced: consume the predicted chain's head if
 	// this was the predicted block, or abort the whole in-flight suffix if
 	// a different block landed at a predicted height (view change winner,
@@ -881,6 +874,17 @@ func (n *Node) applyDecoded(block *chain.Block, payload []byte) bool {
 	return true
 }
 
+// setTip moves the chain tip (a block applied, a snapshot installed) and wakes
+// WaitHeight parkers. Taking the state lock here, after the store holds the
+// block's receipts and before its pool sweep, is what promoteVerified leans on.
+func (n *Node) setTip(height uint64, hash chain.Hash) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.height, n.prevHash = height, hash
+	close(n.heightCh)
+	n.heightCh = make(chan struct{})
+}
+
 // maybeCheckpoint exports a snapshot when the chain crosses a checkpoint
 // boundary, then anchors consensus-log GC and block pruning at it. Caller
 // holds applyMu.
@@ -916,75 +920,47 @@ func (n *Node) engineFor(tx *chain.Tx) *core.Engine {
 	return n.pubEngine
 }
 
-// executeBlock runs a block's transactions with optimistic concurrency:
-// with OCC lanes, an initial parallel pass against the pre-block snapshot;
-// then an in-order validation pass that executes any transaction the first
-// pass did not, and re-executes any whose reads overlap an earlier
-// transaction's writes. Smart-contract parallel execution is the platform
-// feature behind Figure 11's 4-way ≈ 2× result.
-func (n *Node) executeBlock(block *chain.Block) ([]*core.ExecResult, *storage.Batch) {
+// executeBlock runs a block's transactions with optimistic concurrency: one
+// pass over the lanes that looks every transaction up and, with OCC lanes,
+// executes the new ones against the pre-block snapshot; then an in-order
+// validation pass that executes any transaction the first pass did not, and
+// re-executes any whose reads overlap an earlier transaction's writes.
+// Smart-contract parallel execution is the platform feature behind Figure
+// 11's 4-way ≈ 2× result. ok is false when a committed lookup failed: the
+// block is abandoned and fatalStore has the node.
+func (n *Node) executeBlock(block *chain.Block) (batch *storage.Batch, ok bool) {
 	txs := block.Txs
 	results := make([]*core.ExecResult, len(txs))
 	// Deduplicate at execution: a client retrying under faults can land the
 	// same transaction in two blocks (the first possibly via a different
-	// leader). Every replica skips re-executed hashes identically, so the
-	// dedup is deterministic and state stays convergent.
+	// leader). Every replica holds a receipt exactly for the transactions the
+	// chain executed, a snapshot-joined one included, so all of them skip the
+	// same hashes and state stays convergent. The lookups ride the lanes like
+	// the block's other cold reads. Each lane reads only the pre-block
+	// snapshot, so worker count cannot change results — the sequential
+	// validation pass below is the only place effects become visible, in
+	// block order, on every replica. Without lanes there is nothing to
+	// speculate with: that pass executes every transaction once, in order.
 	skip := make([]bool, len(txs))
-	n.mu.Lock()
-	skipped := uint64(0)
-	for i, tx := range txs {
-		if skip[i] = n.committedLocked(tx.Hash()); skip[i] {
-			skipped++
-		}
-	}
-	storeBase := n.storeBase
-	n.mu.Unlock()
-	if storeBase > 0 {
-		// This replica joined from a snapshot (or pruned its tail), so its
-		// txHeight index lacks pre-base entries. The receipt store fills the
-		// gap deterministically: receipts ride in the snapshot and exist on
-		// every replica exactly for executed transactions, so a duplicate of
-		// an old transaction is skipped here just as peers with a full index
-		// skip it via txHeight.
-		for i, tx := range txs {
-			if skip[i] {
-				continue
-			}
-			if _, ok, err := core.ReadReceipt(n.store, tx.Hash()); err == nil && ok {
-				skip[i] = true
-				skipped++
-			}
-		}
-	}
-	mDedupSkips.Add(skipped)
-	// Governance transactions are applied by the platform in block order,
-	// not by a contract engine; resolve them before the parallel pass (they
-	// are rare, and their validity depends only on serialized chain state).
-	gov := make([]bool, len(txs))
-	for i, tx := range txs {
-		if skip[i] || tx.Type != chain.TxTypeGovernance {
-			continue
-		}
-		gov[i] = true
-		results[i] = n.applyGovernance(tx, block.Header.Height)
-	}
-	if n.cfg.ExecWorkers > 1 && len(txs) > 1 {
-		// Speculative pass over the OCC lanes. Each lane reads only the
-		// pre-block snapshot, so worker count cannot change results — the
-		// sequential validation pass below is the only place effects become
-		// visible, in block order, on every replica. Without lanes there is
-		// nothing to speculate with: the validation pass executes every
-		// transaction once, in order.
-		pipeline.RunLanes(n.cfg.ExecWorkers, len(txs), func(i int) {
-			if skip[i] || gov[i] {
-				return
-			}
-			res, err := n.engineFor(txs[i]).Execute(txs[i])
-			if err == nil {
+	speculate := n.cfg.ExecWorkers > 1 && len(txs) > 1
+	var skipped, failed atomic.Uint64
+	pipeline.RunLanes(max(n.cfg.ExecWorkers, 1), len(txs), func(i int) {
+		switch err := n.uncommitted(txs[i].Hash()); {
+		case err == ErrAlreadyCommitted:
+			skip[i] = true
+			skipped.Add(1)
+		case err != nil:
+			failed.Add(1)
+		case speculate && txs[i].Type != chain.TxTypeGovernance:
+			if res, err := n.engineFor(txs[i]).Execute(txs[i]); err == nil {
 				results[i] = res
 			}
-		})
+		}
+	})
+	if failed.Load() > 0 {
+		return nil, false
 	}
+	mDedupSkips.Add(skipped.Load())
 
 	// Validation pass: block order wins; conflicting speculative results
 	// are discarded and re-executed against the updated view. AppendWrites
@@ -992,47 +968,44 @@ func (n *Node) executeBlock(block *chain.Block) ([]*core.ExecResult, *storage.Ba
 	// engines' state cache, so later (re-)executions in the block observe
 	// earlier effects.
 	written := make(map[string]struct{})
-	batch := &storage.Batch{}
+	batch = &storage.Batch{}
+	height := binary.BigEndian.AppendUint64(nil, block.Header.Height) // each executed transaction's txBlockKey record
 	var speculated, conflicts uint64
 	for i, tx := range txs {
 		if skip[i] {
 			continue
 		}
 		res := results[i]
-		if gov[i] {
-			// Platform-applied, already in block order: commit its writes
-			// directly (its conflict sets are empty by construction).
-			_ = res.AppendWrites(batch)
-			continue
-		}
 		if res != nil {
 			speculated++
 		}
-		if res == nil || intersects(res.ReadSet, written) {
+		if tx.Type == chain.TxTypeGovernance {
+			// Applied by the platform, not a contract engine, here in block
+			// order: its validity depends only on serialized chain state, and
+			// its conflict sets are empty by construction.
+			res = n.applyGovernance(tx, block.Header.Height)
+		} else if res == nil || intersects(res.ReadSet, written) {
 			if res != nil {
 				// Speculative result read state an earlier transaction in
 				// this block wrote: discard and re-execute in order.
 				conflicts++
 			}
-			fresh, err := n.engineFor(tx).Execute(tx)
-			if err != nil {
-				results[i] = nil
+			var err error
+			if res, err = n.engineFor(tx).Execute(tx); err != nil {
 				continue
 			}
-			res = fresh
-			results[i] = res
 		}
 		if err := res.AppendWrites(batch); err != nil {
-			results[i] = nil
 			continue
 		}
+		batch.Put(txBlockKey(res.TxHash), height)
 		for k := range res.WriteKeys {
 			written[k] = struct{}{}
 		}
 	}
 	mOCCSpeculated.Add(speculated)
 	mOCCConflicts.Add(conflicts)
-	return results, batch
+	return batch, true
 }
 
 func intersects(reads map[string]struct{}, writes map[string]struct{}) bool {
@@ -1051,13 +1024,22 @@ func intersects(reads map[string]struct{}, writes map[string]struct{}) bool {
 	return false
 }
 
-// Receipt returns the locally-indexed plaintext receipt for a transaction,
-// if this node has executed it.
-func (n *Node) Receipt(txHash chain.Hash) (*chain.Receipt, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	r, ok := n.committed[txHash]
-	return r, ok
+// Receipt reads a committed transaction's receipt back from the store, the
+// only place the node keeps one: decoded as stored for a public or governance
+// transaction (ktx nil), opened with the owner's one-time key for a
+// confidential one. ErrNotFound until the transaction commits.
+func (n *Node) Receipt(txHash chain.Hash, ktx []byte) (*chain.Receipt, error) {
+	stored, found, err := n.StoredReceipt(txHash)
+	if err != nil {
+		return nil, err
+	}
+	if !found {
+		return nil, ErrNotFound
+	}
+	if ktx == nil {
+		return chain.DecodeReceipt(stored)
+	}
+	return core.OpenReceipt(stored, ktx, txHash)
 }
 
 // StoredReceipt fetches the persisted receipt bytes (sealed under k_tx for
@@ -1139,12 +1121,16 @@ func (n *Node) Close() {
 // after Kill still releases the store.
 func (n *Node) Kill() {
 	n.stopOnce.Do(func() {
-		close(n.stop)
-		n.proposers.Wait() // first, so no ProposeBlock races the dying replica
-		// Then: unblock a delivery loop parked in Submit and wait out the
-		// in-progress block application, so replica.Close below cannot
-		// deadlock against it and the store sees no new writes after Kill
-		// returns.
+		n.mu.Lock()
+		close(n.stop) // under the lock spawn checks it with, so Wait sees every Add
+		n.mu.Unlock()
+		// The node's own goroutines first, so no ProposeBlock races the dying
+		// replica. Then: unblock a delivery loop parked in Submit and wait out
+		// the in-progress block application, so replica.Close below cannot
+		// deadlock against it. Replica and endpoint wait for their loops too
+		// (the endpoint's runs the sync path's applyBlock): the store sees no
+		// new writes after Kill returns.
+		n.running.Wait()
 		n.executor.Close()
 		n.replica.Close()
 		n.endpoint.Close()

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -107,7 +108,37 @@ func newTestCluster(t testing.TB, opts ClusterOptions) *Cluster {
 	return c
 }
 
-func newClusterClient(t testing.TB, c *Cluster) *core.Client {
+// testClient seals like core.Client and keeps every k_tx it derives, as a
+// transaction's owner does: a node holds a confidential receipt only the way
+// the engine sealed it, so the tests read one back with the key (receiptOf).
+type testClient struct{ *core.Client }
+
+var testKeys sync.Map // chain.Hash → k_tx
+
+func (c testClient) NewConfidentialTx(contract chain.Address, method string, args ...[]byte) (*chain.Tx, []byte, error) {
+	tx, ktx, err := c.Client.NewConfidentialTx(contract, method, args...)
+	if err == nil {
+		testKeys.Store(tx.Hash(), ktx)
+	}
+	return tx, ktx, err
+}
+
+// receiptOf reads tx's receipt from n's store: opened with the k_tx a
+// testClient kept for it, decoded in the clear when none did (public and
+// governance transactions).
+func receiptOf(n *Node, tx *chain.Tx) (*chain.Receipt, error) {
+	ktx, _ := testKeys.Load(tx.Hash())
+	key, _ := ktx.([]byte)
+	return n.Receipt(tx.Hash(), key)
+}
+
+// receiptOK reports whether tx committed on n with status OK.
+func receiptOK(n *Node, tx *chain.Tx) bool {
+	rpt, err := receiptOf(n, tx)
+	return err == nil && rpt.Status == chain.ReceiptOK
+}
+
+func newClusterClient(t testing.TB, c *Cluster) testClient {
 	t.Helper()
 	epoch, pk := c.EnvelopeKeyInfo()
 	client, err := core.NewClient(pk)
@@ -115,7 +146,7 @@ func newClusterClient(t testing.TB, c *Cluster) *core.Client {
 		t.Fatal(err)
 	}
 	client.SetEnvelopeKey(epoch, pk)
-	return client
+	return testClient{client}
 }
 
 func TestClusterEndToEndConfidential(t *testing.T) {
@@ -142,23 +173,19 @@ func TestClusterEndToEndConfidential(t *testing.T) {
 	// Every node committed the same receipt and can serve the sealed form.
 	hash := tx.Hash()
 	for _, node := range c.Nodes {
-		rpt, ok := node.Receipt(hash)
-		if !ok {
-			t.Fatalf("node %d missing receipt", node.ID())
+		rpt, err := node.Receipt(hash, ktx)
+		if err != nil {
+			t.Fatalf("node %d: receipt: %v", node.ID(), err)
 		}
 		if rpt.Status != chain.ReceiptOK {
 			t.Fatalf("node %d: status %d (%s)", node.ID(), rpt.Status, rpt.Output)
 		}
-		sealed, found, err := node.StoredReceipt(hash)
-		if err != nil || !found {
-			t.Fatalf("node %d stored receipt missing", node.ID())
-		}
-		opened, err := core.OpenReceipt(sealed, ktx, hash)
-		if err != nil {
-			t.Fatalf("node %d: open receipt: %v", node.ID(), err)
-		}
-		if opened.TxHash != hash {
+		if rpt.TxHash != hash {
 			t.Error("receipt hash mismatch")
+		}
+		// Without the key the node has nothing to show but the sealed bytes.
+		if _, err := node.Receipt(hash, nil); err == nil {
+			t.Errorf("node %d decoded a confidential receipt without k_tx", node.ID())
 		}
 	}
 
@@ -169,7 +196,10 @@ func TestClusterEndToEndConfidential(t *testing.T) {
 	if _, err := c.ProcessRound(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rpt, _ := c.Nodes[2].Receipt(readTx.Hash())
+	rpt, err := receiptOf(c.Nodes[2], readTx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rpt.Output) != 1 || rpt.Output[0] != 50 {
 		t.Errorf("balance = %v, want [50]", rpt.Output)
 	}
@@ -263,10 +293,8 @@ func TestMixedPublicAndConfidentialBlock(t *testing.T) {
 	if _, err := c.DrainAll(5, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	r1, ok1 := c.Nodes[1].Receipt(ctx.Hash())
-	r2, ok2 := c.Nodes[1].Receipt(ptx.Hash())
-	if !ok1 || !ok2 || r1.Status != chain.ReceiptOK || r2.Status != chain.ReceiptOK {
-		t.Fatalf("mixed block execution failed: %v %v", r1, r2)
+	if !receiptOK(c.Nodes[1], ctx) || !receiptOK(c.Nodes[1], ptx) {
+		t.Fatal("mixed block execution failed")
 	}
 	// The public receipt is stored in plaintext, the confidential one is
 	// not decodable without k_tx.
@@ -372,7 +400,7 @@ func TestCentralKMSCluster(t *testing.T) {
 	if _, err := c.ProcessRound(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := c.Nodes[0].Receipt(tx.Hash()); !ok || r.Status != chain.ReceiptOK {
+	if !receiptOK(c.Nodes[0], tx) {
 		t.Fatal("centralized-KMS cluster failed to execute")
 	}
 }

@@ -56,7 +56,7 @@ func waitCommittedEverywhere(t *testing.T, c *Cluster, txs []*chain.Tx, timeout 
 		missing := 0
 		for _, n := range c.Nodes {
 			for _, tx := range txs {
-				if _, ok := n.Receipt(tx.Hash()); !ok {
+				if _, found, _ := n.StoredReceipt(tx.Hash()); !found {
 					missing++
 				}
 			}
@@ -175,7 +175,7 @@ func commitDependencyChain(t *testing.T, c *Cluster, blockMax int) []*chain.Tx {
 	}
 	for _, n := range c.Nodes {
 		for i, tx := range txs {
-			if rpt, ok := n.Receipt(tx.Hash()); !ok || rpt.Status != chain.ReceiptOK {
+			if !receiptOK(n, tx) {
 				t.Fatalf("node %d: dependent tx %d did not succeed in block order", n.ID(), i)
 			}
 		}
@@ -251,13 +251,13 @@ func TestMixedExecWorkersDeterminism(t *testing.T) {
 	// Receipts and enclave-read balances must agree across every replica,
 	// not just the header chains.
 	for _, tx := range txs {
-		base, ok := cluster.Nodes[0].Receipt(tx.Hash())
-		if !ok {
-			t.Fatal("missing baseline receipt")
+		base, err := receiptOf(cluster.Nodes[0], tx)
+		if err != nil {
+			t.Fatalf("missing baseline receipt: %v", err)
 		}
 		for _, n := range cluster.Nodes[1:] {
-			got, ok := n.Receipt(tx.Hash())
-			if !ok || got.Status != base.Status || !bytes.Equal(got.Output, base.Output) {
+			got, err := receiptOf(n, tx)
+			if err != nil || got.Status != base.Status || !bytes.Equal(got.Output, base.Output) {
 				t.Fatalf("node %d receipt diverges from node 0", n.ID())
 			}
 		}
@@ -370,7 +370,7 @@ func TestBacklogCountsActualInFlightTxs(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for _, tx := range txs {
-		if _, ok := leader.Receipt(tx.Hash()); !ok {
+		if _, found, _ := leader.StoredReceipt(tx.Hash()); !found {
 			h := tx.Hash()
 			t.Fatalf("tx lost through the partition: %x", h[:6])
 		}

@@ -93,7 +93,7 @@ func TestNewLeaderVerifiesColdPool(t *testing.T) {
 	waitUntil(t, 20*time.Second, func() bool {
 		for _, n := range survivors {
 			for _, tx := range txs {
-				if rpt, ok := n.Receipt(tx.Hash()); !ok || rpt.Status != chain.ReceiptOK {
+				if !receiptOK(n, tx) {
 					return false
 				}
 			}

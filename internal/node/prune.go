@@ -1,6 +1,8 @@
 package node
 
 import (
+	"encoding/binary"
+
 	"confide/internal/chain"
 	"confide/internal/storage"
 	"confide/internal/storage/vfs"
@@ -44,12 +46,11 @@ func encodeStoreBase(height uint64, prevHash chain.Hash) []byte {
 }
 
 // PrunedTo reports the lowest block height whose payload this node retains
-// (0 = full history from genesis). Pruning raises it; a snapshot install
-// sets it to the installed checkpoint height.
+// (0 = full history from genesis): the base marker's height. Pruning raises
+// it; a snapshot install sets it to the installed checkpoint height.
 func (n *Node) PrunedTo() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.prunedTo
+	height, _, _ := readStoreBase(n.store)
+	return height
 }
 
 // pruneBlocks retires block payloads below min(checkpointHeight,
@@ -63,10 +64,7 @@ func (n *Node) pruneBlocks(checkpointHeight uint64) {
 	if n.crashHit(vfs.CrashPrune) {
 		return
 	}
-	n.mu.Lock()
-	height := n.height
-	from := n.prunedTo
-	n.mu.Unlock()
+	height, from := n.Height(), n.PrunedTo()
 	if height <= n.cfg.Retention {
 		return
 	}
@@ -87,15 +85,23 @@ func (n *Node) pruneBlocks(checkpointHeight uint64) {
 	}
 	batch := &storage.Batch{}
 	for h := from; h < floor; h++ {
+		// A payload goes with the tx→height records that point at it. One
+		// that points elsewhere stays: a transaction whose execution failed
+		// in this block may have been ordered again and executed in a later one.
+		if block, err := n.BlockAt(h); err == nil {
+			for _, tx := range block.Txs {
+				key := txBlockKey(tx.Hash())
+				if at, found, _ := n.store.Get(key); found && len(at) == 8 && binary.BigEndian.Uint64(at) == h {
+					batch.Delete(key)
+				}
+			}
+		}
 		batch.Delete(BlockKey(h))
 	}
 	batch.Put(metaBaseKey, encodeStoreBase(floor, blockAtFloor.Header.PrevHash))
 	if err := n.store.WriteBatch(batch); err != nil {
 		return
 	}
-	n.mu.Lock()
-	n.prunedTo = floor
-	n.mu.Unlock()
 	mBlocksPruned.Add(floor - from)
 	// Fold the memtable to an SSTable so the WAL (which still carries every
 	// write since the last flush, deleted payloads included) is truncated:

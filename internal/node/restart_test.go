@@ -60,17 +60,27 @@ func TestClusterRestartRecoversChain(t *testing.T) {
 	if _, err := core.OpenReceipt(sealed, ktx1, tx1.Hash()); err != nil {
 		t.Fatalf("pre-restart receipt unreadable: %v", err)
 	}
-	// Old SPV proof verifies across the restarted quorum.
-	proof, err := c2.Nodes[0].ProveTx(tx1.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyConsensusRead(proof, []*Node{c2.Nodes[1], c2.Nodes[2]}, 2); err != nil {
-		t.Fatal(err)
-	}
-	// Re-submitting the committed transaction is rejected.
-	if err := c2.Nodes[0].SubmitTx(tx1); err != ErrAlreadyCommitted {
-		t.Errorf("resubmit: err = %v, want ErrAlreadyCommitted", err)
+	// The index of what committed is the store, so nothing was rebuilt at
+	// boot and nothing is missing: every restarted node still proves the old
+	// transaction to its peers and refuses its re-submission, by hand and by
+	// gossip.
+	for i, n := range c2.Nodes {
+		proof, err := n.ProveTx(tx1.Hash())
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		if err := VerifyConsensusRead(proof, []*Node{c2.Nodes[(i+1)%4], c2.Nodes[(i+2)%4]}, 2); err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		if err := n.SubmitTx(tx1); err != ErrAlreadyCommitted {
+			t.Errorf("node %d resubmit: err = %v, want ErrAlreadyCommitted", i, err)
+		}
+		if err := n.admit(nil, tx1.Encode()); err != ErrAlreadyCommitted {
+			t.Errorf("node %d re-gossip: err = %v, want ErrAlreadyCommitted", i, err)
+		}
+		if n.Backlog() != 0 {
+			t.Errorf("node %d pooled a committed transaction", i)
+		}
 	}
 
 	// New work commits on top: old state visible, balance accumulates.
@@ -133,53 +143,5 @@ func TestOrdinaryRestartQuarantinesHalfInstalledSnapshot(t *testing.T) {
 	want := readBalance(t, c.Nodes[(victim+1)%4], c, "half")
 	if got := readBalance(t, restarted, c, "half"); !bytes.Equal(got, want) {
 		t.Errorf("balance on restarted node = %v, want %v", got, want)
-	}
-}
-
-// TestCommittedIsSubsetOfTxHeight pins the fact isCommitted and
-// promoteVerified lean on when they consult txHeight alone: every key of
-// Node.committed is a key of Node.txHeight, on every node, whichever way the
-// node came by its chain — applied blocks, a durable restart
-// (recoverChainState), or a snapshot install plus tail replay.
-func TestCommittedIsSubsetOfTxHeight(t *testing.T) {
-	c := newTestCluster(t, ClusterOptions{
-		Nodes:    4,
-		StoreDir: t.TempDir(),
-		Node:     Config{CheckpointInterval: 3, SyncInterval: 15 * time.Millisecond},
-	})
-	driveBlocks(t, c, 4, "subset")
-	restarted := victimOf(c)
-	if err := c.RestartNode(restarted, false); err != nil {
-		t.Fatal(err)
-	}
-	driveBlocks(t, c, 3, "subset") // height 7: checkpoints at 3 and 6
-	wiped := (restarted + 1) % 4
-	if wiped == int(c.Leader().ID()) {
-		wiped = (wiped + 1) % 4
-	}
-	installs := mSyncPathSnapshot.Value()
-	if err := c.RestartNode(wiped, true); err != nil {
-		t.Fatal(err)
-	}
-	tip := c.Leader().Height()
-	if err := c.Nodes[wiped].WaitHeight(tip, 15*time.Second); err != nil {
-		t.Fatalf("wiped node never caught up: %v", err)
-	}
-	if mSyncPathSnapshot.Value() == installs {
-		t.Fatal("the wiped node rejoined without a snapshot install")
-	}
-	driveBlocks(t, c, 1, "subset")
-
-	for _, n := range c.Nodes {
-		n.mu.Lock()
-		if len(n.committed) == 0 {
-			t.Errorf("node %d indexes no receipt at all", n.ID())
-		}
-		for h := range n.committed {
-			if _, ok := n.txHeight[h]; !ok {
-				t.Errorf("node %d: %s has a receipt in committed but no txHeight entry", n.ID(), h)
-			}
-		}
-		n.mu.Unlock()
 	}
 }

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -135,9 +136,7 @@ func TestClusterWipeAndRejoinSnapshotSync(t *testing.T) {
 
 	// The node adopted the latest checkpoint and replayed less than one
 	// interval of blocks.
-	rejoined.mu.Lock()
-	base := rejoined.storeBase
-	rejoined.mu.Unlock()
+	base := rejoined.PrunedTo()
 	if base == 0 || base%interval != 0 {
 		t.Errorf("store base %d is not a checkpoint height", base)
 	}
@@ -284,6 +283,30 @@ func TestClusterPruneThenSnapshotSync(t *testing.T) {
 	// Old receipts survive pruning (rc/ is state, not payload history).
 	if _, found, err := survivor.StoredReceipt(txs[0].Hash()); err != nil || !found {
 		t.Errorf("receipt lost to pruning (found=%v err=%v)", found, err)
+	}
+	// A tx→height record lives exactly as long as the payload it points at:
+	// one per retained block's transaction and no other, so a pruned
+	// transaction is "not found", not an I/O error on a missing block.
+	for _, n := range c.Nodes {
+		records := 0
+		if err := n.Store().Iterate([]byte("meta/tx/"), func(_, at []byte) bool {
+			records++
+			if h := binary.BigEndian.Uint64(at); h < n.PrunedTo() {
+				t.Errorf("node %d: a tx→height record points at pruned block %d", n.ID(), h)
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := countBlockPayloads(t, n); records != want { // driveBlocks: one transaction a block
+			t.Errorf("node %d: %d tx→height records for %d retained single-transaction blocks", n.ID(), records, want)
+		}
+		if _, err := n.ProveTx(txs[0].Hash()); err != ErrNotFound {
+			t.Errorf("node %d: ProveTx of a pruned transaction: err = %v, want ErrNotFound", n.ID(), err)
+		}
+		if _, err := n.ProveTx(txs[len(txs)-1].Hash()); err != nil {
+			t.Errorf("node %d: ProveTx of a retained transaction: %v", n.ID(), err)
+		}
 	}
 
 	pathBefore := mSyncPathSnapshot.Value()

@@ -209,7 +209,7 @@ func (n *Node) onSnapManifestResp(m p2p.Message) {
 	}
 	s.addPeer(m.From)
 	n.snapMu.Unlock()
-	go n.runSnapshotFetch(s)
+	n.spawn(func() { n.runSnapshotFetch(s) })
 }
 
 // snapshotMACKey resolves the MAC key for a manifest's declared epoch. On a
@@ -437,16 +437,7 @@ func (n *Node) installSnapshot(man *snapshot.Manifest, chunks [][]byte) bool {
 	// line before any post-install block executes. A rejoin across a
 	// rotation boundary ratchets the ring forward here.
 	n.adoptEpochState()
-	n.mu.Lock()
-	n.height = man.Height
-	n.prevHash = man.TipHash
-	n.storeBase = man.Height
-	if n.prunedTo < man.Height {
-		n.prunedTo = man.Height
-	}
-	close(n.heightCh)
-	n.heightCh = make(chan struct{})
-	n.mu.Unlock()
+	n.setTip(man.Height, man.TipHash)
 	// Snapshot writes bypassed the engines; their read caches are stale.
 	// Invalidate before releasing applyMu so the next block execution can
 	// only see post-install state.

@@ -68,15 +68,25 @@ func (n *Node) HeaderAt(height uint64) ([]byte, error) {
 	return block.HeaderBytes(), nil
 }
 
-// ProveTx builds a Merkle inclusion proof for a committed transaction.
+// txBlockKey is where the height of the block that executed a transaction
+// lives, 8 bytes big-endian: written in that block's atomic batch and deleted
+// with its payload by pruneBlocks. Under meta/, so no snapshot carries it — a
+// snapshot carries no payloads to prove against either.
+func txBlockKey(txHash chain.Hash) []byte {
+	return append([]byte("meta/tx/"), txHash[:]...)
+}
+
+// ProveTx builds a Merkle inclusion proof for a committed transaction whose
+// block this node retains (ErrNotFound otherwise).
 func (n *Node) ProveTx(txHash chain.Hash) (*TxProof, error) {
-	n.mu.Lock()
-	height, ok := n.txHeight[txHash]
-	n.mu.Unlock()
-	if !ok {
+	raw, found, err := n.store.Get(txBlockKey(txHash))
+	if err != nil {
+		return nil, err
+	}
+	if !found || len(raw) != 8 {
 		return nil, ErrNotFound
 	}
-	block, err := n.BlockAt(height)
+	block, err := n.BlockAt(binary.BigEndian.Uint64(raw))
 	if err != nil {
 		return nil, err
 	}

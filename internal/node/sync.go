@@ -32,7 +32,7 @@ func (n *Node) startSync() {
 	n.endpoint.Subscribe(syncStatusTopic, n.onSyncStatus)
 	n.endpoint.Subscribe(syncReqTopic, n.onSyncReq)
 	n.endpoint.Subscribe(syncRespTopic, n.onSyncResp)
-	go n.syncLoop()
+	n.spawn(n.syncLoop)
 }
 
 func (n *Node) syncLoop() {

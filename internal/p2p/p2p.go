@@ -250,6 +250,7 @@ type Endpoint struct {
 
 	inbox     chan Message
 	done      chan struct{}
+	exited    chan struct{} // closed when the dispatch loop has returned
 	closeOnce sync.Once
 }
 
@@ -270,6 +271,7 @@ func (n *Network) Join(id NodeID, zone int) (*Endpoint, error) {
 		handlers: make(map[string][]Handler),
 		inbox:    make(chan Message, n.cfg.InboxSize),
 		done:     make(chan struct{}),
+		exited:   make(chan struct{}),
 	}
 	n.nodes[id] = e
 	go e.dispatch()
@@ -317,6 +319,7 @@ func (e *Endpoint) OverflowDrops() uint64 { return e.overflowDrops.Load() }
 func (e *Endpoint) CrashDrops() uint64 { return e.crashDrops.Load() }
 
 func (e *Endpoint) dispatch() {
+	defer close(e.exited)
 	for {
 		select {
 		case <-e.done:
@@ -341,7 +344,8 @@ func (e *Endpoint) dispatch() {
 	}
 }
 
-// Close detaches the endpoint. Closing twice is a no-op.
+// Close detaches the endpoint and waits for a handler in progress to return.
+// Closing twice is a no-op; a handler must not call it.
 func (e *Endpoint) Close() {
 	e.closeOnce.Do(func() {
 		e.net.mu.Lock()
@@ -349,6 +353,7 @@ func (e *Endpoint) Close() {
 		e.net.mu.Unlock()
 		close(e.done)
 	})
+	<-e.exited
 }
 
 // profileFor picks the link class between two endpoints.
