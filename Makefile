@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 # Appended to every drill of `make chaos` and `make crash`; CI passes -metrics.
 DRILLFLAGS ?=
 
-.PHONY: build test race vet chaos crash bench bench-record fuzz overhead all
+.PHONY: build test race vet chaos crash bench bench-record fuzz overhead loc all
 
 all: build vet test
 
@@ -62,14 +62,16 @@ bench-record:
 	bash benchmark/run.sh -seed 1
 
 # Native fuzzing over the attack-surface decoders: RLP/wire formats, the
-# CCLE codec and schema parser, envelope and key-relay opening, and the
-# gateway's HTTP request decode path. One target per invocation is a go tool limitation.
+# CCLE codec and schema parser, envelope and key-relay opening, the engine's
+# two callers of the pre-processor steps against each other, and the gateway's
+# HTTP request decode path. One target per invocation is a go tool limitation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRLPDecode -fuzztime=$(FUZZTIME) ./internal/chain/
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecoders -fuzztime=$(FUZZTIME) ./internal/chain/
 	$(GO) test -run='^$$' -fuzz=FuzzCodecDecode -fuzztime=$(FUZZTIME) ./internal/ccle/
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchema -fuzztime=$(FUZZTIME) ./internal/ccle/
 	$(GO) test -run='^$$' -fuzz=FuzzAdoptKeyRelay -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzPreVerifyAgreesWithExecute -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzOpenEnvelope -fuzztime=$(FUZZTIME) ./internal/crypto/
 	$(GO) test -run='^$$' -fuzz=FuzzOpenAEAD -fuzztime=$(FUZZTIME) ./internal/crypto/
 	$(GO) test -run='^$$' -fuzz=FuzzEpochHeader -fuzztime=$(FUZZTIME) ./internal/keyepoch/
@@ -83,3 +85,7 @@ fuzz:
 # Instrumented-vs-disabled throughput delta (budget: <2%).
 overhead:
 	$(GO) run ./cmd/benchrunner -exp overhead
+
+# Lines of non-test Go outside benchmark/: the size figure simplicity PRs quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l

@@ -298,6 +298,35 @@ func (b *Block) HeaderBytes() []byte {
 	))
 }
 
+// DecodeHeader reverses HeaderBytes. It is the one reader of the header
+// layout: DecodeBlock and both SPV verifiers (node.VerifyTxProof,
+// gateway.VerifyProof) go through it.
+func DecodeHeader(data []byte) (Header, error) {
+	var h Header
+	hdr, err := Decode(data)
+	if err != nil || !hdr.IsList || len(hdr.List) != 6 {
+		return h, errors.New("chain: malformed block header")
+	}
+	if h.Height, err = hdr.List[0].AsUint(); err != nil {
+		return h, err
+	}
+	if len(hdr.List[1].Str) != 32 || len(hdr.List[2].Str) != 32 || len(hdr.List[3].Str) != 32 {
+		return h, errors.New("chain: malformed block header hashes")
+	}
+	copy(h.PrevHash[:], hdr.List[1].Str)
+	copy(h.TxRoot[:], hdr.List[2].Str)
+	copy(h.StateRoot[:], hdr.List[3].Str)
+	if h.Timestamp, err = hdr.List[4].AsUint(); err != nil {
+		return h, err
+	}
+	proposer, err := hdr.List[5].AsUint()
+	if err != nil {
+		return h, err
+	}
+	h.Proposer = uint32(proposer)
+	return h, nil
+}
+
 // Hash returns the block identity.
 func (b *Block) Hash() Hash { return sha256.Sum256(b.HeaderBytes()) }
 
@@ -344,28 +373,10 @@ func DecodeBlock(data []byte) (*Block, error) {
 	if !it.IsList || len(it.List) < 2 || len(it.List) > 4 || !it.List[1].IsList {
 		return nil, errors.New("chain: malformed block")
 	}
-	hdr, err := Decode(it.List[0].Str)
-	if err != nil || !hdr.IsList || len(hdr.List) != 6 {
-		return nil, errors.New("chain: malformed block header")
-	}
 	var b Block
-	if b.Header.Height, err = hdr.List[0].AsUint(); err != nil {
+	if b.Header, err = DecodeHeader(it.List[0].Str); err != nil {
 		return nil, err
 	}
-	if len(hdr.List[1].Str) != 32 || len(hdr.List[2].Str) != 32 || len(hdr.List[3].Str) != 32 {
-		return nil, errors.New("chain: malformed block header hashes")
-	}
-	copy(b.Header.PrevHash[:], hdr.List[1].Str)
-	copy(b.Header.TxRoot[:], hdr.List[2].Str)
-	copy(b.Header.StateRoot[:], hdr.List[3].Str)
-	if b.Header.Timestamp, err = hdr.List[4].AsUint(); err != nil {
-		return nil, err
-	}
-	proposer, err := hdr.List[5].AsUint()
-	if err != nil {
-		return nil, err
-	}
-	b.Header.Proposer = uint32(proposer)
 	for _, raw := range it.List[1].List {
 		tx, err := DecodeTx(raw.Str)
 		if err != nil {

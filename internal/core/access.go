@@ -65,16 +65,15 @@ type AccessGrant struct {
 // consultation (a read-only contract execution with the requester as
 // caller), receipt decryption and re-sealing.
 func (e *Engine) HandleAccessRequest(req AccessRequest) (*AccessGrant, error) {
-	if !e.confidential {
+	if !e.Confidential() {
 		return nil, errors.New("core: access requests require the confidential engine")
 	}
 	if req.OrigTx == nil || req.OrigTx.Type != chain.TxTypeConfidential {
 		return nil, ErrNotConfidential
 	}
 	var grant *AccessGrant
-	err := e.enclave.Ecall(len(req.OrigTx.Payload)+len(req.RequesterPub), tee.CopyInOut, func() error {
-		g, err := e.handleAccessInEnclave(req)
-		grant = g
+	err := e.enclave.Ecall(len(req.OrigTx.Payload)+len(req.RequesterPub), tee.CopyInOut, func() (err error) {
+		grant, err = e.handleAccessInEnclave(req)
 		return err
 	})
 	return grant, err
@@ -83,43 +82,26 @@ func (e *Engine) HandleAccessRequest(req AccessRequest) (*AccessGrant, error) {
 func (e *Engine) handleAccessInEnclave(req AccessRequest) (*AccessGrant, error) {
 	// Recover k_tx and the raw transaction with the epoch's sk_tx. Access
 	// requests reach back to historical transactions, so any *retained*
-	// epoch serves them — no acceptance-window check. Once an epoch is
-	// zeroized its envelopes are unopenable even here: that loss of reach-
+	// epoch serves them — the open step alone, no epoch gate. Once an epoch
+	// is zeroized its envelopes are unopenable even here: that loss of reach-
 	// back is exactly the forward secrecy rotation buys (the owner's k_tx
 	// delegation path still works, since k_tx derives from the user root).
 	epoch, env, err := keyepoch.ParseEnvelope(req.OrigTx.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("core: open original envelope: %w", err)
 	}
-	sk, err := e.ring.Envelope(epoch)
+	raw, ktx, body, err := e.openEnvelope(epoch, env)
 	if err != nil {
 		return nil, fmt.Errorf("core: open original envelope: %w", err)
-	}
-	ktx, payload, err := sk.OpenEnvelope(env)
-	if err != nil {
-		return nil, fmt.Errorf("core: open original envelope: %w", err)
-	}
-	raw, err := chain.DecodeRawTx(payload)
-	if err != nil {
-		return nil, err
 	}
 	txHash := req.OrigTx.Hash()
 
-	// Consult the user contract's access rule: a read-only execution of
-	// `authorize(requester, txHash)` with the requester as the caller, so
-	// the rule can distinguish who is asking. Its writes are discarded.
-	txc := &txContext{
-		engine:       e,
-		readSet:      make(map[string]struct{}),
-		writes:       make(map[string]map[string][]byte),
-		confidential: true,
-	}
-	input := EncodeInput(AuthorizeMethod, req.Requester[:], txHash[:])
-	out, err := e.runContract(txc, raw.Contract, input, req.Requester[:], 0)
+	// The rule can distinguish who is asking, and about which transaction.
+	ok, err := e.authorize(raw.Contract, req.Requester, txHash[:])
 	if err != nil {
 		return nil, fmt.Errorf("core: access rule: %w", err)
 	}
-	if len(out) != 1 || out[0] != 0x01 {
+	if !ok {
 		return nil, ErrAccessDenied
 	}
 
@@ -151,12 +133,21 @@ func (e *Engine) handleAccessInEnclave(req AccessRequest) (*AccessGrant, error) 
 		if err != nil {
 			return nil, err
 		}
-		grant.SealedRawTx, err = crypto.SealEnvelope(req.RequesterPub, wrapKey2, payload)
+		grant.SealedRawTx, err = crypto.SealEnvelope(req.RequesterPub, wrapKey2, body)
 		if err != nil {
 			return nil, err
 		}
 	}
 	return grant, nil
+}
+
+// authorize consults a confidential contract's access rule: a read-only
+// execution of `authorize(requester, subject)` with the requester as the
+// caller, its writes discarded. Anything but an explicit 0x01 refuses.
+func (e *Engine) authorize(contract, requester chain.Address, subject []byte) (bool, error) {
+	input := EncodeInput(AuthorizeMethod, requester[:], subject)
+	out, err := e.runContract(e.newTxContext(true, chain.Hash{}), contract, input, requester[:], 0)
+	return len(out) == 1 && out[0] == 0x01, err
 }
 
 // OpenGrantedReceipt is the requester-side helper: it opens a granted

@@ -7,17 +7,15 @@ import (
 
 // compileDeclined is the cache tombstone for programs the compiler refused:
 // it pins the decision to the code-cache entry so the decline is decided
-// once per contract hash, and carries the reason for observability.
-type compileDeclined struct {
-	reason string
-}
+// once per contract hash (compile.Compile counts the reason).
+type compileDeclined struct{}
 
 // compileArtifact is the CodeCache build hook: lower the decoded program to
 // a compiled Unit, or record why it stays interpreter-only.
 func compileArtifact(p *cvm.Program) any {
 	u, err := compile.Compile(p)
 	if err != nil {
-		return compileDeclined{reason: compile.Reason(err)}
+		return compileDeclined{}
 	}
 	return u
 }

@@ -340,8 +340,7 @@ func (e *Engine) DisclosureReceipt(req DisclosureRequest) (*confassets.Receipt, 
 				req.SigHeight, req.Height)
 		}
 		h := crypto.Keccak256(req.RequesterPub)
-		var requester chain.Address
-		copy(requester[:], h[12:])
+		requester := chain.AddressFromBytes(h[:])
 
 		rec, _, err := e.sdm.loadContract(req.Contract)
 		if err != nil {
@@ -351,29 +350,21 @@ func (e *Engine) DisclosureReceipt(req DisclosureRequest) (*confassets.Receipt, 
 			return errors.New("core: disclosure: contract is not confidential")
 		}
 
-		// Consult the contract's access rule with the authenticated
-		// requester as caller and the statement digest as subject; writes
-		// are discarded. Anything but an explicit 0x01 approval refuses.
+		// The rule decides on the authenticated requester and the statement
+		// digest.
 		digest := sha256.Sum256(signing)
-		txc := &txContext{
-			engine:       e,
-			readSet:      make(map[string]struct{}),
-			writes:       make(map[string]map[string][]byte),
-			confidential: true,
-		}
-		input := EncodeInput(AuthorizeMethod, requester[:], digest[:])
-		out, err := e.runContract(txc, req.Contract, input, requester[:], 0)
+		ok, err := e.authorize(req.Contract, requester, digest[:])
 		if err != nil {
 			return fmt.Errorf("core: disclosure rule: %w", err)
 		}
-		if len(out) != 1 || out[0] != 0x01 {
+		if !ok {
 			return ErrDisclosureDenied
 		}
 		if req.Kind == confassets.KindOpen && !bytes.Equal(req.Verifier, requester[:]) {
 			return errors.New("core: disclosure: open receipts must name the authenticated requester as verifier")
 		}
 
-		raw, found, err := e.sdm.load(req.Contract, rec.SecVer, true, req.Key)
+		raw, found, err := e.sdm.load(req.Contract, stateKey(req.Contract, req.Key), true)
 		if err != nil {
 			return err
 		}

@@ -61,9 +61,8 @@ func AllOptimizations() Options {
 // implementation and measurements isolate exactly the cost of
 // confidentiality.
 type Engine struct {
-	confidential bool
-	enclave      *tee.Enclave
-	monitor      *tee.Monitor
+	enclave *tee.Enclave
+	monitor *tee.Monitor
 	// ring versions the provisioned secrets into key epochs; epoch 1 is
 	// exactly the K-Protocol material, later epochs derive from the ratchet.
 	ring      *keyepoch.Ring
@@ -108,12 +107,11 @@ func NewConfidentialEngineOn(enclave *tee.Enclave, secrets *kms.Secrets, store s
 		return nil, errors.New("core: confidential engine requires provisioned secrets")
 	}
 	e := &Engine{
-		confidential: true,
-		enclave:      enclave,
-		monitor:      tee.NewMonitor(enclave, 1<<12),
-		ring:         keyepoch.NewRing(secrets.Envelope, secrets.StatesKey, opts.EpochWindow),
-		profile:      NewProfile(),
-		opts:         opts,
+		enclave: enclave,
+		monitor: tee.NewMonitor(enclave, 1<<12),
+		ring:    keyepoch.NewRing(secrets.Envelope, secrets.StatesKey, opts.EpochWindow),
+		profile: NewProfile(),
+		opts:    opts,
 	}
 	e.sdm = NewSDM(store, enclave, e.ring, e.profile)
 	e.initCaches()
@@ -122,11 +120,7 @@ func NewConfidentialEngineOn(enclave *tee.Enclave, secrets *kms.Secrets, store s
 
 // NewPublicEngine builds the plain engine (no TEE, no encryption).
 func NewPublicEngine(store storage.KVStore, opts Options) *Engine {
-	e := &Engine{
-		confidential: false,
-		profile:      NewProfile(),
-		opts:         opts,
-	}
+	e := &Engine{profile: NewProfile(), opts: opts}
 	e.sdm = NewSDM(store, nil, nil, e.profile)
 	e.initCaches()
 	return e
@@ -162,10 +156,7 @@ const checkpointMACLabel = "confide/checkpoint-manifest-mac"
 // in the consortium's trust ring exported that checkpoint. A public engine
 // (no secrets) returns nil and the snapshot layer runs unauthenticated.
 func (e *Engine) CheckpointMACKey() []byte {
-	if e.ring == nil {
-		return nil
-	}
-	return e.CheckpointMACKeyFor(e.ring.Current())
+	return e.CheckpointMACKeyFor(e.CurrentEpoch())
 }
 
 // CheckpointMACKeyFor derives the manifest MAC key for a specific epoch, so
@@ -173,14 +164,7 @@ func (e *Engine) CheckpointMACKey() []byte {
 // epoch (forward epochs derive from the ratchet without advancing the ring).
 // Returns nil for a public engine or a zeroized epoch.
 func (e *Engine) CheckpointMACKeyFor(epoch uint64) []byte {
-	if e.ring == nil || epoch == 0 {
-		return nil
-	}
-	key, err := e.ring.DeriveStatesKey(epoch)
-	if err != nil {
-		return nil
-	}
-	return crypto.DeriveSubKey(key, checkpointMACLabel)
+	return e.attestSubKey(epoch, checkpointMACLabel)
 }
 
 // preVerifyMACLabel scopes the pre-verification attestation MAC key under
@@ -195,8 +179,8 @@ const keyRelayLabel = "confide/ktx-relay"
 // digest.
 const preVerifyTagLen = 8 + 32
 
-// attestSubKey derives the labelled attestation sub-key of an epoch's
-// k_states. Nil when the engine holds no ring secrets for that epoch.
+// attestSubKey derives the labelled sub-key of an epoch's k_states. Nil when
+// the engine holds no ring secrets for that epoch.
 func (e *Engine) attestSubKey(epoch uint64, label string) []byte {
 	if e.ring == nil || epoch == 0 {
 		return nil
@@ -376,7 +360,7 @@ func (e *Engine) VerifyPreVerifyTag(height uint64, proposer uint32, txRoot chain
 
 // Confidential reports whether this engine runs in confidential mode (holds
 // ring secrets and a CS enclave).
-func (e *Engine) Confidential() bool { return e.confidential }
+func (e *Engine) Confidential() bool { return e.ring != nil }
 
 // CurrentEpoch reports the engine's active key epoch (0 for a public
 // engine, which has no keys to version).
@@ -453,10 +437,7 @@ func (e *Engine) Enclave() *tee.Enclave { return e.enclave }
 // EnvelopePublicKey returns the current epoch's pk_tx for clients
 // (confidential mode only).
 func (e *Engine) EnvelopePublicKey() []byte {
-	if e.ring == nil {
-		return nil
-	}
-	_, pub := e.ring.PublicKey()
+	_, pub := e.EnvelopeKeyInfo()
 	return pub
 }
 
@@ -498,7 +479,7 @@ func (e *Engine) status(msg string) {
 // k_states with the contract identity, owner and security version as
 // authenticated data.
 func (e *Engine) DeployContract(addr chain.Address, owner chain.Address, vm VMKind, code []byte, confidential bool, secver uint64) error {
-	if confidential && !e.confidential {
+	if confidential && !e.Confidential() {
 		return errors.New("core: confidential contracts require the confidential engine")
 	}
 	// Validate eagerly so a bad deploy fails loudly, not at first call;
@@ -539,9 +520,6 @@ type ExecResult struct {
 // calls it at block commit, after the scheduler has ordered results.
 func (r *ExecResult) AppendWrites(batch *storage.Batch) error {
 	batch.Put(ReceiptKey(r.TxHash), r.StoredReceipt)
-	if r.appendWrites == nil {
-		return nil
-	}
 	return r.appendWrites(batch)
 }
 
@@ -552,71 +530,53 @@ func (r *ExecResult) AppendWrites(batch *storage.Batch) error {
 // conflict sets: platform transactions serialize through block order, not
 // the OCC scheduler.
 func NewOrderedResult(receipt *chain.Receipt, puts map[string][]byte) *ExecResult {
-	res := &ExecResult{
+	return &ExecResult{
 		Receipt:       receipt,
 		StoredReceipt: receipt.Encode(),
 		TxHash:        receipt.TxHash,
 		ReadSet:       map[string]struct{}{},
 		WriteKeys:     map[string]struct{}{},
-	}
-	if len(puts) > 0 {
-		res.appendWrites = func(batch *storage.Batch) error {
+		appendWrites: func(batch *storage.Batch) error {
 			for k, v := range puts {
 				batch.Put([]byte(k), v)
 			}
 			return nil
-		}
+		},
 	}
-	return res
 }
 
 // Execute runs one wire transaction to completion (without committing state
 // — the caller owns the batch). Confidential transactions (TYPE=1) require
-// the confidential engine; public ones (TYPE=0) run on either.
+// the confidential engine; public ones (TYPE=0) run on either. What the
+// pre-verification cache holds for the transaction decides which of the
+// pre-processor's steps (preprocess.go) are left to run here.
 func (e *Engine) Execute(tx *chain.Tx) (*ExecResult, error) {
+	var meta preMeta
+	if e.preCache != nil {
+		meta, _ = e.preCache.get(tx.Hash())
+	}
 	switch tx.Type {
 	case chain.TxTypePublic:
 		raw, err := chain.DecodeRawTx(tx.Payload)
+		if err == nil && !meta.verified {
+			err = e.checkSignature(raw)
+		}
 		if err != nil {
 			return nil, err
-		}
-		verified := false
-		if e.preCache != nil {
-			if meta, ok := e.preCache.get(tx.Hash()); ok && meta.verified {
-				verified = true
-			}
-		}
-		if !verified {
-			if err := e.profile.timed(OpTxVerify, raw.VerifySignature); err != nil {
-				return nil, err
-			}
 		}
 		mExecPublic.Inc()
 		return e.executeRaw(tx, raw, nil)
 
 	case chain.TxTypeConfidential:
-		if !e.confidential {
-			return nil, errors.New("core: confidential transaction on public engine")
-		}
-		// The epoch header is public bytes, so the window check runs before
-		// any decryption and every replica rejects stale envelopes
-		// identically.
-		epoch, env, err := keyepoch.ParseEnvelope(tx.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if !e.ring.Accepts(epoch) {
-			keyepoch.RecordStaleRejection()
-			e.status("pre-processor: envelope rejected: " + keyepoch.ErrStaleEpoch.Error())
-			return nil, keyepoch.ErrStaleEpoch
-		}
 		var raw *chain.RawTx
 		var ktx []byte
-		err = e.enclave.Ecall(len(tx.Payload), tee.CopyInOut, func() error {
-			var err error
-			raw, ktx, err = e.openConfidentialTx(tx, epoch, env)
-			return err
-		})
+		epoch, env, err := e.epochGate(tx.Payload)
+		if err == nil {
+			err = e.enclave.Ecall(len(tx.Payload), tee.CopyInOut, func() (err error) {
+				raw, ktx, err = e.openForExecution(epoch, env, meta)
+				return err
+			})
+		}
 		if err != nil {
 			e.status("pre-processor: envelope rejected: " + err.Error())
 			return nil, err
@@ -629,24 +589,21 @@ func (e *Engine) Execute(tx *chain.Tx) (*ExecResult, error) {
 	}
 }
 
-// openConfidentialTx recovers Tx_raw and k_tx, using the pre-verification
-// cache when available (steps C2/C3 of Figure 7): a hit replaces the
-// private-key decryption with a symmetric decryption and skips signature
-// re-verification. The cached key is this enclave's own (local
-// pre-verification) or the proposer enclave's (AdoptKeyRelay).
-func (e *Engine) openConfidentialTx(tx *chain.Tx, epoch uint64, env []byte) (*chain.RawTx, []byte, error) {
-	var meta preMeta
-	if e.preCache != nil {
-		meta, _ = e.preCache.get(tx.Hash())
-	}
+// openForExecution recovers Tx_raw and k_tx from a gated envelope, using the
+// transaction's pre-verification entry when there is one (steps C2/C3 of
+// Figure 7): a cached key replaces the private-key decryption with a
+// symmetric one and skips signature re-verification. The cached key is this
+// enclave's own (local pre-verification) or the proposer enclave's
+// (AdoptKeyRelay).
+func (e *Engine) openForExecution(epoch uint64, env []byte, meta preMeta) (*chain.RawTx, []byte, error) {
 	if len(meta.ktx) > 0 {
 		start := time.Now()
-		payload, err := crypto.OpenEnvelopeWithKey(env, meta.ktx)
+		body, err := crypto.OpenEnvelopeWithKey(env, meta.ktx)
 		e.profile.Record(OpTxDecrypt, time.Since(start))
 		if err == nil {
-			// GCM authenticated the payload under the cached key, so the full
+			// GCM authenticated the body under the cached key, so the full
 			// open would recover exactly these bytes.
-			raw, err := chain.DecodeRawTx(payload)
+			raw, err := chain.DecodeRawTx(body)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -661,28 +618,14 @@ func (e *Engine) openConfidentialTx(tx *chain.Tx, epoch uint64, env []byte) (*ch
 			// This enclave recovered the key from this very envelope.
 			return nil, nil, err
 		}
-		// A relayed key that does not open the payload withdraws the whole
+		// A relayed key that does not open the body withdraws the whole
 		// entry, the vouched signature included: nothing a peer sent may fail
 		// a transaction this replica can still judge for itself.
 		meta = preMeta{}
 	}
-	// Full path: expensive private-key decryption plus verification, with
-	// the envelope key selected by the (already window-checked) epoch tag.
-	sk, err := e.ring.Envelope(epoch)
-	if err != nil {
-		return nil, nil, err
-	}
-	var ktx, payload []byte
-	err = e.profile.timed(OpTxDecrypt, func() error {
-		var err error
-		ktx, payload, err = sk.OpenEnvelope(env)
-		return err
-	})
+	// Full path: the expensive private-key decryption plus verification.
+	raw, ktx, _, err := e.openEnvelope(epoch, env)
 	mOpenECDH.Inc()
-	if err != nil {
-		return nil, nil, err
-	}
-	raw, err := chain.DecodeRawTx(payload)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -693,22 +636,14 @@ func (e *Engine) openConfidentialTx(tx *chain.Tx, epoch uint64, env []byte) (*ch
 	// dominant per-transaction cost a second time for no additional assurance
 	// within the TEE trust model.
 	if !meta.attested {
-		if err := e.profile.timed(OpTxVerify, raw.VerifySignature); err != nil {
-			return nil, nil, err
-		}
+		err = e.checkSignature(raw)
 	}
-	return raw, ktx, nil
+	return raw, ktx, err
 }
 
 // executeRaw runs the decoded transaction body and assembles the result.
 func (e *Engine) executeRaw(tx *chain.Tx, raw *chain.RawTx, ktx []byte) (*ExecResult, error) {
-	txc := &txContext{
-		engine:       e,
-		readSet:      make(map[string]struct{}),
-		writes:       make(map[string]map[string][]byte),
-		confidential: tx.Type == chain.TxTypeConfidential,
-		txHash:       tx.Hash(),
-	}
+	txc := e.newTxContext(tx.Type == chain.TxTypeConfidential, tx.Hash())
 	input := EncodeInput(raw.Method, raw.Args...)
 	output, execErr := e.runContract(txc, raw.Contract, input, raw.From[:], 0)
 
@@ -724,7 +659,7 @@ func (e *Engine) executeRaw(tx *chain.Tx, raw *chain.RawTx, ktx []byte) (*ExecRe
 		receipt.Status = chain.ReceiptFailed
 		receipt.Output = []byte(execErr.Error())
 		// Failed transactions must not mutate state.
-		txc.writes = make(map[string]map[string][]byte)
+		txc.writes = nil
 		e.status("execution failed: " + execErr.Error())
 	}
 
@@ -741,57 +676,27 @@ func (e *Engine) executeRaw(tx *chain.Tx, raw *chain.RawTx, ktx []byte) (*ExecRe
 		stored = sealed
 	}
 
-	res := &ExecResult{
+	return &ExecResult{
 		Receipt:       receipt,
 		StoredReceipt: stored,
 		TxHash:        receipt.TxHash,
 		ReadSet:       txc.readSet,
 		WriteKeys:     txc.writeSetKeys(),
-	}
-	writes := txc.writes
-	res.appendWrites = func(batch *storage.Batch) error {
-		for addrHex, w := range writes {
-			var addr chain.Address
-			copy(addr[:], mustHex(addrHex))
-			rec, _, err := e.sdm.loadContract(addr)
-			if err != nil {
-				return err
+		appendWrites: func(batch *storage.Batch) error {
+			for addr, w := range txc.writes {
+				if err := e.sdm.sealWrites(addr, w.sealed, w.kv, batch); err != nil {
+					return err
+				}
 			}
-			conf := txc.confidential && rec.Confidential
-			if err := e.sdm.sealWrites(addr, rec.SecVer, conf, w, batch); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return res, nil
-}
-
-func mustHex(s string) []byte {
-	out := make([]byte, len(s)/2)
-	for i := 0; i < len(out); i++ {
-		out[i] = unhexByte(s[2*i])<<4 | unhexByte(s[2*i+1])
-	}
-	return out
-}
-
-func unhexByte(c byte) byte {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0'
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10
-	}
-	return 0
+			return nil
+		},
+	}, nil
 }
 
 // runContract loads and executes one contract frame (used for both the
 // entry call and nested cross-contract calls).
 func (e *Engine) runContract(txc *txContext, addr chain.Address, input []byte, caller []byte, depth int) ([]byte, error) {
-	start := time.Now()
-	defer func() { e.profile.Record(OpContractCall, time.Since(start)) }()
+	defer e.profileSince(OpContractCall, time.Now())
 
 	loadStart := time.Now()
 	rec, code, err := e.sdm.loadContract(addr)
@@ -815,7 +720,7 @@ func (e *Engine) runContract(txc *txContext, addr chain.Address, input []byte, c
 	frame := &frameEnv{
 		tx:       txc,
 		contract: addr,
-		record:   rec,
+		sealed:   txc.confidential && rec.Confidential,
 		input:    input,
 		caller:   append([]byte(nil), caller...),
 		depth:    depth,
@@ -823,25 +728,7 @@ func (e *Engine) runContract(txc *txContext, addr chain.Address, input []byte, c
 
 	switch rec.VM {
 	case VMCVM:
-		var prog *cvm.Program
-		var unit *compile.Unit
-		if e.codeCache != nil {
-			var art any
-			if e.opts.Compile {
-				prog, art, err = e.codeCache.LoadWithArtifact(code, cvm.BuildOptions{Fuse: e.opts.Fuse}, compileArtifact)
-				if u, ok := art.(*compile.Unit); ok {
-					unit = u
-				} else if art != nil {
-					// Decline tombstone: decided once per code hash, every
-					// later invocation interprets without re-compiling.
-					compile.RecordFallbackRun()
-				}
-			} else {
-				prog, err = e.codeCache.Load(code, cvm.BuildOptions{Fuse: e.opts.Fuse})
-			}
-		} else {
-			prog, err = cvm.LoadProgram(code, cvm.BuildOptions{Fuse: e.opts.Fuse})
-		}
+		prog, unit, err := e.loadProgram(code)
 		if err != nil {
 			return nil, err
 		}
@@ -879,7 +766,6 @@ func (e *Engine) runContract(txc *txContext, addr chain.Address, input []byte, c
 		if runErr != nil {
 			return nil, runErr
 		}
-		return frame.output, nil
 
 	case VMEVM:
 		vm := evm.New(code, frame, evm.Config{GasLimit: e.opts.GasLimit})
@@ -888,9 +774,35 @@ func (e *Engine) runContract(txc *txContext, addr chain.Address, input []byte, c
 		if runErr != nil {
 			return nil, runErr
 		}
-		return frame.output, nil
+
+	default:
+		return nil, fmt.Errorf("core: unknown VM kind %d", rec.VM)
 	}
-	return nil, fmt.Errorf("core: unknown VM kind %d", rec.VM)
+	return frame.output, nil
+}
+
+// loadProgram turns contract code into what a frame runs: the compiled unit
+// when the deploy-time compiler took the program, else the decoded program
+// for the interpreter. Both come from the code cache (OPT1) when there is one;
+// without it every frame decodes afresh.
+func (e *Engine) loadProgram(code []byte) (*cvm.Program, *compile.Unit, error) {
+	build := cvm.BuildOptions{Fuse: e.opts.Fuse}
+	if e.codeCache == nil {
+		prog, err := cvm.LoadProgram(code, build)
+		return prog, nil, err
+	}
+	var artifact func(*cvm.Program) any
+	if e.opts.Compile {
+		artifact = compileArtifact
+	}
+	prog, art, err := e.codeCache.LoadWithArtifact(code, build, artifact)
+	unit, compiled := art.(*compile.Unit)
+	if art != nil && !compiled {
+		// Decline tombstone: decided once per code hash, every later
+		// invocation interprets without re-compiling.
+		compile.RecordFallbackRun()
+	}
+	return prog, unit, err
 }
 
 // ReadReceipt fetches a stored receipt's bytes (sealed for confidential

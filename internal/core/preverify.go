@@ -1,12 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"confide/internal/chain"
-	"confide/internal/keyepoch"
+	"confide/internal/pipeline"
 	"confide/internal/tee"
 )
 
@@ -77,121 +77,76 @@ func (c *preVerifyCache) Len() int {
 }
 
 // PreVerifyBatch implements the pre-verification phase (P1–P5): a batch of
-// transactions is pushed into the CS enclave in one ecall, each envelope is
-// opened and its signature checked in parallel, metadata is cached, and the
-// valid transactions are returned for the verified pool. On a confidential
-// engine, public transactions are verified inside the enclave too — only
-// in-enclave checks can later be covered by the block attestation tag
-// (AttestBlock). On a public engine the same path runs in the
-// untrusted host. Invalid transactions are dropped.
+// transactions is pushed into the CS enclave in one ecall, each is taken
+// through the pre-processor's steps (preprocess.go) in parallel, metadata is
+// cached, and the valid transactions are returned for the verified pool. On a
+// confidential engine, public transactions are verified inside the enclave
+// too — only in-enclave checks can later be covered by the block attestation
+// tag (AttestBlock). On a public engine the same path runs in the untrusted
+// host. Invalid transactions are dropped.
 func (e *Engine) PreVerifyBatch(txs []*chain.Tx) []*chain.Tx {
 	if len(txs) == 0 {
 		return nil
 	}
-	type outcome struct {
-		tx *chain.Tx
-		ok bool
-	}
-	results := make([]outcome, len(txs))
-
 	batchBytes := 0
 	for _, tx := range txs {
 		batchBytes += len(tx.Payload)
 	}
-
-	verifyOne := func(i int) {
-		tx := txs[i]
-		switch tx.Type {
-		case chain.TxTypePublic:
-			raw, err := chain.DecodeRawTx(tx.Payload)
-			if err != nil {
-				return
-			}
-			if err := raw.VerifySignature(); err != nil {
-				return
-			}
-			if e.preCache != nil {
-				e.preCache.put(tx.Hash(), preMeta{verified: true})
-			}
-			results[i] = outcome{tx: tx, ok: true}
-
-		case chain.TxTypeConfidential:
-			// The epoch tag is public bytes: stale envelopes are rejected
-			// here, before spending a private-key operation on them.
-			epoch, env, err := keyepoch.ParseEnvelope(tx.Payload)
-			if err != nil {
-				return
-			}
-			if !e.ring.Accepts(epoch) {
-				keyepoch.RecordStaleRejection()
-				return
-			}
-			sk, err := e.ring.Envelope(epoch)
-			if err != nil {
-				return
-			}
-			start := time.Now()
-			ktx, payload, err := sk.OpenEnvelope(env)
-			e.profile.Record(OpTxDecrypt, time.Since(start))
-			if err != nil {
-				return
-			}
-			raw, err := chain.DecodeRawTx(payload)
-			if err != nil {
-				return
-			}
-			start = time.Now()
-			sigErr := raw.VerifySignature()
-			e.profile.Record(OpTxVerify, time.Since(start))
-			if sigErr != nil {
-				return
-			}
-			if e.preCache != nil {
-				e.preCache.put(tx.Hash(), preMeta{ktx: ktx, verified: true})
-			}
-			results[i] = outcome{tx: tx, ok: true}
-		}
-	}
-
-	run := func() error {
-		// The two expensive operations (private-key decryption, signature
-		// verification) parallelize across transactions.
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(txs) {
-			workers = len(txs)
-		}
-		var wg sync.WaitGroup
-		next := make(chan int, len(txs))
-		for i := range txs {
-			next <- i
-		}
-		close(next)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					verifyOne(i)
-				}
-			}()
-		}
-		wg.Wait()
-		return nil
-	}
-
+	kept := make([]bool, len(txs))
 	// P1: the whole batch enters the enclave in one ecall (confidential
-	// engine only; the public engine verifies in the untrusted host).
-	_ = e.enclave.Ecall(batchBytes, tee.CopyInOut, run)
+	// engine only; the public engine verifies in the untrusted host). The two
+	// expensive operations (private-key decryption, signature verification)
+	// parallelize across transactions.
+	_ = e.enclave.Ecall(batchBytes, tee.CopyInOut, func() error {
+		pipeline.RunLanes(runtime.GOMAXPROCS(0), len(txs), func(i int) {
+			meta, err := e.preVerify(txs[i])
+			if err != nil {
+				return
+			}
+			if e.preCache != nil {
+				e.preCache.put(txs[i].Hash(), meta)
+			}
+			kept[i] = true
+		})
+		return nil
+	})
 
 	valid := make([]*chain.Tx, 0, len(txs))
-	for _, r := range results {
-		if r.ok {
-			valid = append(valid, r.tx)
+	for i, tx := range txs {
+		if kept[i] {
+			valid = append(valid, tx)
 		}
 	}
 	mPreverified.Add(uint64(len(valid)))
 	mPreverifyRejects.Add(uint64(len(txs) - len(valid)))
 	return valid
+}
+
+// preVerify judges one transaction from its bytes alone — gate, open, check —
+// and returns the entry P4 caches for it. It never reads the cache: what a
+// peer's tag or relay seeded there is replaced by this enclave's own result,
+// which is the only kind AttestBlock accepts.
+func (e *Engine) preVerify(tx *chain.Tx) (meta preMeta, err error) {
+	var raw *chain.RawTx
+	switch tx.Type {
+	case chain.TxTypePublic:
+		raw, err = chain.DecodeRawTx(tx.Payload)
+	case chain.TxTypeConfidential:
+		var epoch uint64
+		var env []byte
+		if epoch, env, err = e.epochGate(tx.Payload); err == nil {
+			raw, meta.ktx, _, err = e.openEnvelope(epoch, env)
+		}
+	default:
+		// Governance carries no account signature; it is checked semantically
+		// at execution and is outside the attestation's claim.
+		err = fmt.Errorf("core: transaction type %d is not pre-verified", tx.Type)
+	}
+	if err == nil {
+		err = e.checkSignature(raw)
+	}
+	meta.verified = err == nil
+	return meta, err
 }
 
 // TrustPreVerified seeds the cache with attestation-backed entries: the

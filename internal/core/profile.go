@@ -57,17 +57,6 @@ func (p *Profile) Record(op string, d time.Duration) {
 	p.mu.Unlock()
 }
 
-// timed runs fn and records its duration under op.
-func (p *Profile) timed(op string, fn func() error) error {
-	if p == nil {
-		return fn()
-	}
-	start := time.Now()
-	err := fn()
-	p.Record(op, time.Since(start))
-	return err
-}
-
 // Snapshot returns a copy of all entries.
 func (p *Profile) Snapshot() map[string]ProfileEntry {
 	if p == nil {

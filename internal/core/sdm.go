@@ -25,7 +25,7 @@ const (
 func stateKey(addr chain.Address, key []byte) []byte {
 	out := make([]byte, 0, len(nsState)+40+1+len(key))
 	out = append(out, nsState...)
-	out = append(out, hex.EncodeToString(addr[:])...)
+	out = hex.AppendEncode(out, addr[:])
 	out = append(out, '/')
 	return append(out, key...)
 }
@@ -62,21 +62,21 @@ func (s *SDM) walkSealed(
 	sealed := make(map[string]chain.Address) // addr-hex → confidential contract
 	var walkErr error
 	err := s.store.Iterate([]byte(nsCode), func(key, value []byte) bool {
-		addrHex := key[len(nsCode):]
+		hexAddr := key[len(nsCode):]
 		rec, err := decodeRecord(value)
-		addr, ok := addrFromHex(addrHex)
+		addr, ok := addrFromHex(hexAddr)
 		switch {
 		case err != nil:
 		case !ok:
 			err = errors.New("core: contract key is not an address")
 		default:
 			if rec.Confidential {
-				sealed[string(addrHex)] = addr
+				sealed[string(hexAddr)] = addr
 			}
 			err = code(key, addr, rec)
 		}
 		if err != nil {
-			walkErr = fmt.Errorf("contract %s: %w", addrHex, err)
+			walkErr = fmt.Errorf("contract %s: %w", hexAddr, err)
 		}
 		return err == nil
 	})
@@ -88,13 +88,13 @@ func (s *SDM) walkSealed(
 		if len(key) <= segment {
 			return true
 		}
-		addrHex := key[len(nsState):segment]
-		addr, ok := sealed[string(addrHex)]
+		hexAddr := key[len(nsState):segment]
+		addr, ok := sealed[string(hexAddr)]
 		if !ok {
 			return true
 		}
 		if err := state(key, addr, stored); err != nil {
-			walkErr = fmt.Errorf("state %s/%q: %w", addrHex, key[segment+1:], err)
+			walkErr = fmt.Errorf("state %s/%q: %w", hexAddr, key[segment+1:], err)
 		}
 		return walkErr == nil
 	})
@@ -163,56 +163,47 @@ func (s *SDM) sealRecord(value []byte, aad []byte) ([]byte, error) {
 	return keyepoch.WrapRecord(epoch, sealed), nil
 }
 
-// load fetches and (for confidential contracts) decrypts one state value,
-// charging the enclave boundary.
-func (s *SDM) load(addr chain.Address, secver uint64, confidential bool, key []byte) ([]byte, bool, error) {
-	sk := stateKey(addr, key)
-	s.mu.Lock()
-	if v, ok := s.cache[string(sk)]; ok {
-		s.mu.Unlock()
-		if v == nil {
-			return nil, false, nil
-		}
-		return append([]byte(nil), v...), true, nil
-	}
-	s.mu.Unlock()
-
-	var raw []byte
-	var found bool
-	fetch := func() error {
-		var err error
-		raw, found, err = s.store.Get(sk)
+// fetch reads one stored value from inside the enclave: an ocall.
+func (s *SDM) fetch(key []byte) (value []byte, found bool, err error) {
+	err = s.enclave.Ocall(len(key), tee.CopyInOut, func() (err error) {
+		value, found, err = s.store.Get(key)
 		return err
+	})
+	return value, found, err
+}
+
+// load fetches and (for confidential contracts) decrypts the state value
+// stored at sk = stateKey(addr, key), charging the enclave boundary.
+func (s *SDM) load(addr chain.Address, sk []byte, confidential bool) ([]byte, bool, error) {
+	s.mu.Lock()
+	v, ok := s.cache[string(sk)]
+	s.mu.Unlock()
+	if ok {
+		return append([]byte(nil), v...), v != nil, nil
 	}
-	err := s.enclave.Ocall(len(sk)+len(raw), tee.CopyInOut, fetch)
+	value, found, err := s.fetch(sk)
 	if err != nil {
 		return nil, false, err
 	}
-	if !found {
-		s.mu.Lock()
-		s.cache[string(sk)] = nil
-		s.mu.Unlock()
-		return nil, false, nil
-	}
-	value := raw
-	if confidential && s.ring != nil {
+	if found && confidential && s.ring != nil {
 		start := time.Now()
-		value, err = s.openSealed(raw, stateAAD(addr))
+		value, err = s.openSealed(value, stateAAD(addr))
 		s.profile.Record(OpStateDecrypt, time.Since(start))
 		if err != nil {
-			return nil, false, fmt.Errorf("core: state integrity violation for %x: %w", key, err)
+			return nil, false, fmt.Errorf("core: state integrity violation for %q: %w", sk, err)
 		}
 	}
+	// A nil entry remembers that the key is absent.
 	s.mu.Lock()
 	s.cache[string(sk)] = append([]byte(nil), value...)
 	s.mu.Unlock()
-	return value, true, nil
+	return value, found, nil
 }
 
 // sealWrites encrypts a transaction's write set (for confidential
 // contracts) and appends it to batch. The plaintext view lands in the read
 // cache so later transactions in the same block see fresh state.
-func (s *SDM) sealWrites(addr chain.Address, secver uint64, confidential bool, writes map[string][]byte, batch *storage.Batch) error {
+func (s *SDM) sealWrites(addr chain.Address, confidential bool, writes map[string][]byte, batch *storage.Batch) error {
 	for key, value := range writes {
 		sk := stateKey(addr, []byte(key))
 		stored := value
@@ -322,23 +313,21 @@ func decodeRecord(data []byte) (*ContractRecord, error) {
 }
 
 // loadContract fetches, authenticates and decodes a contract record,
-// returning the plaintext code.
+// returning the plaintext code. Nothing decrypted is kept: every call opens
+// the whole code again, recorded under the paper's Table 1 label "State
+// Decryption" although it is code — on a warm SCF-AR transfer that row is
+// these opens, one per frame, not the 151 state reads the read cache serves.
+// runContract is the one caller per frame: a cache of opened code (ROADMAP
+// item 5a) goes here.
 func (s *SDM) loadContract(addr chain.Address) (*ContractRecord, []byte, error) {
 	ck := codeKey(addr)
 	s.mu.Lock()
-	cached, ok := s.cache[string(ck)]
+	data, ok := s.cache[string(ck)]
 	s.mu.Unlock()
-	var data []byte
-	if ok {
-		data = cached
-	} else {
+	if !ok {
 		var found bool
-		fetch := func() error {
-			var err error
-			data, found, err = s.store.Get(ck)
-			return err
-		}
-		if err := s.enclave.Ocall(len(ck), tee.CopyInOut, fetch); err != nil {
+		var err error
+		if data, found, err = s.fetch(ck); err != nil {
 			return nil, nil, err
 		}
 		if !found {
@@ -385,9 +374,7 @@ func (s *SDM) storeContract(addr chain.Address, rec *ContractRecord, plainCode [
 	if err := s.store.Put(codeKey(addr), encodeRecord(&out)); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	delete(s.cache, string(codeKey(addr)))
-	s.mu.Unlock()
+	s.forget(codeKey(addr))
 	return nil
 }
 
@@ -397,7 +384,7 @@ func (s *SDM) storeContract(addr chain.Address, rec *ContractRecord, plainCode [
 type txContext struct {
 	engine       *Engine
 	readSet      map[string]struct{}
-	writes       map[string]map[string][]byte // addr-hex → key → value
+	writes       map[chain.Address]*contractWrites
 	logs         []string
 	gasUsed      uint64
 	confidential bool
@@ -408,12 +395,31 @@ type txContext struct {
 	caCounter uint64
 }
 
+// contractWrites is one contract's buffered write set, with what write-back
+// needs to know about the contract so that it never resolves it again.
+type contractWrites struct {
+	sealed bool // D-Protocol: the values are sealed under k_states at rest
+	kv     map[string][]byte
+}
+
+// newTxContext starts a transaction of the given confidentiality class.
+// txHash is zero for a rule consultation, which mints no commitments.
+func (e *Engine) newTxContext(confidential bool, txHash chain.Hash) *txContext {
+	return &txContext{
+		engine:       e,
+		readSet:      make(map[string]struct{}),
+		writes:       make(map[chain.Address]*contractWrites),
+		confidential: confidential,
+		txHash:       txHash,
+	}
+}
+
 // frameEnv is one contract frame's view; it implements cvm.Env (and thus
 // also the EVM's Env).
 type frameEnv struct {
 	tx       *txContext
 	contract chain.Address
-	record   *ContractRecord
+	sealed   bool // the contract's state is encrypted at rest (D-Protocol)
 	input    []byte
 	output   []byte
 	caller   []byte
@@ -422,32 +428,28 @@ type frameEnv struct {
 
 var _ cvm.Env = (*frameEnv)(nil)
 
-func (f *frameEnv) addrHex() string { return hex.EncodeToString(f.contract[:]) }
-
 // GetStorage implements cvm.Env: write-set first, then SDM (cache + store).
 func (f *frameEnv) GetStorage(key []byte) ([]byte, bool, error) {
 	defer f.tx.engine.profileSince(OpGetStorage, time.Now())
-	if w := f.tx.writes[f.addrHex()]; w != nil {
-		if v, ok := w[string(key)]; ok {
-			if v == nil {
-				return nil, false, nil
-			}
-			return append([]byte(nil), v...), true, nil
+	if w := f.tx.writes[f.contract]; w != nil {
+		if v, ok := w.kv[string(key)]; ok {
+			return append([]byte(nil), v...), v != nil, nil // nil: set to empty, which reads as absent
 		}
 	}
-	f.tx.readSet[string(stateKey(f.contract, key))] = struct{}{}
-	return f.tx.engine.sdm.load(f.contract, f.record.SecVer, f.tx.confidential && f.record.Confidential, key)
+	sk := stateKey(f.contract, key)
+	f.tx.readSet[string(sk)] = struct{}{}
+	return f.tx.engine.sdm.load(f.contract, sk, f.sealed)
 }
 
 // SetStorage implements cvm.Env: buffered until commit.
 func (f *frameEnv) SetStorage(key, value []byte) error {
 	defer f.tx.engine.profileSince(OpSetStorage, time.Now())
-	w := f.tx.writes[f.addrHex()]
+	w := f.tx.writes[f.contract]
 	if w == nil {
-		w = make(map[string][]byte)
-		f.tx.writes[f.addrHex()] = w
+		w = &contractWrites{sealed: f.sealed, kv: make(map[string][]byte)}
+		f.tx.writes[f.contract] = w
 	}
-	w[string(key)] = append([]byte(nil), value...)
+	w.kv[string(key)] = append([]byte(nil), value...)
 	return nil
 }
 
@@ -478,11 +480,8 @@ func (f *frameEnv) CallContract(addr []byte, input []byte) ([]byte, error) {
 // parallel scheduler).
 func (tx *txContext) writeSetKeys() map[string]struct{} {
 	out := make(map[string]struct{})
-	for addrHex, w := range tx.writes {
-		var addr chain.Address
-		b, _ := hex.DecodeString(addrHex)
-		copy(addr[:], b)
-		for k := range w {
+	for addr, w := range tx.writes {
+		for k := range w.kv {
 			out[string(stateKey(addr, []byte(k)))] = struct{}{}
 		}
 	}

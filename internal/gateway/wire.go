@@ -219,8 +219,8 @@ func parseTxHash(s string) (chain.Hash, error) {
 // header's TxRoot — and returns the decoded transaction. It does NOT
 // establish that the header is canonical; that is the header quorum's job
 // (the client collects HeaderAt from independent gateways and counts
-// agreement). Mirrors node.VerifyTxProof but operates on wire types so the
-// SDK never needs the node package.
+// agreement). It is node.VerifyTxProof over wire types, so the SDK never
+// needs the node package; both read the header through chain.DecodeHeader.
 func VerifyProof(p *Proof) (*chain.Tx, error) {
 	if p == nil {
 		return nil, ErrBadProof
@@ -229,16 +229,10 @@ func VerifyProof(p *Proof) (*chain.Tx, error) {
 	if err != nil {
 		return nil, ErrBadProof
 	}
-	hdr, err := chain.Decode(p.Header)
-	if err != nil || !hdr.IsList || len(hdr.List) != 6 || len(hdr.List[2].Str) != 32 {
+	hdr, err := chain.DecodeHeader(p.Header)
+	if err != nil || hdr.Height != p.Height {
 		return nil, ErrBadProof
 	}
-	height, err := hdr.List[0].AsUint()
-	if err != nil || height != p.Height {
-		return nil, ErrBadProof
-	}
-	var txRoot chain.Hash
-	copy(txRoot[:], hdr.List[2].Str)
 	path := make([]chain.MerkleProofStep, len(p.Path))
 	for i, s := range p.Path {
 		if len(s.Sibling) != 32 {
@@ -247,7 +241,7 @@ func VerifyProof(p *Proof) (*chain.Tx, error) {
 		copy(path[i].Sibling[:], s.Sibling)
 		path[i].Right = s.Right
 	}
-	if !chain.VerifyMerkleProof(txRoot, tx.Hash(), path) {
+	if !chain.VerifyMerkleProof(hdr.TxRoot, tx.Hash(), path) {
 		return nil, ErrBadProof
 	}
 	return tx, nil

@@ -113,6 +113,14 @@ func TestVerifyProofRejectsTampering(t *testing.T) {
 	if _, err := VerifyProof(&bad); !errors.Is(err, ErrBadProof) {
 		t.Fatal("malformed path accepted")
 	}
+	bad = *good
+	bad.Header = chain.Encode(chain.List(
+		chain.Uint(5), chain.Bytes(zero[:]), chain.Bytes(root[:31]), // six fields, short tx-root
+		chain.Bytes(zero[:]), chain.Uint(0), chain.Uint(1),
+	))
+	if _, err := VerifyProof(&bad); !errors.Is(err, ErrBadProof) {
+		t.Fatal("31-byte tx-root accepted")
+	}
 }
 
 func TestClientLimiter(t *testing.T) {

@@ -122,13 +122,8 @@ var ErrNoQuorum = errors.New("node: header quorum not reached")
 // TxRoot. It does NOT establish that the header is the canonical one —
 // that is the quorum's job (VerifyConsensusRead).
 func VerifyTxProof(p *TxProof) error {
-	hdr, err := chain.Decode(p.HeaderBytes)
-	if err != nil || !hdr.IsList || len(hdr.List) != 6 || len(hdr.List[2].Str) != 32 {
-		return ErrBadProof
-	}
-	var txRoot chain.Hash
-	copy(txRoot[:], hdr.List[2].Str)
-	if !chain.VerifyMerkleProof(txRoot, p.Tx.Hash(), p.Path) {
+	hdr, err := chain.DecodeHeader(p.HeaderBytes)
+	if err != nil || !chain.VerifyMerkleProof(hdr.TxRoot, p.Tx.Hash(), p.Path) {
 		return ErrBadProof
 	}
 	return nil
