@@ -13,11 +13,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Concurrency hot spots under the race detector: consensus liveness, fault
-# injection, the node layer, and the lock-free metrics registry feeding all
-# of them.
+# Concurrency hot spots under the race detector: the transaction's cached
+# encoding and hash, consensus liveness, fault injection, the node layer, and
+# the lock-free metrics registry feeding all of them.
 race:
-	$(GO) test -race ./internal/consensus/... ./internal/node/... ./internal/p2p/... ./internal/metrics/... ./internal/bench/... ./internal/storage/... ./internal/gateway/... ./internal/confassets/... ./internal/cvm/... ./internal/pipeline/... ./internal/core/... ./internal/chaos/...
+	$(GO) test -race ./internal/chain/... ./internal/consensus/... ./internal/node/... ./internal/p2p/... ./internal/metrics/... ./internal/bench/... ./internal/storage/... ./internal/gateway/... ./internal/confassets/... ./internal/cvm/... ./internal/pipeline/... ./internal/core/... ./internal/chaos/...
 
 # gofmt -l prints the files it would rewrite; any name is a failure.
 vet:
@@ -61,13 +61,15 @@ bench:
 bench-record:
 	bash benchmark/run.sh -seed 1
 
-# Native fuzzing over the attack-surface decoders: RLP/wire formats, the
+# Native fuzzing over the attack-surface decoders: RLP/wire formats (and the
+# one-pass RLP encoder against a two-buffer reference), the
 # CCLE codec and schema parser, envelope and key-relay opening, the engine's
 # two callers of the pre-processor steps against each other, and the gateway's
 # HTTP request decode path. One target per invocation is a go tool limitation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRLPDecode -fuzztime=$(FUZZTIME) ./internal/chain/
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecoders -fuzztime=$(FUZZTIME) ./internal/chain/
+	$(GO) test -run='^$$' -fuzz=FuzzEncodeMatchesReference -fuzztime=$(FUZZTIME) ./internal/chain/
 	$(GO) test -run='^$$' -fuzz=FuzzCodecDecode -fuzztime=$(FUZZTIME) ./internal/ccle/
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchema -fuzztime=$(FUZZTIME) ./internal/ccle/
 	$(GO) test -run='^$$' -fuzz=FuzzAdoptKeyRelay -fuzztime=$(FUZZTIME) ./internal/core/

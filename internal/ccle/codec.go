@@ -428,7 +428,8 @@ func decodeFieldPayload(s *Schema, t *Table, f *Field, payload []byte, cipher Ci
 			return nil, err
 		}
 		payload = rest
-		out := &Value{Kind: ValMap, Map: make(map[string]*Value, count)}
+		// count is untrusted; each entry takes at least two payload bytes.
+		out := &Value{Kind: ValMap, Map: make(map[string]*Value, min(count, uint64(len(payload))/2))}
 		for i := uint64(0); i < count; i++ {
 			klen, rest, err := readUvarint(payload)
 			if err != nil {

@@ -2,6 +2,8 @@ package ccle
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -12,6 +14,29 @@ func fuzzCipher() *AEADCipher {
 	return &AEADCipher{
 		Key:     bytes.Repeat([]byte{0x42}, 32),
 		Context: []byte("contract:0xabc|owner:0xdef|secver:1"),
+	}
+}
+
+// TestMapCountCannotInflateDecode pins that a map's claimed entry count does
+// not size an allocation beyond what its payload can hold: a few bytes that
+// claim a million accounts must fail as truncated without allocating for
+// them (a fuzzer-found input spent seconds building such a map).
+func TestMapCountCannotInflateDecode(t *testing.T) {
+	schema, err := ParseSchema(listing1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := binary.AppendUvarint(nil, 1_000_000)
+	data := append([]byte{1, 2, 0, byte(len(payload))}, payload...) // one field: account_map
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Decode(schema, data, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a map claiming more entries than its payload holds decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("decoding %d bytes allocated %d bytes", len(data), grew)
 	}
 }
 

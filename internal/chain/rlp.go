@@ -3,6 +3,12 @@
 // the RLP canonical encoding they serialize with, Merkle commitments over
 // them, and the two-stage transaction pools (un-verified / verified) used by
 // the pre-verification pipeline.
+//
+// Byte ownership on the transaction path follows one rule: decoded values
+// alias their input, and bytes handed across a package boundary are
+// read-only. So a transaction decoded from a block or a gossip message keeps
+// that message's bytes alive and never copies them, and no receiver may write
+// into a payload it was given.
 package chain
 
 import (
@@ -63,44 +69,81 @@ func (it Item) AsUint() (uint64, error) {
 	return n, nil
 }
 
-// Encode serializes an Item to canonical RLP.
+// Encode serializes an Item to canonical RLP. It sizes the encoding first and
+// then fills one buffer of exactly that size back to front, so each list's
+// payload is in place before its header, whose length it sets, is written.
 func Encode(it Item) []byte {
-	return appendItem(nil, it)
+	buf := make([]byte, encodedSize(it))
+	putItem(buf, len(buf), it)
+	return buf
 }
 
-func appendItem(dst []byte, it Item) []byte {
+func encodedSize(it Item) int {
+	if !it.IsList {
+		if len(it.Str) == 1 && it.Str[0] < 0x80 {
+			return 1
+		}
+		return headerSize(len(it.Str)) + len(it.Str)
+	}
+	n := 0
+	for _, sub := range it.List {
+		n += encodedSize(sub)
+	}
+	return headerSize(n) + n
+}
+
+func headerSize(n int) int {
+	size := 1
+	if n > 55 {
+		for ; n > 0; n >>= 8 {
+			size++
+		}
+	}
+	return size
+}
+
+// putItem writes it into buf so that it ends just before buf[end], and
+// returns where it starts.
+func putItem(buf []byte, end int, it Item) int {
 	if !it.IsList {
 		s := it.Str
 		if len(s) == 1 && s[0] < 0x80 {
-			return append(dst, s[0])
+			buf[end-1] = s[0]
+			return end - 1
 		}
-		dst = appendLength(dst, len(s), 0x80)
-		return append(dst, s...)
+		start := end - len(s)
+		copy(buf[start:], s)
+		return putHeader(buf, start, len(s), 0x80)
 	}
-	var payload []byte
-	for _, sub := range it.List {
-		payload = appendItem(payload, sub)
+	start := end
+	for i := len(it.List) - 1; i >= 0; i-- {
+		start = putItem(buf, start, it.List[i])
 	}
-	dst = appendLength(dst, len(payload), 0xc0)
-	return append(dst, payload...)
+	return putHeader(buf, start, end-start, 0xc0)
 }
 
-func appendLength(dst []byte, n int, base byte) []byte {
+// putHeader writes the prefix of an n-byte payload so that it ends just
+// before buf[end], and returns where it starts.
+func putHeader(buf []byte, end, n int, base byte) int {
+	start := end - headerSize(n)
 	if n <= 55 {
-		return append(dst, base+byte(n))
+		buf[start] = base + byte(n)
+		return start
 	}
-	var lenBytes []byte
-	for m := n; m > 0; m >>= 8 {
-		lenBytes = append([]byte{byte(m)}, lenBytes...)
+	buf[start] = base + 55 + byte(end-start-1)
+	for i := end - 1; i > start; i, n = i-1, n>>8 {
+		buf[i] = byte(n)
 	}
-	dst = append(dst, base+55+byte(len(lenBytes)))
-	return append(dst, lenBytes...)
+	return start
 }
 
 // ErrRLP is the base decoding error.
 var ErrRLP = errors.New("rlp: malformed input")
 
 // Decode parses a single RLP item, requiring the input to be fully consumed.
+// The decoded strings are sub-slices of data, not copies, each clipped to its
+// own capacity so that an append to one can never write into its neighbour;
+// an empty string decodes as nil.
 func Decode(data []byte) (Item, error) {
 	it, rest, err := decodeItem(data)
 	if err != nil {
@@ -113,92 +156,98 @@ func Decode(data []byte) (Item, error) {
 }
 
 func decodeItem(data []byte) (Item, []byte, error) {
+	isList, off, n, err := readHeader(data)
+	if err != nil {
+		return Item{}, nil, err
+	}
+	payload, rest := data[off:off+n:off+n], data[off+n:]
+	if !isList {
+		if n == 0 {
+			payload = nil
+		}
+		return Item{Str: payload}, rest, nil
+	}
+	list, err := decodeList(payload)
+	if err != nil {
+		return Item{}, nil, err
+	}
+	return Item{List: list, IsList: true}, rest, nil
+}
+
+// readHeader parses the prefix of the item at the start of data: whether it
+// is a list, the offset of its payload and the payload's length, which data
+// is checked to hold. It is the one home of the canonical-form rules, shared
+// by decodeItem and by decodeList's count.
+func readHeader(data []byte) (isList bool, off, n int, err error) {
 	if len(data) == 0 {
-		return Item{}, nil, fmt.Errorf("%w: empty input", ErrRLP)
+		return false, 0, 0, fmt.Errorf("%w: empty input", ErrRLP)
 	}
 	b := data[0]
 	switch {
 	case b < 0x80:
-		return Item{Str: []byte{b}}, data[1:], nil
+		return false, 0, 1, nil
 	case b <= 0xb7:
-		n := int(b - 0x80)
-		if len(data) < 1+n {
-			return Item{}, nil, fmt.Errorf("%w: short string", ErrRLP)
+		off, n = 1, int(b-0x80)
+		if n == 1 && len(data) > 1 && data[1] < 0x80 {
+			return false, 0, 0, fmt.Errorf("%w: non-canonical single byte", ErrRLP)
 		}
-		s := data[1 : 1+n]
-		if n == 1 && s[0] < 0x80 {
-			return Item{}, nil, fmt.Errorf("%w: non-canonical single byte", ErrRLP)
-		}
-		return Item{Str: append([]byte(nil), s...)}, data[1+n:], nil
 	case b <= 0xbf:
-		lenLen := int(b - 0xb7)
-		n, rest, err := readLength(data[1:], lenLen)
-		if err != nil {
-			return Item{}, nil, err
+		if off, n, err = readLength(data, int(b-0xb7)); err != nil {
+			return false, 0, 0, err
 		}
-		if n <= 55 {
-			return Item{}, nil, fmt.Errorf("%w: non-canonical long string", ErrRLP)
-		}
-		if len(rest) < n {
-			return Item{}, nil, fmt.Errorf("%w: short long-string", ErrRLP)
-		}
-		return Item{Str: append([]byte(nil), rest[:n]...)}, rest[n:], nil
 	case b <= 0xf7:
-		n := int(b - 0xc0)
-		if len(data) < 1+n {
-			return Item{}, nil, fmt.Errorf("%w: short list", ErrRLP)
-		}
-		list, err := decodeList(data[1 : 1+n])
-		if err != nil {
-			return Item{}, nil, err
-		}
-		return Item{List: list, IsList: true}, data[1+n:], nil
+		isList, off, n = true, 1, int(b-0xc0)
 	default:
-		lenLen := int(b - 0xf7)
-		n, rest, err := readLength(data[1:], lenLen)
-		if err != nil {
-			return Item{}, nil, err
+		isList = true
+		if off, n, err = readLength(data, int(b-0xf7)); err != nil {
+			return false, 0, 0, err
 		}
-		if n <= 55 {
-			return Item{}, nil, fmt.Errorf("%w: non-canonical long list", ErrRLP)
-		}
-		if len(rest) < n {
-			return Item{}, nil, fmt.Errorf("%w: short long-list", ErrRLP)
-		}
-		list, err := decodeList(rest[:n])
-		if err != nil {
-			return Item{}, nil, err
-		}
-		return Item{List: list, IsList: true}, rest[n:], nil
 	}
+	if len(data)-off < n {
+		return false, 0, 0, fmt.Errorf("%w: short payload", ErrRLP)
+	}
+	return isList, off, n, nil
 }
 
-func readLength(data []byte, lenLen int) (int, []byte, error) {
-	if lenLen > 8 || len(data) < lenLen {
-		return 0, nil, fmt.Errorf("%w: bad length-of-length", ErrRLP)
+// readLength reads the long-form length that follows data's prefix byte.
+func readLength(data []byte, lenLen int) (off, n int, err error) {
+	if lenLen > 8 || len(data) < 1+lenLen {
+		return 0, 0, fmt.Errorf("%w: bad length-of-length", ErrRLP)
 	}
-	if lenLen > 0 && data[0] == 0 {
-		return 0, nil, fmt.Errorf("%w: length has leading zero", ErrRLP)
+	if data[1] == 0 {
+		return 0, 0, fmt.Errorf("%w: length has leading zero", ErrRLP)
 	}
-	n := 0
-	for i := 0; i < lenLen; i++ {
+	for _, b := range data[1 : 1+lenLen] {
 		if n > (1<<31)/256 {
-			return 0, nil, fmt.Errorf("%w: length overflow", ErrRLP)
+			return 0, 0, fmt.Errorf("%w: length overflow", ErrRLP)
 		}
-		n = n<<8 | int(data[i])
+		n = n<<8 | int(b)
 	}
-	return n, data[lenLen:], nil
+	if n <= 55 {
+		return 0, 0, fmt.Errorf("%w: non-canonical long form", ErrRLP)
+	}
+	return 1 + lenLen, n, nil
 }
 
+// decodeList counts the payload's items before it allocates their slice.
 func decodeList(payload []byte) ([]Item, error) {
-	var items []Item
-	for len(payload) > 0 {
-		it, rest, err := decodeItem(payload)
+	count := 0
+	for p := payload; len(p) > 0; count++ {
+		_, off, n, err := readHeader(p)
 		if err != nil {
 			return nil, err
 		}
-		items = append(items, it)
-		payload = rest
+		p = p[off+n:]
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	items := make([]Item, count)
+	for i := range items {
+		var err error
+		if items[i], payload, err = decodeItem(payload); err != nil {
+			return nil, err
+		}
 	}
 	return items, nil
 }

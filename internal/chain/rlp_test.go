@@ -2,9 +2,11 @@ package chain
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -159,4 +161,171 @@ func TestRLPLargePayload(t *testing.T) {
 	if !reflect.DeepEqual(back.Str, big) {
 		t.Fatal("reflect mismatch")
 	}
+}
+
+// referenceEncode is the straightforward two-buffer encoder Encode replaced:
+// each list's payload is built in a buffer of its own and copied upward, and
+// a long length is prepended a byte at a time. FuzzEncodeMatchesReference
+// holds Encode to it byte for byte.
+func referenceEncode(it Item) []byte {
+	if !it.IsList {
+		s := it.Str
+		if len(s) == 1 && s[0] < 0x80 {
+			return []byte{s[0]}
+		}
+		return append(referenceLength(len(s), 0x80), s...)
+	}
+	var payload []byte
+	for _, sub := range it.List {
+		payload = append(payload, referenceEncode(sub)...)
+	}
+	return append(referenceLength(len(payload), 0xc0), payload...)
+}
+
+func referenceLength(n int, base byte) []byte {
+	if n <= 55 {
+		return []byte{base + byte(n)}
+	}
+	var lenBytes []byte
+	for m := n; m > 0; m >>= 8 {
+		lenBytes = append([]byte{byte(m)}, lenBytes...)
+	}
+	return append([]byte{base + 55 + byte(len(lenBytes))}, lenBytes...)
+}
+
+// itemFromBytes builds an Item tree from fuzz input, one op byte at a time:
+// below 0x20 opens a list (up to 16 deep), below 0x40 closes one, and any
+// other byte b takes the next b-0x40 input bytes (0–191) as a string.
+func itemFromBytes(data []byte) Item {
+	stack := [][]Item{nil}
+	closeTop := func() {
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		stack[len(stack)-1] = append(stack[len(stack)-1], List(top...))
+	}
+	for len(data) > 0 {
+		op := data[0]
+		data = data[1:]
+		switch {
+		case op < 0x20:
+			if len(stack) < 16 {
+				stack = append(stack, nil)
+			}
+		case op < 0x40:
+			if len(stack) > 1 {
+				closeTop()
+			}
+		default:
+			n := min(int(op-0x40), len(data))
+			stack[len(stack)-1] = append(stack[len(stack)-1], Bytes(data[:n]))
+			data = data[n:]
+		}
+	}
+	for len(stack) > 1 {
+		closeTop()
+	}
+	return List(stack[0]...)
+}
+
+// FuzzEncodeMatchesReference holds the one-pass encoder to the two-buffer
+// reference on arbitrary trees, and every encoding to a Decode round trip.
+func FuzzEncodeMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x41, 0x7f, 0x40, 0x41, 0x80})                          // one-byte strings either side of 0x80, and an empty one
+	f.Add(append([]byte{0x00, 0x77}, bytes.Repeat([]byte{0xaa}, 55)...)) // a 55-byte string in a list
+	f.Add(append([]byte{0x00, 0x78}, bytes.Repeat([]byte{0xaa}, 56)...)) // 56 bytes: the long form
+	f.Add(bytes.Repeat([]byte{0x00, 0xff}, 300))                         // nested lists past 255 payload bytes
+	f.Add([]byte{0x00, 0x00, 0x20, 0x00, 0x20, 0x20})                    // nested empties
+	f.Fuzz(func(t *testing.T, data []byte) {
+		it := itemFromBytes(data)
+		enc, ref := Encode(it), referenceEncode(it)
+		if !bytes.Equal(enc, ref) {
+			t.Fatalf("Encode = %x, reference = %x", enc, ref)
+		}
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("encoding does not decode: %v", err)
+		}
+		if !itemEqual(back, it) {
+			t.Fatalf("round trip changed the tree: %x", enc)
+		}
+	})
+}
+
+// TestDecodedStringsAreAppendSafe pins the zero-copy decoder's one guard:
+// a decoded string aliases the input but has no spare capacity, so an
+// append to it copies rather than overwriting the field after it.
+func TestDecodedStringsAreAppendSafe(t *testing.T) {
+	enc := Encode(List(String("abc"), Bytes([]byte{0x05}), List(String("nested"), Bytes(bytes.Repeat([]byte{7}, 60))), String("tail")))
+	input := append([]byte(nil), enc...)
+	it, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk func(Item)
+	walk = func(it Item) {
+		if it.IsList {
+			for _, sub := range it.List {
+				walk(sub)
+			}
+			return
+		}
+		if cap(it.Str) != len(it.Str) {
+			t.Errorf("decoded %q has cap %d, len %d", it.Str, cap(it.Str), len(it.Str))
+		}
+		_ = append(it.Str, 0xee, 0xee)
+	}
+	walk(it)
+	if !bytes.Equal(enc, input) {
+		t.Errorf("appending to decoded fields changed the input:\n got %x\nwant %x", enc, input)
+	}
+}
+
+func TestCodecAllocations(t *testing.T) {
+	tree := List(Uint(7), String("payload"), List(Bytes(bytes.Repeat([]byte{1}, 300)), List()), Bytes(nil))
+	if n := testing.AllocsPerRun(100, func() { Encode(tree) }); n != 1 {
+		t.Errorf("Encode of a built tree allocates %v times, want 1", n)
+	}
+	w := (&Tx{Type: TxTypeConfidential, Payload: bytes.Repeat([]byte{9}, 300)}).Encode()
+	decode := testing.AllocsPerRun(100, func() { DecodeTx(w) })
+	decodeEncode := testing.AllocsPerRun(100, func() {
+		tx, _ := DecodeTx(w)
+		tx.Encode()
+	})
+	if decodeEncode != decode {
+		t.Errorf("Encode of a decoded Tx allocates %v times, want 0", decodeEncode-decode)
+	}
+	tx, err := DecodeTx(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tx.Encode(), w) {
+		t.Error("a decoded Tx does not encode to its input")
+	}
+	if tx.Hash() != sha256.Sum256(w) {
+		t.Error("a decoded Tx's hash is not SHA-256 of its input")
+	}
+}
+
+func TestTxEncodeHashConcurrent(t *testing.T) {
+	payload := bytes.Repeat([]byte{3}, 200)
+	want := (&Tx{Type: TxTypePublic, Payload: payload}).Encode()
+	decoded, err := DecodeTx(append([]byte(nil), want...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	constructed := &Tx{Type: TxTypePublic, Payload: payload}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, tx := range []*Tx{decoded, constructed} {
+				if !bytes.Equal(tx.Encode(), want) || tx.Hash() != sha256.Sum256(want) {
+					t.Error("concurrent Encode/Hash disagrees with a fresh encoding")
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

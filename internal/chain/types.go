@@ -146,23 +146,34 @@ func (r *RawTx) VerifySignature() error {
 // nothing about the business action (not even the target contract) leaks
 // outside the enclave.
 //
-// Type and Payload must not be mutated after the first Hash call: the
-// identity digest is computed once and cached, since a transaction's hash
-// is consulted on every pool pass, OCC speculation, and commit sweep.
+// Type and Payload must not be mutated after the first Encode or Hash call:
+// the wire encoding and the identity digest are each computed once and
+// cached, since a transaction is encoded for gossip and for every block that
+// carries it, and its hash is consulted on every pool pass, OCC speculation,
+// and commit sweep. A decoded transaction keeps its input as its encoding.
 type Tx struct {
 	Type    uint8
 	Payload []byte
 
+	encOnce  sync.Once
+	enc      []byte
 	hashOnce sync.Once
 	hash     Hash
 }
 
-// Encode serializes the wire transaction.
+// Encode returns the wire encoding, built once. The bytes are shared and
+// read-only; their capacity is clipped, so an append copies them.
 func (t *Tx) Encode() []byte {
-	return Encode(List(Uint(uint64(t.Type)), Bytes(t.Payload)))
+	t.encOnce.Do(func() {
+		if t.enc == nil {
+			t.enc = Encode(List(Uint(uint64(t.Type)), Bytes(t.Payload)))
+		}
+	})
+	return t.enc[:len(t.enc):len(t.enc)]
 }
 
-// DecodeTx reverses Tx.Encode.
+// DecodeTx reverses Tx.Encode. The transaction aliases data, which Decode
+// has checked is canonical and so is exactly what Encode would build.
 func DecodeTx(data []byte) (*Tx, error) {
 	it, err := Decode(data)
 	if err != nil {
@@ -175,7 +186,7 @@ func DecodeTx(data []byte) (*Tx, error) {
 	if err != nil || typ > 2 {
 		return nil, fmt.Errorf("%w: bad type", ErrBadTx)
 	}
-	return &Tx{Type: uint8(typ), Payload: it.List[1].Str}, nil
+	return &Tx{Type: uint8(typ), Payload: it.List[1].Str, enc: data[:len(data):len(data)]}, nil
 }
 
 // Hash returns the transaction identity: SHA-256 over the wire encoding
@@ -391,11 +402,11 @@ func DecodeBlock(data []byte) (*Block, error) {
 			return nil, errors.New("chain: malformed block trailer")
 		}
 	}
-	if len(trailers) > 0 && len(trailers[0].Str) > 0 {
-		b.VerifyTag = append([]byte(nil), trailers[0].Str...)
+	if len(trailers) > 0 {
+		b.VerifyTag = trailers[0].Str
 	}
-	if len(trailers) > 1 && len(trailers[1].Str) > 0 {
-		b.KeyRelay = append([]byte(nil), trailers[1].Str...)
+	if len(trailers) > 1 {
+		b.KeyRelay = trailers[1].Str
 	}
 	return &b, nil
 }

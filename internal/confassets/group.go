@@ -1,5 +1,5 @@
 // Package confassets implements the confidential-assets primitive set from
-// ROADMAP open item 3: Pedersen value commitments over P-256, bit-decomposed
+// ROADMAP item 13: Pedersen value commitments over P-256, bit-decomposed
 // range proofs with batchable verification, commitment-to-zero proofs for
 // conservation checks, and enclave-signed selective-disclosure receipts that
 // third parties verify offline against the attested pk_tx.

@@ -430,6 +430,44 @@ func TestStateRollbackAttackDetected(t *testing.T) {
 	}
 }
 
+// TestEmptyValueReadsSameWarmAndCold pins that a value stored empty is
+// present, whether the read is served from the SDM cache the commit filled,
+// from the store after the cache is dropped, or from the cache that cold
+// read filled: a replica restarted cold must answer what a warm one does.
+func TestEmptyValueReadsSameWarmAndCold(t *testing.T) {
+	for _, confidential := range []bool{false, true} {
+		s := newStack(t, AllOptimizations())
+		engine := s.public
+		if confidential {
+			engine = s.engine
+		}
+		deployCounter(t, engine, counterAddr, VMCVM, confidential)
+		client, _ := NewClient(s.engine.EnvelopePublicKey())
+		var tx *chain.Tx
+		if confidential {
+			tx, _, _ = client.NewConfidentialTx(counterAddr, "set", []byte{})
+		} else {
+			tx, _ = client.NewPublicTx(counterAddr, "set", []byte{})
+		}
+		res, err := engine.Execute(tx)
+		if err != nil || res.Receipt.Status != chain.ReceiptOK {
+			t.Fatalf("confidential=%v: set \"\": %v", confidential, err)
+		}
+		commit(t, s, res)
+		sk := stateKey(counterAddr, []byte("v"))
+		for _, read := range []string{"warm", "cold", "re-warmed"} {
+			if read == "cold" {
+				engine.sdm.InvalidateCache()
+			}
+			v, found, err := engine.sdm.load(counterAddr, sk, confidential)
+			if err != nil || !found || len(v) != 0 {
+				t.Errorf("confidential=%v, %s read: found=%v len=%d err=%v, want found=true len 0",
+					confidential, read, found, len(v), err)
+			}
+		}
+	}
+}
+
 func TestDeployValidation(t *testing.T) {
 	s := newStack(t, AllOptimizations())
 	if err := s.engine.DeployContract(counterAddr, ownerAddr, VMCVM, []byte("garbage"), true, 1); err == nil {

@@ -193,9 +193,14 @@ func (s *SDM) load(addr chain.Address, sk []byte, confidential bool) ([]byte, bo
 			return nil, false, fmt.Errorf("core: state integrity violation for %q: %w", sk, err)
 		}
 	}
-	// A nil entry remembers that the key is absent.
+	// A nil entry remembers that the key is absent; a present value, even an
+	// empty one, is cached non-nil.
+	var cached []byte
+	if found {
+		cached = append([]byte{}, value...)
+	}
 	s.mu.Lock()
-	s.cache[string(sk)] = append([]byte(nil), value...)
+	s.cache[string(sk)] = cached
 	s.mu.Unlock()
 	return value, found, nil
 }
@@ -222,7 +227,7 @@ func (s *SDM) sealWrites(addr chain.Address, confidential bool, writes map[strin
 		}
 		batch.Put(sk, stored)
 		s.mu.Lock()
-		s.cache[string(sk)] = append([]byte(nil), value...)
+		s.cache[string(sk)] = append([]byte{}, value...) // present, even if empty
 		s.mu.Unlock()
 	}
 	return nil

@@ -366,7 +366,14 @@ func (n *Network) profileFor(from, to *Endpoint) LinkProfile {
 
 // Send transmits data to a single peer. Unknown peers and crashed senders
 // silently drop (like UDP); the caller's protocol provides any reliability.
+// The peer receives a copy, so the sender may reuse data at once.
 func (e *Endpoint) Send(to NodeID, topic string, data []byte) {
+	e.send(to, topic, append([]byte(nil), data...))
+}
+
+// send transmits data, which the network owns from here on: deliveries share
+// it read-only, and one with injected corruption flips a byte of its own copy.
+func (e *Endpoint) send(to NodeID, topic string, data []byte) {
 	net := e.net
 	e.mu.Lock()
 	if e.crashed {
@@ -439,8 +446,9 @@ func (e *Endpoint) Send(to NodeID, topic string, data []byte) {
 	deliverAt := e.busyUntil.Add(profile.Latency)
 	e.mu.Unlock()
 
-	msg := Message{From: e.id, Topic: topic, Data: append([]byte(nil), data...)}
+	msg := Message{From: e.id, Topic: topic, Data: data}
 	if corruptAt >= 0 {
+		msg.Data = append([]byte(nil), data...)
 		msg.Data[corruptAt] ^= 0xFF
 		net.stats.corrupted.Add(1)
 		mCorrupted.Inc()
@@ -474,7 +482,8 @@ func (dst *Endpoint) enqueue(msg Message) {
 	}
 }
 
-// Broadcast sends to every other node.
+// Broadcast sends to every other node. It copies data once, and every peer
+// receives that one copy, read-only.
 func (e *Endpoint) Broadcast(topic string, data []byte) {
 	e.net.mu.Lock()
 	ids := make([]NodeID, 0, len(e.net.nodes))
@@ -484,8 +493,9 @@ func (e *Endpoint) Broadcast(topic string, data []byte) {
 		}
 	}
 	e.net.mu.Unlock()
+	data = append([]byte(nil), data...)
 	for _, id := range ids {
-		e.Send(id, topic, data)
+		e.send(id, topic, data)
 	}
 }
 

@@ -173,21 +173,76 @@ func TestCloseDetaches(t *testing.T) {
 }
 
 func TestMessageDataIsolated(t *testing.T) {
-	// Mutating the sender's buffer after Send must not affect delivery.
+	// Mutating the sender's buffer after Send or Broadcast must not affect
+	// delivery: the one copy a broadcast makes is the network's, not the
+	// sender's.
 	n := NewNetwork(Config{IntraZone: LinkProfile{Latency: 5 * time.Millisecond}})
 	a, _ := n.Join(1, 0)
-	b, _ := n.Join(2, 0)
-	got := make(chan []byte, 1)
-	b.Subscribe("x", func(m Message) { got <- m.Data })
+	got := make(chan []byte, 3)
+	for id := NodeID(2); id <= 4; id++ {
+		peer, _ := n.Join(id, 0)
+		peer.Subscribe("x", func(m Message) { got <- m.Data })
+	}
 	buf := []byte("original")
 	a.Send(2, "x", buf)
 	copy(buf, "mutated!")
-	select {
-	case data := <-got:
-		if string(data) != "original" {
-			t.Errorf("delivered %q, want isolation from sender mutation", data)
+	expectDeliveries(t, got, 1, "original")
+
+	buf = []byte("original")
+	a.Broadcast("x", buf)
+	copy(buf, "mutated!")
+	expectDeliveries(t, got, 3, "original")
+}
+
+// expectDeliveries waits for n payloads on got, each equal to want.
+func expectDeliveries(t *testing.T, got <-chan []byte, n int, want string) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case data := <-got:
+			if string(data) != want {
+				t.Errorf("delivered %q, want isolation from sender mutation", data)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%d of %d deliveries arrived", i, n)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("not delivered")
+	}
+}
+
+func TestBroadcastCorruptionIsPrivate(t *testing.T) {
+	// Each corrupted delivery flips a byte of its own copy: neither the
+	// sender's buffer nor another peer's delivery sees the flip.
+	n := NewNetwork(Config{})
+	n.SetTopicCorruptRate("x", 1)
+	a, _ := n.Join(1, 0)
+	got := make(chan []byte, 3)
+	for id := NodeID(2); id <= 4; id++ {
+		peer, _ := n.Join(id, 0)
+		peer.Subscribe("x", func(m Message) { got <- m.Data })
+	}
+	original := []byte("a payload long enough to corrupt")
+	buf := append([]byte(nil), original...)
+	a.Broadcast("x", buf)
+	for i := 0; i < 3; i++ {
+		select {
+		case data := <-got:
+			diff := 0
+			for j := range data {
+				if data[j] != original[j] {
+					diff++
+				}
+			}
+			if len(data) != len(original) || diff != 1 {
+				t.Errorf("delivery differs from the original in %d bytes, want exactly 1", diff)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%d of 3 deliveries arrived", i)
+		}
+	}
+	if string(buf) != string(original) {
+		t.Errorf("sender's buffer changed to %q", buf)
+	}
+	if c := n.Stats().Corrupted; c != 3 {
+		t.Errorf("Corrupted = %d, want 3", c)
 	}
 }

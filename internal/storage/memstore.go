@@ -94,7 +94,7 @@ func (m *MemStore) WriteBatch(b *Batch) error {
 		if op.delete {
 			delete(m.data, string(op.key))
 		} else {
-			m.data[string(op.key)] = append([]byte(nil), op.value...)
+			m.data[string(op.key)] = op.value // Batch.Put's own copy
 		}
 	}
 	latency := m.writeLatency
