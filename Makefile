@@ -17,7 +17,7 @@ test:
 # encoding and hash, consensus liveness, fault injection, the node layer, and
 # the lock-free metrics registry feeding all of them.
 race:
-	$(GO) test -race ./internal/chain/... ./internal/consensus/... ./internal/node/... ./internal/p2p/... ./internal/metrics/... ./internal/bench/... ./internal/storage/... ./internal/gateway/... ./internal/confassets/... ./internal/cvm/... ./internal/pipeline/... ./internal/core/... ./internal/chaos/...
+	$(GO) test -race ./internal/chain/... ./internal/consensus/... ./internal/node/... ./internal/p2p/... ./internal/metrics/... ./internal/bench/... ./internal/storage/... ./internal/gateway/... ./internal/cvm/... ./internal/pipeline/... ./internal/core/... ./internal/chaos/...
 
 # gofmt -l prints the files it would rewrite; any name is a failure.
 vet:
@@ -64,8 +64,9 @@ bench-record:
 # Native fuzzing over the attack-surface decoders: RLP/wire formats (and the
 # one-pass RLP encoder against a two-buffer reference), the
 # CCLE codec and schema parser, envelope and key-relay opening, the engine's
-# two callers of the pre-processor steps against each other, and the gateway's
-# HTTP request decode path. One target per invocation is a go tool limitation.
+# two callers of the pre-processor steps against each other, the disclosure
+# receipt a gateway hands the client, and the gateway's HTTP request decode
+# path. One target per invocation is a go tool limitation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRLPDecode -fuzztime=$(FUZZTIME) ./internal/chain/
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecoders -fuzztime=$(FUZZTIME) ./internal/chain/
@@ -79,8 +80,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEpochHeader -fuzztime=$(FUZZTIME) ./internal/keyepoch/
 	$(GO) test -run='^$$' -fuzz=FuzzGatewayRequest -fuzztime=$(FUZZTIME) ./internal/gateway/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/storage/
-	$(GO) test -run='^$$' -fuzz=FuzzRangeProofVerify -fuzztime=$(FUZZTIME) ./internal/confassets/
-	$(GO) test -run='^$$' -fuzz=FuzzDisclosureReceipt -fuzztime=$(FUZZTIME) ./internal/confassets/
+	$(GO) test -run='^$$' -fuzz=FuzzDisclosureReceipt -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledVsInterp -fuzztime=$(FUZZTIME) ./internal/cvm/compile/
 	$(GO) test -run='^$$' -fuzz=FuzzScheduler -fuzztime=$(FUZZTIME) ./internal/pipeline/
 

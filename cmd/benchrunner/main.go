@@ -13,7 +13,6 @@
 //	benchrunner -exp overhead     # metrics-layer overhead guard (<2%)
 //	benchrunner -exp fastsync     # wipe-rejoin: snapshot vs genesis replay
 //	benchrunner -exp rotation     # key-epoch rotation under traffic + re-seal sweep
-//	benchrunner -exp confassets   # Pedersen/range-proof primitives + committed-token TPS
 //	benchrunner -exp vmcompile    # CONFIDE-VM AOT compiler vs interpreter vs EVM (VM level)
 //	benchrunner -exp fig10 -json  # also write BENCH_fig10.json (stamped with
 //	                              # nproc, GOMAXPROCS, Go version, VCS revision)
@@ -76,7 +75,6 @@ func main() {
 		{"overhead", false, func() (any, error) { return runOverhead(*txs, *quick) }},
 		{"fastsync", false, func() (any, error) { return runFastSync(*txs) }},
 		{"rotation", false, func() (any, error) { return runRotation(*txs) }},
-		{"confassets", false, func() (any, error) { return runConfAssets(*txs, *quick) }},
 		{"vmcompile", false, func() (any, error) { return runVMCompile(*txs) }},
 	}
 	expNames := "all"
@@ -310,36 +308,6 @@ func runChaos(seed int64, nodes, txs int, drop float64, wipes, rotations, gwkill
 			report.Metrics["confide_storage_read_retries_total"])
 	}
 	return nil
-}
-
-func runConfAssets(txs int, quick bool) (any, error) {
-	cfg := bench.DefaultConfAssets()
-	if txs > 0 {
-		cfg.TokenTxs = txs
-	}
-	if quick {
-		cfg.Proofs, cfg.Batches, cfg.TokenTxs = 16, []int{4, 16}, 8
-	}
-	fmt.Println("=== Confidential assets: commitment & range-proof primitives, committed-token TPS ===")
-	rows, err := bench.ConfAssets(cfg)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("%-20s %6s %7s %12s %12s %9s %7s\n", "Op", "Batch", "Iters", "ms/op", "ops/s", "Speedup", "Bytes")
-	for _, r := range rows {
-		speedup, batch, bytes := "", "", ""
-		if r.Speedup > 0 {
-			speedup = fmt.Sprintf("%.2fx", r.Speedup)
-		}
-		if r.Batch > 0 {
-			batch = fmt.Sprintf("%d", r.Batch)
-		}
-		if r.Bytes > 0 {
-			bytes = fmt.Sprintf("%d", r.Bytes)
-		}
-		fmt.Printf("%-20s %6s %7d %12.4f %12.1f %9s %7s\n", r.Op, batch, r.Iters, r.PerOpMs, r.OpsPerSec, speedup, bytes)
-	}
-	return rows, nil
 }
 
 func runVMCompile(txs int) (any, error) {

@@ -1,0 +1,109 @@
+package confide_test
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestDocsCiteExistingArtifacts holds the docs to one convention: a name in
+// code — a backticked span or a fenced block — must exist. A deleted test,
+// make target, experiment or file may still be named, but in plain text. The
+// rules, in order: a Test/Fuzz/Benchmark name (a trailing * makes it a
+// prefix) has a func in some _test.go; a `make X` is a Makefile target; a
+// `-exp X` is in benchrunner's experiment table; a BENCH_*.json file exists.
+// It reads DESIGN.md, README.md, EXPERIMENTS.md and docs/*.md. ROADMAP.md
+// stays out because it names tests that do not exist yet, and
+// benchmark/README.md because it changes only together with the benchmark.
+func TestDocsCiteExistingArtifacts(t *testing.T) {
+	docs := []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
+	more, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, more...)
+
+	funcs := map[string]bool{}
+	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		for _, m := range funcRE.FindAllStringSubmatch(readFile(t, path), -1) {
+			funcs[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := matchSet(readFile(t, "Makefile"), `(?m)^([a-z][\w-]*):`)
+	exps := matchSet(readFile(t, "cmd/benchrunner/main.go"), `\{"(\w+)", (?:true|false), `)
+	exps["all"] = true
+
+	rules := []struct {
+		re     *regexp.Regexp
+		exists func(string) bool
+		what   string
+	}{
+		{regexp.MustCompile(`\b((?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*\*?)`), func(s string) bool {
+			prefix, wild := strings.CutSuffix(s, "*") // TestCrash* names a family
+			for name := range funcs {
+				if name == s || wild && strings.HasPrefix(name, prefix) {
+					return true
+				}
+			}
+			return false
+		}, "no such test func"},
+		{regexp.MustCompile(`\bmake ([a-z][\w-]*)`), func(s string) bool { return targets[s] }, "no such Makefile target"},
+		{regexp.MustCompile(`-exp ([a-z]\w*)`), func(s string) bool { return exps[s] }, "not in benchrunner's experiment table"},
+		{regexp.MustCompile(`\b(BENCH_\w+\.json)`), func(s string) bool { _, err := os.Stat(s); return err == nil }, "no such file"},
+	}
+	span := regexp.MustCompile("`([^`]+)`")
+	for _, doc := range docs {
+		fenced := false
+		for i, line := range strings.Split(readFile(t, doc), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			code := []string{line}
+			if !fenced {
+				code = code[:0]
+				for _, m := range span.FindAllStringSubmatch(line, -1) {
+					code = append(code, m[1])
+				}
+			}
+			for _, r := range rules {
+				for _, c := range code {
+					for _, m := range r.re.FindAllStringSubmatch(c, -1) {
+						if !r.exists(m[1]) {
+							t.Errorf("%s:%d: %s: %s", doc, i+1, m[1], r.what)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// matchSet collects the first submatch of every match of expr in s.
+func matchSet(s, expr string) map[string]bool {
+	out := map[string]bool{}
+	for _, m := range regexp.MustCompile(expr).FindAllStringSubmatch(s, -1) {
+		out[m[1]] = true
+	}
+	return out
+}

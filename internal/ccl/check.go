@@ -28,10 +28,6 @@ var builtins = map[string]*builtin{
 	"call":        {"call", 5, true},
 	"len":         {"len", 1, true}, // compile-time length of a string literal
 	"fail":        {"fail", 0, false},
-	// confassets(inPtr, inLen, outPtr, outCap) → outLen or -1: op-coded
-	// confidential-assets host call (Pedersen commit, confidential
-	// transfer, range-proof check). Confidential engine (CVM) only.
-	"confassets": {"confassets", 4, true},
 }
 
 // Check resolves names, assigns local slots and string ids, and enforces the

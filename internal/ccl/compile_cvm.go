@@ -368,7 +368,7 @@ func (g *cvmGen) builtinCall(e *CallExpr) error {
 		g.b.Op(cvm.OpUnreachable)
 		return nil
 	case "input_size", "input_read", "output", "storage_get", "storage_set",
-		"sha256", "keccak256", "log", "caller", "call", "confassets":
+		"sha256", "keccak256", "log", "caller", "call":
 		if err := emitArgs(); err != nil {
 			return err
 		}
@@ -400,8 +400,6 @@ func cvmHostFor(name string) cvm.HostIndex {
 		return cvm.HostCaller
 	case "call":
 		return cvm.HostCall
-	case "confassets":
-		return cvm.HostConfAssets
 	}
 	panic("ccl: no host mapping for " + name)
 }

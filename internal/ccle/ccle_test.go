@@ -1,6 +1,7 @@
 package ccle
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -255,6 +256,46 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		if _, err := Decode(s, mutated, cipher); err == nil {
 			t.Error("corrupted encoding decoded successfully")
 		}
+	}
+}
+
+// TestCommittedFlagStrictness: 0x00 (plain) and 0x01 (sealed) are the only
+// field flags. Setting bit 0x02 on any field entry's flag byte — the flag
+// the removed committed grade used — is a wire error on every entry.
+func TestCommittedFlagStrictness(t *testing.T) {
+	s := parseListing1(t)
+	cipher := testCipher()
+	wire, err := Encode(s, demoValue(), cipher)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Locate each top-level field entry's flag byte by re-walking the framing.
+	count, data, err := readUvarint(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count == 0 {
+		t.Fatal("demo value encodes no fields")
+	}
+	for i := uint64(0); i < count; i++ {
+		_, rest, err := readUvarint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flagOff := len(wire) - len(rest)
+		n, rest2, err := readUvarint(rest[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = rest2[n:]
+		bad := append([]byte(nil), wire...)
+		bad[flagOff] ^= 0x02
+		if _, err := Decode(s, bad, cipher); !errors.Is(err, ErrBadEncoding) {
+			t.Errorf("flag 0x%02x at offset %d: got %v, want ErrBadEncoding", bad[flagOff], flagOff, err)
+		}
+	}
+	if len(data) != 0 {
+		t.Fatalf("%d bytes left after walking %d entries", len(data), count)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"confide/internal/confassets"
 	ccrypto "confide/internal/crypto"
 )
 
@@ -42,105 +41,11 @@ func (c *AEADCipher) Open(ciphertext, aad []byte) ([]byte, error) {
 const (
 	flagPlain     = 0x00
 	flagEncrypted = 0x01
-	// flagCommitted marks a committed ulong: the payload starts with a
-	// public 33-byte Pedersen commitment, followed by the sealed opening.
-	flagCommitted = 0x02
 )
-
-// committedPointLen is the serialized commitment length (compressed SEC1).
-const committedPointLen = confassets.PointSize
-
-// Committer produces and opens committed-field payloads. The aad is the
-// schema path ("Table.field"); implementations bind it — together with
-// their own context — into both the blinding derivation and the sealed
-// opening so payloads cannot be transplanted between fields.
-type Committer interface {
-	// CommitField returns commitment||sealedOpening for value.
-	CommitField(value uint64, aad []byte) ([]byte, error)
-	// OpenField verifies a payload and returns the committed value.
-	OpenField(payload, aad []byte) (uint64, error)
-}
-
-// CommittedCipher is the production Cipher for schemas with committed
-// fields: AEAD for confidential grades plus deterministic Pedersen
-// commitments for committed ones. The blinding is derived from BlindKey,
-// the cipher context, the per-transaction salt, the schema path and the
-// value itself, so replicas encoding the same state in the same
-// transaction derive byte-identical commitments, while re-encodings in
-// different transactions do not: without the salt, a field returning to a
-// previous value would emit the same public commitment bytes — a
-// deterministic-encryption equality leak to anyone watching the wire.
-type CommittedCipher struct {
-	AEADCipher
-	// BlindKey is derived from k_states (e.g. DeriveSubKey(k_states,
-	// "confide/confassets-blinding")).
-	BlindKey []byte
-	// TxSalt is the per-encoding component mixed into every blinding —
-	// typically the executing transaction's hash, identical across
-	// replicas, unique across transactions. Required: CommitField refuses
-	// to produce fresh commitments without it. Decoding is unaffected (the
-	// blinding travels inside the sealed opening), so payloads committed
-	// under any salt remain openable.
-	TxSalt []byte
-}
-
-// ErrNeedTxSalt is returned when committing a fresh value without a
-// per-transaction salt, which would silently reintroduce the equality
-// leak.
-var ErrNeedTxSalt = errors.New("ccle: committed field needs a per-transaction salt (CommittedCipher.TxSalt)")
-
-// CommitField implements Committer.
-func (c *CommittedCipher) CommitField(value uint64, aad []byte) ([]byte, error) {
-	if len(c.TxSalt) == 0 {
-		return nil, ErrNeedTxSalt
-	}
-	var vb [8]byte
-	binary.BigEndian.PutUint64(vb[:], value)
-	// The field path and value ride in the label slot; vb is fixed-width
-	// and last, so the concatenation cannot be ambiguous.
-	r := confassets.DeriveBlinding(c.BlindKey, c.Context, c.TxSalt, append(append([]byte(nil), aad...), vb[:]...), 0)
-	cm := confassets.Commit(value, r).Bytes()
-	opening := append(vb[:], confassets.ScalarBytes(r)...)
-	sealed, err := c.Seal(opening, append(append([]byte("committed|"), aad...), cm...))
-	if err != nil {
-		return nil, err
-	}
-	return append(cm, sealed...), nil
-}
-
-// OpenField implements Committer. The opening is authenticated twice: by
-// the AEAD tag and by recomputing the commitment from the recovered value
-// and blinding.
-func (c *CommittedCipher) OpenField(payload, aad []byte) (uint64, error) {
-	if len(payload) < committedPointLen {
-		return 0, fmt.Errorf("%w: committed payload too short", ErrBadEncoding)
-	}
-	cm := payload[:committedPointLen]
-	opening, err := c.Open(payload[committedPointLen:], append(append([]byte("committed|"), aad...), cm...))
-	if err != nil {
-		return 0, err
-	}
-	if len(opening) != 8+confassets.ScalarSize {
-		return 0, fmt.Errorf("%w: committed opening malformed", ErrBadEncoding)
-	}
-	value := binary.BigEndian.Uint64(opening[:8])
-	r, err := confassets.DecodeScalar(opening[8:])
-	if err != nil {
-		return 0, err
-	}
-	if string(confassets.Commit(value, r).Bytes()) != string(cm) {
-		return 0, errors.New("ccle: committed opening does not match commitment")
-	}
-	return value, nil
-}
 
 // ErrNeedCipher is returned when encoding confidential fields without a
 // cipher.
 var ErrNeedCipher = errors.New("ccle: schema has confidential fields but no cipher was provided")
-
-// ErrNeedCommitter is returned when encoding a fresh committed value with
-// a cipher that cannot produce commitments.
-var ErrNeedCommitter = errors.New("ccle: schema has committed fields but the cipher is not a Committer")
 
 // ErrBadEncoding reports malformed wire bytes.
 var ErrBadEncoding = errors.New("ccle: malformed encoding")
@@ -166,17 +71,6 @@ func encodeTable(s *Schema, t *Table, v *Value, cipher Cipher) ([]byte, error) {
 	out = binary.AppendUvarint(out, uint64(len(present)))
 	for _, f := range present {
 		fv := v.Fields[f.Name]
-		if f.Committed {
-			payload, err := encodeCommitted(t, f, fv, cipher)
-			if err != nil {
-				return nil, err
-			}
-			out = binary.AppendUvarint(out, uint64(f.Index))
-			out = append(out, flagCommitted)
-			out = binary.AppendUvarint(out, uint64(len(payload)))
-			out = append(out, payload...)
-			continue
-		}
 		payload, err := encodeFieldPayload(s, t, f, fv, cipher)
 		if err != nil {
 			return nil, err
@@ -199,28 +93,6 @@ func encodeTable(s *Schema, t *Table, v *Value, cipher Cipher) ([]byte, error) {
 		out = append(out, payload...)
 	}
 	return out, nil
-}
-
-// encodeCommitted serializes a committed ulong. A fresh integer value needs
-// a Committer; an already-committed value (round-tripped from Decode, with
-// or without an opening) re-emits its payload verbatim so auditors can
-// re-encode trees they cannot open.
-func encodeCommitted(t *Table, f *Field, fv *Value, cipher Cipher) ([]byte, error) {
-	switch fv.Kind {
-	case ValInt:
-		cm, ok := cipher.(Committer)
-		if !ok {
-			return nil, ErrNeedCommitter
-		}
-		return cm.CommitField(uint64(fv.Int), []byte(t.Name+"."+f.Name))
-	case ValCommitted:
-		if len(fv.Str) < committedPointLen {
-			return nil, fmt.Errorf("%w: %s.%s committed payload too short", ErrBadEncoding, t.Name, f.Name)
-		}
-		return fv.Str, nil
-	default:
-		return nil, fmt.Errorf("ccle: %s.%s: expected integer or committed value", t.Name, f.Name)
-	}
 }
 
 func encodeFieldPayload(s *Schema, t *Table, f *Field, fv *Value, cipher Cipher) ([]byte, error) {
@@ -364,19 +236,8 @@ func decodeTable(s *Schema, t *Table, data []byte, cipher Cipher) (*Value, []byt
 		payload := data[:n]
 		data = data[n:]
 
-		if flags > flagCommitted {
+		if flags > flagEncrypted {
 			return nil, nil, fmt.Errorf("%w: unknown flags 0x%02x on %s.%s", ErrBadEncoding, flags, t.Name, f.Name)
-		}
-		if f.Committed != (flags == flagCommitted) {
-			return nil, nil, fmt.Errorf("%w: flags 0x%02x on %s.%s", ErrBadEncoding, flags, t.Name, f.Name)
-		}
-		if flags == flagCommitted {
-			fv, err := decodeCommitted(t, f, payload, cipher)
-			if err != nil {
-				return nil, nil, err
-			}
-			v.Fields[f.Name] = fv
-			continue
 		}
 		if flags == flagEncrypted {
 			if cipher == nil {
@@ -396,28 +257,6 @@ func decodeTable(s *Schema, t *Table, data []byte, cipher Cipher) (*Value, []byt
 		v.Fields[f.Name] = fv
 	}
 	return v, data, nil
-}
-
-// decodeCommitted parses a committed payload. The commitment must be a
-// valid curve point regardless of whether an opening is available; with a
-// Committer the opening is verified and the value surfaced.
-func decodeCommitted(t *Table, f *Field, payload []byte, cipher Cipher) (*Value, error) {
-	if len(payload) < committedPointLen {
-		return nil, fmt.Errorf("%w: %s.%s committed payload too short", ErrBadEncoding, t.Name, f.Name)
-	}
-	if _, err := confassets.DecodePoint(payload[:committedPointLen]); err != nil {
-		return nil, fmt.Errorf("ccle: %s.%s: %w", t.Name, f.Name, err)
-	}
-	raw := append([]byte(nil), payload...)
-	cm, ok := cipher.(Committer)
-	if !ok {
-		return CommittedVal(raw), nil
-	}
-	value, err := cm.OpenField(raw, []byte(t.Name+"."+f.Name))
-	if err != nil {
-		return nil, fmt.Errorf("ccle: %s.%s: %w", t.Name, f.Name, err)
-	}
-	return OpenedCommitted(value, raw), nil
 }
 
 func decodeFieldPayload(s *Schema, t *Table, f *Field, payload []byte, cipher Cipher) (*Value, error) {

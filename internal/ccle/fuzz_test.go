@@ -71,6 +71,7 @@ func FuzzCodecDecode(f *testing.F) {
 	f.Add(plainOnly)
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
+	f.Add([]byte{0x01, 0x00, 0x02, 0x00})                                     // one entry whose flag byte is 0x02: no such flag
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // uvarint overflow
 
 	f.Fuzz(func(t *testing.T, data []byte) {

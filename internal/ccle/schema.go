@@ -64,11 +64,6 @@ type Field struct {
 	// Confidential marks the field (and, recursively, everything inside
 	// it) as encrypted at rest.
 	Confidential bool
-	// Committed marks a ulong field stored as a Pedersen commitment: the
-	// 33-byte commitment is public wire data (auditors can verify range
-	// and conservation proofs against it) while the opening — value and
-	// blinding factor — is sealed and only readable inside the enclave.
-	Committed bool
 	// Index is the stable wire tag.
 	Index int
 }
@@ -167,14 +162,6 @@ func (s *Schema) validate() error {
 			}
 			if f.IsMap && !f.IsVector {
 				return fmt.Errorf("ccle: %s.%s: map attribute requires a [T] composite", t.Name, f.Name)
-			}
-			if f.Committed {
-				if f.Scalar != KindULong || f.IsVector || f.IsMap {
-					return fmt.Errorf("ccle: %s.%s: committed attribute requires a plain ulong field", t.Name, f.Name)
-				}
-				if f.Confidential {
-					return fmt.Errorf("ccle: %s.%s: committed and confidential are mutually exclusive", t.Name, f.Name)
-				}
 			}
 		}
 	}
@@ -334,8 +321,6 @@ func (p *schemaParser) field(s *Schema) (*Field, error) {
 				f.IsMap = true
 			case "confidential":
 				f.Confidential = true
-			case "committed":
-				f.Committed = true
 			default:
 				return nil, fmt.Errorf("ccle:%d: unsupported attribute %q", p.line, attr)
 			}
@@ -372,7 +357,7 @@ func (s *Schema) ConfidentialPaths() []string {
 // String renders the schema back to (normalized) CCLe text.
 func (s *Schema) String() string {
 	var b strings.Builder
-	b.WriteString("attribute \"map\";\nattribute \"confidential\";\nattribute \"committed\";\n\n")
+	b.WriteString("attribute \"map\";\nattribute \"confidential\";\n\n")
 	for _, name := range s.Order {
 		t := s.Tables[name]
 		fmt.Fprintf(&b, "table %s {\n", t.Name)
@@ -398,9 +383,6 @@ func (s *Schema) String() string {
 			}
 			if f.Confidential {
 				attrs = append(attrs, "confidential")
-			}
-			if f.Committed {
-				attrs = append(attrs, "committed")
 			}
 			if len(attrs) > 0 {
 				fmt.Fprintf(&b, "(%s)", strings.Join(attrs, ", "))

@@ -25,12 +25,6 @@ const (
 	// bytes exist but are unreadable — exactly what a third-party auditor
 	// sees.
 	ValRedacted
-	// ValCommitted is a committed ulong field: Str holds the raw wire
-	// payload (33-byte Pedersen commitment followed by the sealed
-	// opening). When decoded inside the enclave — with a Committer — the
-	// opening is verified and Opened/Int carry the value; without one the
-	// commitment is still usable for proof verification.
-	ValCommitted
 )
 
 // Value is a dynamic CCLe value tree.
@@ -41,9 +35,6 @@ type Value struct {
 	Fields map[string]*Value
 	Vec    []*Value
 	Map    map[string]*Value
-	// Opened is set on a ValCommitted decoded with a Committer: Int holds
-	// the committed value (uint64 bits).
-	Opened bool
 }
 
 // Int64 makes an integer value.
@@ -67,33 +58,6 @@ func MapVal(m map[string]*Value) *Value { return &Value{Kind: ValMap, Map: m} }
 // Redacted is the placeholder for unreadable confidential content.
 func Redacted() *Value { return &Value{Kind: ValRedacted} }
 
-// CommittedVal wraps a raw committed-field payload (commitment plus sealed
-// opening) without an opening — the auditor's view of a committed field.
-func CommittedVal(payload []byte) *Value { return &Value{Kind: ValCommitted, Str: payload} }
-
-// OpenedCommitted is a committed field whose opening has been verified.
-func OpenedCommitted(value uint64, payload []byte) *Value {
-	return &Value{Kind: ValCommitted, Int: int64(value), Str: payload, Opened: true}
-}
-
-// Commitment returns the public 33-byte Pedersen commitment of a
-// ValCommitted, or nil for other kinds.
-func (v *Value) Commitment() []byte {
-	if v == nil || v.Kind != ValCommitted || len(v.Str) < committedPointLen {
-		return nil
-	}
-	return v.Str[:committedPointLen]
-}
-
-// CommittedValue returns the opened value of a ValCommitted and whether an
-// opening is available.
-func (v *Value) CommittedValue() (uint64, bool) {
-	if v == nil || v.Kind != ValCommitted || !v.Opened {
-		return 0, false
-	}
-	return uint64(v.Int), true
-}
-
 // Equal deep-compares two value trees.
 func Equal(a, b *Value) bool {
 	if a == nil || b == nil {
@@ -109,10 +73,6 @@ func Equal(a, b *Value) bool {
 		return string(a.Str) == string(b.Str)
 	case ValRedacted:
 		return true
-	case ValCommitted:
-		// The commitment binds the value, so payload equality is the
-		// strongest comparison; openings must also agree when present.
-		return string(a.Str) == string(b.Str) && a.Opened == b.Opened && a.Int == b.Int
 	case ValTable:
 		if len(a.Fields) != len(b.Fields) {
 			return false
@@ -159,14 +119,6 @@ func (v *Value) String() string {
 		return fmt.Sprintf("%q", v.Str)
 	case ValRedacted:
 		return "<confidential>"
-	case ValCommitted:
-		if v.Opened {
-			return fmt.Sprintf("committed(%d, %x…)", uint64(v.Int), v.Commitment()[:4])
-		}
-		if c := v.Commitment(); c != nil {
-			return fmt.Sprintf("committed(%x…)", c[:4])
-		}
-		return "committed(?)"
 	case ValTable:
 		keys := make([]string, 0, len(v.Fields))
 		for k := range v.Fields {

@@ -16,6 +16,10 @@ import (
 //   - periodic retransmission, with per-instance exponential backoff, of
 //     this replica's unacknowledged pre-prepares / prepares / commits and
 //     of its outstanding view-change vote;
+//   - an answer to stale view-change votes: a replica already in view v
+//     replies to a vote for a view ≤ v with its vote for v, so a peer that
+//     lost this replica's vote for v before the quorum moved on can still
+//     gather the quorum and adopt v;
 //   - a status heartbeat (view + delivered count). f+1 peers observed at a
 //     higher view is proof a quorum adopted it (at least one of the f+1 is
 //     correct), so a rejoining replica jumps forward without re-running

@@ -58,6 +58,7 @@ const (
 	msgFetch          // request instances/committed payloads from seq
 	msgFetchResp      // in-flight payload replay (pre-prepare contents)
 	msgFetchCommitted // committed payload from the responder's log
+	msgViewAdopted    // view-change vote re-sent by a replica already in that view
 )
 
 // Options tunes a replica's liveness machinery. The zero value selects
@@ -267,12 +268,29 @@ func (r *Replica) RequestViewChange() {
 
 func (r *Replica) onViewChange(m p2p.Message) {
 	typ, target, _, _, payload, err := decodeMsg(m.Data)
-	if err != nil || typ != msgViewChange {
+	if err != nil || (typ != msgViewChange && typ != msgViewAdopted) {
 		return
 	}
 	r.mu.Lock()
-	if r.closed || target <= r.view {
+	if r.closed {
 		r.mu.Unlock()
+		return
+	}
+	if target <= r.view {
+		// The sender still campaigns for a view this replica already left
+		// behind. It may have lost this replica's vote for it, and votes
+		// retransmit only for votedFor, so that vote is never resent: a
+		// quorum that adopted the view without it strands the sender. Answer
+		// with a vote for the current view. Answers are never answered, so
+		// two replicas in the same view cannot bounce them.
+		var answer []byte
+		if typ == msgViewChange && r.view > 0 {
+			answer = encodeMsg(msgViewAdopted, r.view, 0, zeroDigest[:], encodeVCEntries(r.preparedSet()))
+		}
+		r.mu.Unlock()
+		if answer != nil {
+			r.endpoint.Send(m.From, topicViewChange, answer)
+		}
 		return
 	}
 	r.recordViewVote(target, m.From, decodeVCEntries(payload))
@@ -783,7 +801,7 @@ func decodeMsg(data []byte) (typ, view, seq uint64, digest [32]byte, payload []b
 	if typ, err = it.List[0].AsUint(); err != nil {
 		return
 	}
-	if typ < msgPrePrepare || typ > msgFetchCommitted {
+	if typ < msgPrePrepare || typ > msgViewAdopted {
 		return 0, 0, 0, digest, nil, errors.New("consensus: unknown message type")
 	}
 	if view, err = it.List[1].AsUint(); err != nil {

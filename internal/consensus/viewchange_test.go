@@ -128,3 +128,37 @@ func TestConsecutiveViewChanges(t *testing.T) {
 		}
 	}
 }
+
+// TestStrandedVoterAdoptsViewFromAnswer: the one replica whose vote completed
+// the quorum moves to view 1, but its vote never reaches the other two, so
+// they hold two votes and wait. Heartbeats cannot help (one peer at view 1
+// is below the f+1 evidence threshold) and their timers stay disarmed while
+// their own vote is outstanding. Their retransmitted votes must draw the
+// view-1 replica's answer and complete their quorum.
+func TestStrandedVoterAdoptsViewFromAnswer(t *testing.T) {
+	c := newClusterOpts(t, 4, p2p.Config{}, fastOpts())
+	c.endpoints[0].Crash()
+	c.net.SetLinkDropRate(1, 2, 1)
+	c.net.SetLinkDropRate(1, 3, 1)
+	c.replicas[2].RequestViewChange()
+	c.replicas[3].RequestViewChange()
+	waitView(t, c.replicas[1], 1)
+	for i := 2; i < 4; i++ {
+		if v := c.replicas[i].View(); v != 0 {
+			t.Fatalf("replica %d reached view %d without replica 1's vote", i, v)
+		}
+	}
+	c.net.SetLinkDropRate(1, 2, 0)
+	c.net.SetLinkDropRate(1, 3, 0)
+	for i := 2; i < 4; i++ {
+		waitView(t, c.replicas[i], 1)
+	}
+	if _, err := c.replicas[1].Propose([]byte("after stranded vote")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 4; i++ {
+		if err := c.replicas[i].WaitDelivered(1, 3*time.Second); err != nil {
+			t.Fatalf("replica %d: %v", i, err)
+		}
+	}
+}

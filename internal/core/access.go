@@ -146,7 +146,7 @@ func (e *Engine) handleAccessInEnclave(req AccessRequest) (*AccessGrant, error) 
 // caller, its writes discarded. Anything but an explicit 0x01 refuses.
 func (e *Engine) authorize(contract, requester chain.Address, subject []byte) (bool, error) {
 	input := EncodeInput(AuthorizeMethod, requester[:], subject)
-	out, err := e.runContract(e.newTxContext(true, chain.Hash{}), contract, input, requester[:], 0)
+	out, err := e.runContract(e.newTxContext(true), contract, input, requester[:], 0)
 	return len(out) == 1 && out[0] == 0x01, err
 }
 

@@ -45,8 +45,8 @@ func (e *Engine) AuditSealedState() (AuditStatus, error) {
 			}
 			return open(rec.Code, codeAAD(addr, rec.Owner, rec.SecVer))
 		},
-		func(_ []byte, addr chain.Address, stored []byte) error {
-			return open(stored, stateAAD(addr))
+		func(key []byte, _ chain.Address, stored []byte) error {
+			return open(stored, key)
 		})
 	if err != nil {
 		return st, fmt.Errorf("core: audit: %w", err)

@@ -106,7 +106,7 @@ func (c *Client) signedRaw(contract chain.Address, method string, args [][]byte)
 // verification key into the request and signs the canonical statement
 // bytes. The enclave verifies the signature, derives the requester's
 // on-chain address from the key, and consults the target contract's
-// authorize rule before building any proof. Callers set SigHeight to a
+// authorize rule before it reads the cell. Callers set SigHeight to a
 // recent chain height first; Verifier and the statement parameters are
 // covered by the signature, so they cannot be altered in flight.
 func (c *Client) SignDisclosure(req *DisclosureRequest) error {

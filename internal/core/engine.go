@@ -643,7 +643,7 @@ func (e *Engine) openForExecution(epoch uint64, env []byte, meta preMeta) (*chai
 
 // executeRaw runs the decoded transaction body and assembles the result.
 func (e *Engine) executeRaw(tx *chain.Tx, raw *chain.RawTx, ktx []byte) (*ExecResult, error) {
-	txc := e.newTxContext(tx.Type == chain.TxTypeConfidential, tx.Hash())
+	txc := e.newTxContext(tx.Type == chain.TxTypeConfidential)
 	input := EncodeInput(raw.Method, raw.Args...)
 	output, execErr := e.runContract(txc, raw.Contract, input, raw.From[:], 0)
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -399,7 +400,7 @@ func TestBadSignatureInsideEnvelopeRejected(t *testing.T) {
 	}
 }
 
-func TestStateRollbackAttackDetected(t *testing.T) {
+func TestCrossContractSwapDetected(t *testing.T) {
 	// A malicious host swaps a state ciphertext with one from a different
 	// contract context (same k_states). AAD binding must catch it.
 	s := newStack(t, AllOptimizations())
@@ -427,6 +428,38 @@ func TestStateRollbackAttackDetected(t *testing.T) {
 	res, err := s.engine.Execute(getTx)
 	if err == nil && res.Receipt.Status == chain.ReceiptOK {
 		t.Error("cross-context ciphertext swap went undetected")
+	}
+}
+
+// TestSealedValueMovedToAnotherKeyDetected: inside one confidential
+// contract, a host copies key A's sealed bytes onto key B. The record is
+// bound to its full store key, so reading B fails the AEAD check instead of
+// returning A's value.
+func TestSealedValueMovedToAnotherKeyDetected(t *testing.T) {
+	s := newStack(t, AllOptimizations())
+	addr := chain.AddressFromBytes([]byte("kv-moved"))
+	deployKV(t, s.engine, addr)
+	client, _ := NewClient(s.engine.EnvelopePublicKey())
+	runKV(t, s, client, addr, "put", []byte("alice"), u64be(5000))
+	runKV(t, s, client, addr, "put", []byte("bob"), u64be(7))
+
+	moved, found, _ := s.store.Get(stateKey(addr, []byte("alice")))
+	if !found {
+		t.Fatal("setup failed")
+	}
+	s.store.Put(stateKey(addr, []byte("bob")), moved)
+	s.engine.sdm.InvalidateCache()
+
+	read, _, _ := client.NewConfidentialTx(addr, "read", []byte("bob"))
+	res, err := s.engine.Execute(read)
+	if err == nil {
+		if res.Receipt.Status == chain.ReceiptOK {
+			t.Fatalf("moved ciphertext read back as %x", res.Receipt.Output)
+		}
+		err = errors.New(string(res.Receipt.Output))
+	}
+	if !strings.Contains(err.Error(), "state integrity violation") {
+		t.Fatalf("got %v, want a state integrity violation", err)
 	}
 }
 
@@ -459,7 +492,7 @@ func TestEmptyValueReadsSameWarmAndCold(t *testing.T) {
 			if read == "cold" {
 				engine.sdm.InvalidateCache()
 			}
-			v, found, err := engine.sdm.load(counterAddr, sk, confidential)
+			v, found, err := engine.sdm.load(sk, confidential)
 			if err != nil || !found || len(v) != 0 {
 				t.Errorf("confidential=%v, %s read: found=%v len=%d err=%v, want found=true len 0",
 					confidential, read, found, len(v), err)

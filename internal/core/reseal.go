@@ -96,8 +96,8 @@ func (e *Engine) ResealSweep(budget int) (ResealStatus, error) {
 			forget = append(forget, key)
 			return nil
 		},
-		func(key []byte, addr chain.Address, stored []byte) error {
-			sealed, changed, err := reseal(stored, stateAAD(addr))
+		func(key []byte, _ chain.Address, stored []byte) error {
+			sealed, changed, err := reseal(stored, key)
 			if err != nil || !changed {
 				return err
 			}

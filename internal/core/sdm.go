@@ -103,9 +103,10 @@ func (s *SDM) walkSealed(
 
 // SDM is the Secure Data Module: every interaction between the
 // Confidential-Engine and the blockchain's KV store flows through it. It
-// implements the D-Protocol (authenticated encryption of confidential
-// state under k_states, with contract identity and security version as
-// associated data) and keeps a memory cache for I/O efficiency. Crossing
+// implements the D-Protocol (authenticated encryption under k_states: a
+// state record is bound to its store key, a code record to the contract's
+// identity, owner and security version) and keeps a memory cache for I/O
+// efficiency. Crossing
 // to the store from inside the enclave costs an ocall.
 type SDM struct {
 	store   storage.KVStore
@@ -127,13 +128,6 @@ func NewSDM(store storage.KVStore, enclave *tee.Enclave, ring *keyepoch.Ring, pr
 		profile: profile,
 		cache:   make(map[string][]byte),
 	}
-}
-
-// stateAAD binds a state ciphertext to its contract identity. The security
-// version is deliberately NOT part of state AAD — it authenticates contract
-// *code* (codeAAD), so upgrading a contract does not orphan its state.
-func stateAAD(addr chain.Address) []byte {
-	return []byte(fmt.Sprintf("confide/state/%x", addr[:]))
 }
 
 // openSealed unwraps an epoch-tagged sealed record: the tag routes the
@@ -173,8 +167,13 @@ func (s *SDM) fetch(key []byte) (value []byte, found bool, err error) {
 }
 
 // load fetches and (for confidential contracts) decrypts the state value
-// stored at sk = stateKey(addr, key), charging the enclave boundary.
-func (s *SDM) load(addr chain.Address, sk []byte, confidential bool) ([]byte, bool, error) {
+// stored at sk = stateKey(addr, key), charging the enclave boundary. A state
+// record's AAD is its store key sk, which binds the ciphertext to both its
+// contract and its key: a host that moves it anywhere else fails the AEAD
+// check. The security version is deliberately not part of it — it
+// authenticates contract *code* (codeAAD), so upgrading a contract does not
+// orphan its state.
+func (s *SDM) load(sk []byte, confidential bool) ([]byte, bool, error) {
 	s.mu.Lock()
 	v, ok := s.cache[string(sk)]
 	s.mu.Unlock()
@@ -187,7 +186,7 @@ func (s *SDM) load(addr chain.Address, sk []byte, confidential bool) ([]byte, bo
 	}
 	if found && confidential && s.ring != nil {
 		start := time.Now()
-		value, err = s.openSealed(value, stateAAD(addr))
+		value, err = s.openSealed(value, sk)
 		s.profile.Record(OpStateDecrypt, time.Since(start))
 		if err != nil {
 			return nil, false, fmt.Errorf("core: state integrity violation for %q: %w", sk, err)
@@ -214,7 +213,7 @@ func (s *SDM) sealWrites(addr chain.Address, confidential bool, writes map[strin
 		stored := value
 		if confidential && s.ring != nil {
 			start := time.Now()
-			sealed, err := s.sealRecord(value, stateAAD(addr))
+			sealed, err := s.sealRecord(value, sk)
 			s.profile.Record(OpStateEncrypt, time.Since(start))
 			if err != nil {
 				return err
@@ -393,11 +392,6 @@ type txContext struct {
 	logs         []string
 	gasUsed      uint64
 	confidential bool
-	// txHash and caCounter feed the confidential-assets blinding
-	// derivation: every commitment minted in this transaction gets a
-	// unique, replica-deterministic blinding factor.
-	txHash    chain.Hash
-	caCounter uint64
 }
 
 // contractWrites is one contract's buffered write set, with what write-back
@@ -408,14 +402,12 @@ type contractWrites struct {
 }
 
 // newTxContext starts a transaction of the given confidentiality class.
-// txHash is zero for a rule consultation, which mints no commitments.
-func (e *Engine) newTxContext(confidential bool, txHash chain.Hash) *txContext {
+func (e *Engine) newTxContext(confidential bool) *txContext {
 	return &txContext{
 		engine:       e,
 		readSet:      make(map[string]struct{}),
 		writes:       make(map[chain.Address]*contractWrites),
 		confidential: confidential,
-		txHash:       txHash,
 	}
 }
 
@@ -443,7 +435,7 @@ func (f *frameEnv) GetStorage(key []byte) ([]byte, bool, error) {
 	}
 	sk := stateKey(f.contract, key)
 	f.tx.readSet[string(sk)] = struct{}{}
-	return f.tx.engine.sdm.load(f.contract, sk, f.sealed)
+	return f.tx.engine.sdm.load(sk, f.sealed)
 }
 
 // SetStorage implements cvm.Env: buffered until commit.

@@ -312,12 +312,15 @@ func TestHostCalls(t *testing.T) {
 	if !out.trap {
 		t.Fatalf("negative key pointer should trap: %+v", out)
 	}
-	// ConfAssets against an env that does not implement it: trap parity.
-	ca := cvm.NewFuncBuilder(0, 0, 1)
-	ca.Const(0).Const(4).Const(100).Const(64).Host(cvm.HostConfAssets).Op(cvm.OpReturn)
-	out = diff(t, singleFunc(ca.MustFinish()), nil, nil)
-	if !out.trap || !strings.Contains(out.errStr, "confassets host not supported") {
-		t.Fatalf("confassets trap: %+v", out)
+	// Host index 10 is past the table: both the interpreter and the
+	// compiler take their program from LoadProgram, which refuses it.
+	h10 := cvm.NewFuncBuilder(0, 0, 1)
+	h10.Const(0).Const(4).Const(100).Const(64).OpImm(cvm.OpHost, 10).Op(cvm.OpReturn)
+	for _, fuse := range []bool{false, true} {
+		_, err := cvm.LoadProgram(singleFunc(h10.MustFinish()).Encode(), cvm.BuildOptions{Fuse: fuse})
+		if !errors.Is(err, cvm.ErrBadModule) || !strings.Contains(err.Error(), "host index 10 out of range") {
+			t.Fatalf("fuse=%v: host index 10 loaded: %v", fuse, err)
+		}
 	}
 }
 

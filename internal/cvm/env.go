@@ -65,17 +65,8 @@ const (
 	// the needed length if it exceeds outCap (nothing copied), or -1 if the
 	// callee trapped.
 	HostCall HostIndex = 9
-	// HostConfAssets (inPtr, inLen, outPtr, outCap) → output length, or the
-	// needed length if it exceeds outCap (nothing copied), or -1 when the
-	// confidential-assets engine rejects a proof the contract asked it to
-	// check (the contract branches on the result). Invariant violations —
-	// malformed requests, unbalanced transfers, overflow past a supply cap
-	// — trap and fail the transaction at the apply path. The input is an
-	// op-coded request (see core's confassets host ops); only environments
-	// implementing ConfAssetsEnv support it, others trap.
-	HostConfAssets HostIndex = 10
 
-	numHostFuncs = 11
+	numHostFuncs = 10
 	// NumHostFuncs exports the host-table size for the compiler's
 	// validation pass.
 	NumHostFuncs = numHostFuncs
@@ -99,20 +90,6 @@ var hostSigs = [numHostFuncs]hostSig{
 	HostLog:         {2, 0, 20},
 	HostCaller:      {1, 0, 2},
 	HostCall:        {5, 1, 700},
-	// Pedersen commitments and range-proof checks cost hundreds of scalar
-	// multiplications; the gas price reflects that this is the most
-	// expensive host operation by an order of magnitude.
-	HostConfAssets: {4, 1, 8000},
-}
-
-// ConfAssetsEnv is the optional extension an Env implements to expose the
-// confidential-assets engine (Pedersen commit / homomorphic add / range
-// proof verification) to contracts. The call is deterministic: replicas
-// re-executing the same transaction see identical outputs. A (nil, nil)
-// return maps to the -1 "rejected" result in the VM without trapping, so
-// contracts can branch on proof validity.
-type ConfAssetsEnv interface {
-	ConfAssetsCall(input []byte) ([]byte, error)
 }
 
 // ErrTrap is the sentinel every contract trap wraps (bounds violations,
@@ -249,30 +226,6 @@ func DispatchHost(env Env, mem []byte, idx HostIndex, args []int64) (int64, erro
 			return int64(len(out)), nil
 		}
 		if err := memWriteAt(mem, args[3], out); err != nil {
-			return 0, err
-		}
-		return int64(len(out)), nil
-
-	case HostConfAssets:
-		cae, ok := env.(ConfAssetsEnv)
-		if !ok {
-			return 0, fmt.Errorf("%w: confassets host not supported by this engine", errTrap)
-		}
-		input, err := memReadAt(mem, args[0], args[1])
-		if err != nil {
-			return 0, err
-		}
-		out, err := cae.ConfAssetsCall(append([]byte(nil), input...))
-		if err != nil {
-			return 0, fmt.Errorf("%w: confassets: %v", errTrap, err)
-		}
-		if out == nil {
-			return -1, nil
-		}
-		if int64(len(out)) > args[3] {
-			return int64(len(out)), nil
-		}
-		if err := memWriteAt(mem, args[2], out); err != nil {
 			return 0, err
 		}
 		return int64(len(out)), nil

@@ -9,26 +9,25 @@ import (
 	"time"
 
 	"confide/internal/chain"
-	"confide/internal/confassets"
 	"confide/internal/core"
 	"confide/internal/metrics"
 )
 
 // CodeUnsatisfied reports that the enclave refused to sign the requested
-// statement — the committed value does not satisfy the predicate. The
-// refusal is deliberately value-free.
+// statement — the cell's value does not satisfy it. The refusal is
+// deliberately value-free.
 const CodeUnsatisfied = "unsatisfied"
 
 // DisclosureRequestBody is POST /v1/disclosure/request: ask the serving
-// engine for a selective-disclosure receipt over one committed state cell.
+// engine for a selective-disclosure receipt over one 8-byte state cell.
 // Requests carry the requester's own signature over the canonical statement
 // bytes; the gateway is untrusted transport and forwards it verbatim — the
 // enclave verifies the signature and asks the target contract's authorize
 // rule whether this requester may see this statement.
 type DisclosureRequestBody struct {
 	Contract  []byte `json:"contract"` // 20-byte contract address
-	Key       []byte `json:"key"`      // state key of the committed cell
-	Kind      string `json:"kind"`     // open | range | threshold | interval
+	Key       []byte `json:"key"`      // state key of the cell
+	Kind      string `json:"kind"`     // open | threshold | interval
 	Threshold uint64 `json:"threshold,omitempty"`
 	Lo        uint64 `json:"lo,omitempty"`
 	Hi        uint64 `json:"hi,omitempty"`
@@ -56,7 +55,7 @@ var (
 	mDisclosureRefused = metrics.Default().Counter("confide_gateway_disclosure_refusals_total",
 		"disclosure requests the enclave refused (unknown cell or unsatisfied predicate)")
 	mDisclosureGenSeconds = metrics.Default().Histogram("confide_gateway_disclosure_gen_seconds",
-		"disclosure proof generation latency",
+		"disclosure receipt latency inside the serving engine: request checks, authorize rule, cell read and sk_tx signature",
 		[]float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1})
 )
 
@@ -99,21 +98,10 @@ func (c *disclosureCache) get(h [32]byte) ([]byte, bool) {
 	return enc, ok
 }
 
-// disclosureCost prices a disclosure request in admission-limiter tokens.
-// Receipt generation is not a cheap lookup: proof-bearing kinds run a full
-// 64-bit range proof (hundreds of scalar multiplications) inside an Ecall,
-// and an interval runs two, so they are charged well above a plain
-// submission to keep proof generation from becoming a CPU-exhaustion lever.
-func disclosureCost(kind confassets.Kind) float64 {
-	switch kind {
-	case confassets.KindInterval:
-		return 32
-	case confassets.KindRange, confassets.KindThreshold:
-		return 16
-	default: // open: rule consultation + a signature, no range proof
-		return 2
-	}
-}
+// disclosureCost prices a disclosure request in admission-limiter tokens:
+// two signature checks, a rule execution and a signature inside an Ecall,
+// the same for every kind.
+const disclosureCost = 2
 
 func (g *Gateway) handleDisclosureRequest(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(r, 0)
@@ -132,12 +120,12 @@ func (g *Gateway) handleDisclosureRequest(w http.ResponseWriter, r *http.Request
 		return
 	}
 	copy(contract[:], req.Contract)
-	kind, err := confassets.ParseKind(req.Kind)
+	kind, err := core.ParseKind(req.Kind)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrorBody{Error: CodeBadRequest, Detail: err.Error()})
 		return
 	}
-	if !g.admit(w, r, disclosureCost(kind)) {
+	if !g.admit(w, r, disclosureCost) {
 		return
 	}
 
@@ -162,7 +150,7 @@ func (g *Gateway) handleDisclosureRequest(w http.ResponseWriter, r *http.Request
 		return
 	case errors.Is(err, core.ErrNoDisclosureCell):
 		mDisclosureRefused.Inc()
-		writeError(w, http.StatusNotFound, ErrorBody{Error: CodeNotFound, Detail: "no committed cell at that key"})
+		writeError(w, http.StatusNotFound, ErrorBody{Error: CodeNotFound, Detail: "no value at that key"})
 		return
 	case errors.Is(err, core.ErrDisclosureUnsatisfied):
 		mDisclosureRefused.Inc()

@@ -26,9 +26,7 @@ import (
 	"time"
 
 	"confide/internal/chain"
-	"confide/internal/confassets"
 	"confide/internal/core"
-	"confide/internal/crypto"
 	"confide/internal/gateway"
 	"confide/internal/tee"
 )
@@ -435,22 +433,22 @@ var ErrBadDisclosure = errors.New("gwclient: invalid disclosure receipt")
 // RequestDisclosure asks a gateway's serving engine for a selective-
 // disclosure receipt and verifies it offline before returning it: the
 // sk_tx signature must check out against the attested pk_tx from the key
-// exchange, the embedded proof must verify against the public commitment,
-// and the receipt must state exactly what was requested — an untrusted
-// edge cannot substitute a different (validly signed) statement. Returns
-// the receipt and its hash (the handle GET /v1/disclosure/{hash} serves).
+// exchange, and the receipt must state exactly what was requested — an
+// untrusted edge cannot substitute a different (validly signed) statement.
+// Returns the receipt and its hash (the handle GET /v1/disclosure/{hash}
+// serves).
 //
 // The request is authenticated automatically: the client stamps a recent
 // chain height, signs the canonical statement bytes with its transaction
 // key, and — for kind "open" — names itself as the verifier, since the
 // enclave only releases full openings to the authenticated requester. The
 // target contract's authorize rule must have granted this client's address.
-func (c *Client) RequestDisclosure(req gateway.DisclosureRequestBody) (*confassets.Receipt, []byte, error) {
-	kind, err := confassets.ParseKind(req.Kind)
+func (c *Client) RequestDisclosure(req gateway.DisclosureRequestBody) (*core.DisclosureReceipt, []byte, error) {
+	kind, err := core.ParseKind(req.Kind)
 	if err != nil {
 		return nil, nil, err
 	}
-	if kind == confassets.KindOpen && len(req.Verifier) == 0 {
+	if kind == core.KindOpen && len(req.Verifier) == 0 {
 		a := c.Address()
 		req.Verifier = a[:]
 	}
@@ -528,7 +526,7 @@ func (c *Client) RequestDisclosure(req gateway.DisclosureRequestBody) (*confasse
 // FetchDisclosure retrieves a previously-issued receipt by hash and
 // verifies it offline — the auditor path: given only a receipt hash and
 // the attested pk_tx, no gateway needs to be trusted.
-func (c *Client) FetchDisclosure(hash []byte) (*confassets.Receipt, error) {
+func (c *Client) FetchDisclosure(hash []byte) (*core.DisclosureReceipt, error) {
 	var lastErr error = ErrNoGateway
 	for range c.cfg.Gateways {
 		base := c.nextGateway()
@@ -557,8 +555,8 @@ func (c *Client) FetchDisclosure(hash []byte) (*confassets.Receipt, error) {
 }
 
 // verifyDisclosure decodes and fully verifies one wire receipt offline.
-func (c *Client) verifyDisclosure(enc []byte) (*confassets.Receipt, error) {
-	rcpt, err := confassets.DecodeReceipt(enc)
+func (c *Client) verifyDisclosure(enc []byte) (*core.DisclosureReceipt, error) {
+	rcpt, err := core.DecodeDisclosureReceipt(enc)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadDisclosure, err)
 	}
@@ -568,25 +566,25 @@ func (c *Client) verifyDisclosure(enc []byte) (*confassets.Receipt, error) {
 	if pkTx == nil {
 		return nil, errors.New("gwclient: no attested pk_tx; Dial with a Verifier first")
 	}
-	if err := rcpt.Verify(pkTx, crypto.VerifyP256); err != nil {
+	if err := rcpt.Verify(pkTx); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadDisclosure, err)
 	}
 	return rcpt, nil
 }
 
 // matchDisclosure checks that a verified receipt states what was asked.
-func matchDisclosure(r *confassets.Receipt, req gateway.DisclosureRequestBody) error {
-	kind, err := confassets.ParseKind(req.Kind)
+func matchDisclosure(r *core.DisclosureReceipt, req gateway.DisclosureRequestBody) error {
+	kind, err := core.ParseKind(req.Kind)
 	if err != nil {
 		return err
 	}
 	switch {
 	case r.Kind != kind,
-		!bytes.Equal(r.Contract, req.Contract),
+		!bytes.Equal(r.Contract[:], req.Contract),
 		!bytes.Equal(r.Key, req.Key),
 		!bytes.Equal(r.Verifier, req.Verifier),
-		kind == confassets.KindThreshold && r.Threshold != req.Threshold,
-		kind == confassets.KindInterval && (r.Lo != req.Lo || r.Hi != req.Hi):
+		kind == core.KindThreshold && r.Threshold != req.Threshold,
+		kind == core.KindInterval && (r.Lo != req.Lo || r.Hi != req.Hi):
 		return fmt.Errorf("%w: receipt does not match the request", ErrBadDisclosure)
 	}
 	return nil

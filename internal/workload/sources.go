@@ -384,42 +384,53 @@ fn invoke() {
 }
 `
 
-// ConfAssetsTokenSrc is the confidential-assets evaluation contract: a
-// token whose balances are Pedersen-committed 74-byte records managed by
-// the confassets host interface. Supply issuance is capped inside the
-// apply path (an out-of-range mint traps the transaction), transfers move
-// value between committed balances under a host-enforced conservation
-// proof, reads disclose only the 33-byte commitment, and vchk verifies a
-// client-supplied range proof against a commitment.
+// TokenSrc is a confidential token. Each balance is an 8-byte big-endian
+// value under the account's 8-byte key, sealed at rest like every cell of a
+// confidential contract, so the engine's disclosure receipts can state facts
+// about it. Conservation rests on checked arithmetic inside the enclave: a
+// transfer of more than the sender holds, or an issue that would take the
+// total supply past the cap, calls fail() and writes nothing.
 //
-//	issue    <acct 8> <amount 8 BE> <cap 8 BE>
-//	transfer <from 8> <to 8> <amount 8 BE>
-//	read     <acct 8>            → 33-byte commitment
-//	vchk     <commitment 33 || range proof>  → [1] or trap
-//	grant    <addr 20>           grants disclosure access to an address
-//	authorize <addr 20> <digest 32>  the engine's disclosure/receipt rule
-const ConfAssetsTokenSrc = cclPrelude + `
-fn loadrec(key, rec) -> int {
-	let n = storage_get(key, 8, rec, 80);
-	if n == 74 { return 1; }
-	// First touch: commit to zero under the account's own label.
-	let ci = alloc(17);
-	store8(ci, 1);
-	memcpy(ci + 9, key, 8);
-	let cn = confassets(ci, 17, rec, 80);
-	if cn != 74 { fail(); }
-	return 0;
+//	issue     <acct 8> <amount 8 BE> <cap 8 BE>
+//	transfer  <from 8> <to 8> <amount 8 BE>
+//	balance   <acct 8>                → 8-byte BE balance
+//	grant     <addr 20>               grants disclosure access to an address
+//	authorize <addr 20> <digest 32>   the engine's disclosure/receipt rule
+const TokenSrc = cclPrelude + `
+// be64 reads an 8-byte big-endian amount; one of 2^63 or more reads
+// negative and is refused, so every sum below stays in range.
+fn be64(p) -> int {
+	let v = 0;
+	let i = 0;
+	while i < 8 {
+		v = (v << 8) | load8(p + i);
+		i = i + 1;
+	}
+	if v < 0 { fail(); }
+	return v;
 }
 
-fn supply_add(rec, amtp, capp, key) {
-	let si = alloc(99);
-	store8(si, 5);
-	memcpy(si + 1, rec, 74);
-	memcpy(si + 75, amtp, 8);
-	memcpy(si + 83, capp, 8);
-	memcpy(si + 91, key, 8);
-	let sn = confassets(si, 99, rec, 80);
-	if sn != 74 { fail(); }
+fn balance_of(key) -> int {
+	let b = alloc(8);
+	let n = storage_get(key, 8, b, 8);
+	if n < 0 { return 0; } // never credited
+	if n != 8 { fail(); }
+	return be64(b);
+}
+
+fn put64(p, v) {
+	let i = 7;
+	while i >= 0 {
+		store8(p + i, v & 255);
+		v = v >> 8;
+		i = i - 1;
+	}
+}
+
+fn set_balance(key, v) {
+	let b = alloc(8);
+	put64(b, v);
+	storage_set(key, 8, b, 8);
 }
 
 fn invoke() {
@@ -427,65 +438,27 @@ fn invoke() {
 	let buf = alloc(n + 8);
 	input_read(buf, 0, n);
 	let c = load8(buf + 2);
-	if c == 105 { // 'i'ssue
+	if c == 105 { // 'i'ssue: the supply stays within the cap
 		let acct = arg(buf, 0) + 4;
-		let amtp = arg(buf, 1) + 4;
-		let capp = arg(buf, 2) + 4;
-		let sup = alloc(80);
-		let had = loadrec("supply:\x00", sup);
-		supply_add(sup, amtp, capp, "supply:\x00");
-		storage_set("supply:\x00", 8, sup, 74);
-		let bal = alloc(80);
-		let hadb = loadrec(acct, bal);
-		let nocap = alloc(8);
-		supply_add(bal, amtp, nocap, acct);
-		storage_set(acct, 8, bal, 74);
+		let amt = be64(arg(buf, 1) + 4);
+		let supply = balance_of("supply:\x00");
+		if amt > be64(arg(buf, 2) + 4) - supply { fail(); }
+		set_balance("supply:\x00", supply + amt);
+		set_balance(acct, balance_of(acct) + amt);
 	}
-	if c == 116 { // 't'ransfer
+	if c == 116 { // 't'ransfer: the sender holds the amount
 		let from = arg(buf, 0) + 4;
 		let to = arg(buf, 1) + 4;
-		let amtt = arg(buf, 2) + 4;
-		let fr = alloc(80);
-		let frn = storage_get(from, 8, fr, 80);
-		if frn != 74 { fail(); }
-		let tr = alloc(80);
-		let trh = loadrec(to, tr);
-		let ti = alloc(173);
-		store8(ti, 2);
-		memcpy(ti + 1, fr, 74);
-		memcpy(ti + 75, tr, 74);
-		memcpy(ti + 149, amtt, 8);
-		memcpy(ti + 157, from, 8);
-		memcpy(ti + 165, to, 8);
-		let out2 = alloc(160);
-		let tn = confassets(ti, 173, out2, 160);
-		if tn != 148 { fail(); }
-		storage_set(from, 8, out2, 74);
-		storage_set(to, 8, out2 + 74, 74);
+		let amtt = be64(arg(buf, 2) + 4);
+		let fb = balance_of(from);
+		if amtt > fb { fail(); }
+		set_balance(from, fb - amtt);
+		set_balance(to, balance_of(to) + amtt);
 	}
-	if c == 114 { // 'r'ead: output the account's commitment
-		let racct = arg(buf, 0) + 4;
-		let rrec = alloc(80);
-		let rrn = storage_get(racct, 8, rrec, 80);
-		if rrn != 74 { fail(); }
-		let rin = alloc(76);
-		store8(rin, 4);
-		memcpy(rin + 1, rrec, 74);
-		let rcm = alloc(33);
-		let rcn = confassets(rin, 75, rcm, 33);
-		if rcn != 33 { fail(); }
-		output(rcm, 33);
-	}
-	if c == 118 { // 'v'chk: verify commitment||proof
-		let vargp = arg(buf, 0);
-		let vlen = u32at(vargp);
-		let vin = alloc(vlen + 1);
-		store8(vin, 3);
-		memcpy(vin + 1, vargp + 4, vlen);
-		let vres = alloc(8);
-		let vn = confassets(vin, vlen + 1, vres, 8);
-		if vn != 1 { fail(); }
-		output(vres, 1);
+	if c == 98 { // 'b'alance
+		let out = alloc(8);
+		put64(out, balance_of(arg(buf, 0) + 4));
+		output(out, 8);
 	}
 	if c == 103 { // 'g'rant: allow an address to request disclosures
 		let gaddr = arg(buf, 0) + 4;
