@@ -62,9 +62,9 @@ bench-record:
 	bash benchmark/run.sh -seed 1
 
 # Native fuzzing over the attack-surface decoders: RLP/wire formats (and the
-# one-pass RLP encoder against a two-buffer reference), the
-# CCLE codec and schema parser, envelope and key-relay opening, the engine's
-# two callers of the pre-processor steps against each other, the disclosure
+# one-pass RLP encoder against a two-buffer reference), the CCLE codec and
+# schema parser, envelope and block-attestation opening, the engine's two
+# callers of the pre-processor steps against each other, the disclosure
 # receipt a gateway hands the client, and the gateway's HTTP request decode
 # path. One target per invocation is a go tool limitation.
 fuzz:
@@ -73,7 +73,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeMatchesReference -fuzztime=$(FUZZTIME) ./internal/chain/
 	$(GO) test -run='^$$' -fuzz=FuzzCodecDecode -fuzztime=$(FUZZTIME) ./internal/ccle/
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchema -fuzztime=$(FUZZTIME) ./internal/ccle/
-	$(GO) test -run='^$$' -fuzz=FuzzAdoptKeyRelay -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzOpenAttestation -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzPreVerifyAgreesWithExecute -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzOpenEnvelope -fuzztime=$(FUZZTIME) ./internal/crypto/
 	$(GO) test -run='^$$' -fuzz=FuzzOpenAEAD -fuzztime=$(FUZZTIME) ./internal/crypto/

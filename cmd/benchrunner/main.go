@@ -275,7 +275,7 @@ func runChaos(seed int64, nodes, txs int, drop float64, wipes, rotations, gwkill
 	}
 	fmt.Printf("converged in %v: %d txs committed on all %d nodes, height %d, %d view changes\n",
 		report.Elapsed.Round(time.Millisecond), report.Txs, report.Nodes, report.Height, report.ViewChanges)
-	fmt.Printf("state root: %x (identical on every node)\n", report.StateRoot[:8])
+	fmt.Printf("header chain: %x (identical on every node)\n", report.HeaderChainHash[:8])
 	s := report.Net
 	fmt.Printf("network: %d sent, %d delivered, drops: %d rate / %d partition / %d crash / %d overflow, %d dup, %d reordered, %d consensus retransmission(s)\n",
 		s.Sent, s.Delivered, s.RateDrops, s.PartitionDrops, s.CrashDrops, s.OverflowDrops, s.Duplicates, s.Reordered,

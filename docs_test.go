@@ -14,7 +14,11 @@ import (
 // make target, experiment or file may still be named, but in plain text. The
 // rules, in order: a Test/Fuzz/Benchmark name (a trailing * makes it a
 // prefix) has a func in some _test.go; a `make X` is a Makefile target; a
-// `-exp X` is in benchrunner's experiment table; a BENCH_*.json file exists.
+// `-exp X` is in benchrunner's experiment table; a BENCH_*.json file exists;
+// a span that is one file name ending .go, .md, .json, .sh or .yml exists —
+// at the repo root or under internal/ when it holds a /, anywhere in the
+// tree (hidden directories aside) when it is bare. A span with * or < is a
+// pattern and is skipped, as is one with a space (a command line).
 // It reads DESIGN.md, README.md, EXPERIMENTS.md and docs/*.md. ROADMAP.md
 // stays out because it names tests that do not exist yet, and
 // benchmark/README.md because it changes only together with the benchmark.
@@ -26,11 +30,21 @@ func TestDocsCiteExistingArtifacts(t *testing.T) {
 	}
 	docs = append(docs, more...)
 
-	funcs := map[string]bool{}
+	funcs, files := map[string]bool{}, map[string]bool{}
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+		if err != nil {
 			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		files[d.Name()] = true
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
 		}
 		for _, m := range funcRE.FindAllStringSubmatch(readFile(t, path), -1) {
 			funcs[m[1]] = true
@@ -61,6 +75,17 @@ func TestDocsCiteExistingArtifacts(t *testing.T) {
 		{regexp.MustCompile(`\bmake ([a-z][\w-]*)`), func(s string) bool { return targets[s] }, "no such Makefile target"},
 		{regexp.MustCompile(`-exp ([a-z]\w*)`), func(s string) bool { return exps[s] }, "not in benchrunner's experiment table"},
 		{regexp.MustCompile(`\b(BENCH_\w+\.json)`), func(s string) bool { _, err := os.Stat(s); return err == nil }, "no such file"},
+		{regexp.MustCompile(`^([^\s*<]+\.(?:go|md|json|sh|yml))$`), func(s string) bool {
+			if !strings.Contains(s, "/") {
+				return files[s]
+			}
+			for _, dir := range []string{".", "internal"} {
+				if _, err := os.Stat(filepath.Join(dir, s)); err == nil {
+					return true
+				}
+			}
+			return false
+		}, "no such file"},
 	}
 	span := regexp.MustCompile("`([^`]+)`")
 	for _, doc := range docs {

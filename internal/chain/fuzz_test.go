@@ -72,15 +72,14 @@ func FuzzWireDecoders(f *testing.F) {
 	f.Add(tx.Encode())
 	f.Add(rpt.Encode())
 	f.Add(blk.Encode())
-	// The proposed-block shapes: tag alone, tag and key relay, a relay under
-	// an empty tag, and one trailer too many.
-	blk.VerifyTag = bytes.Repeat([]byte{6}, 40)
+	// The proposed-block shapes: a keyless attestation, one carrying a key,
+	// an explicitly empty trailer, and one trailer too many.
+	blk.Attestation = bytes.Repeat([]byte{6}, 8+28)
 	f.Add(blk.Encode())
-	blk.KeyRelay = bytes.Repeat([]byte{7}, 8+28+32)
+	blk.Attestation = bytes.Repeat([]byte{7}, 8+28+32)
 	f.Add(blk.Encode())
-	blk.VerifyTag = nil
-	f.Add(blk.Encode())
-	f.Add(Encode(List(Bytes(blk.HeaderBytes()), List(Bytes(tx.Encode())), Bytes([]byte{6}), Bytes([]byte{7}), Bytes([]byte{8}))))
+	f.Add(Encode(List(Bytes(blk.HeaderBytes()), List(Bytes(tx.Encode())), Bytes(nil))))
+	f.Add(Encode(List(Bytes(blk.HeaderBytes()), List(Bytes(tx.Encode())), Bytes([]byte{6}), Bytes([]byte{7}))))
 	f.Add([]byte{})
 	f.Add([]byte{0xc1, 0xc0})
 
@@ -105,7 +104,7 @@ func FuzzWireDecoders(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Block round trip: %v", err)
 			}
-			if !bytes.Equal(b2.VerifyTag, b.VerifyTag) || !bytes.Equal(b2.KeyRelay, b.KeyRelay) || b2.Hash() != b.Hash() {
+			if !bytes.Equal(b2.Attestation, b.Attestation) || b2.Hash() != b.Hash() {
 				t.Fatalf("Block round trip changed the block: %x", data)
 			}
 		}

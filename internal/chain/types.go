@@ -269,32 +269,25 @@ type Header struct {
 	Height    uint64
 	PrevHash  Hash
 	TxRoot    Hash
-	StateRoot Hash
 	Timestamp uint64
 	Proposer  uint32
 }
 
 // Block bundles ordered transactions under a header.
 //
-// VerifyTag, when present, is the proposer enclave's pre-verification
-// attestation: an epoch-prefixed MAC over (height, txRoot) under a
-// ring-derived key, asserting every transaction beneath the root passed
-// signature pre-verification inside the enclave. It rides outside the
-// header so the block hash (and with it SPV proofs and the prev-hash
-// chain) is unchanged; followers that cannot validate the tag simply fall
-// back to full per-transaction verification.
-//
-// KeyRelay, when present, is the proposer enclave's sealed hand-off of the
-// one-time keys of the block's confidential transactions (block order) to
-// the follower enclaves, which spares them the envelope's private-key open.
-// It is transport only: it rides with the proposed block outside the header,
-// like the tag, and the node strips it before the block is stored, so a
-// block read back from a store or a sync response decodes with none.
+// Attestation, when present, is the proposer enclave's claim that it
+// pre-verified every transaction beneath the root, sealed together with the
+// one-time keys of the block's confidential transactions (block order, none
+// for a public-only block) so the follower enclaves skip both the signature
+// checks and the envelopes' private-key opens. It rides outside the header,
+// so the block hash (and with it SPV proofs and the prev-hash chain) is
+// unchanged; a follower that cannot open it verifies everything itself. The
+// node strips an attestation that carries keys before the block is stored,
+// so such a block read back from a store or a sync response has none.
 type Block struct {
-	Header    Header
-	Txs       []*Tx
-	VerifyTag []byte
-	KeyRelay  []byte
+	Header      Header
+	Txs         []*Tx
+	Attestation []byte
 }
 
 // HeaderBytes returns the canonical header encoding.
@@ -303,7 +296,6 @@ func (b *Block) HeaderBytes() []byte {
 		Uint(b.Header.Height),
 		Bytes(b.Header.PrevHash[:]),
 		Bytes(b.Header.TxRoot[:]),
-		Bytes(b.Header.StateRoot[:]),
 		Uint(b.Header.Timestamp),
 		Uint(uint64(b.Header.Proposer)),
 	))
@@ -315,22 +307,21 @@ func (b *Block) HeaderBytes() []byte {
 func DecodeHeader(data []byte) (Header, error) {
 	var h Header
 	hdr, err := Decode(data)
-	if err != nil || !hdr.IsList || len(hdr.List) != 6 {
+	if err != nil || !hdr.IsList || len(hdr.List) != 5 {
 		return h, errors.New("chain: malformed block header")
 	}
 	if h.Height, err = hdr.List[0].AsUint(); err != nil {
 		return h, err
 	}
-	if len(hdr.List[1].Str) != 32 || len(hdr.List[2].Str) != 32 || len(hdr.List[3].Str) != 32 {
+	if len(hdr.List[1].Str) != 32 || len(hdr.List[2].Str) != 32 {
 		return h, errors.New("chain: malformed block header hashes")
 	}
 	copy(h.PrevHash[:], hdr.List[1].Str)
 	copy(h.TxRoot[:], hdr.List[2].Str)
-	copy(h.StateRoot[:], hdr.List[3].Str)
-	if h.Timestamp, err = hdr.List[4].AsUint(); err != nil {
+	if h.Timestamp, err = hdr.List[3].AsUint(); err != nil {
 		return h, err
 	}
-	proposer, err := hdr.List[5].AsUint()
+	proposer, err := hdr.List[4].AsUint()
 	if err != nil {
 		return h, err
 	}
@@ -366,11 +357,8 @@ func (b *Block) Encode() []byte {
 		txs[i] = Bytes(tx.Encode())
 	}
 	items := []Item{Bytes(b.HeaderBytes()), List(txs...)}
-	if len(b.VerifyTag) > 0 || len(b.KeyRelay) > 0 {
-		items = append(items, Bytes(b.VerifyTag))
-	}
-	if len(b.KeyRelay) > 0 {
-		items = append(items, Bytes(b.KeyRelay))
+	if len(b.Attestation) > 0 {
+		items = append(items, Bytes(b.Attestation))
 	}
 	return Encode(List(items...))
 }
@@ -381,7 +369,7 @@ func DecodeBlock(data []byte) (*Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chain: malformed block: %w", err)
 	}
-	if !it.IsList || len(it.List) < 2 || len(it.List) > 4 || !it.List[1].IsList {
+	if !it.IsList || len(it.List) < 2 || len(it.List) > 3 || !it.List[1].IsList {
 		return nil, errors.New("chain: malformed block")
 	}
 	var b Block
@@ -395,18 +383,11 @@ func DecodeBlock(data []byte) (*Block, error) {
 		}
 		b.Txs = append(b.Txs, tx)
 	}
-	// The optional trailers: verify tag, then key relay.
-	trailers := it.List[2:]
-	for _, trailer := range trailers {
-		if trailer.IsList {
+	if len(it.List) == 3 {
+		if it.List[2].IsList {
 			return nil, errors.New("chain: malformed block trailer")
 		}
-	}
-	if len(trailers) > 0 {
-		b.VerifyTag = trailers[0].Str
-	}
-	if len(trailers) > 1 {
-		b.KeyRelay = trailers[1].Str
+		b.Attestation = it.List[2].Str
 	}
 	return &b, nil
 }

@@ -154,9 +154,9 @@ func TestBlockRoundTripAndTxRoot(t *testing.T) {
 	}
 }
 
-// TestBlockTrailers covers the two optional trailers that ride outside the
-// header: neither changes the block hash, each survives a round trip, and a
-// block re-encoded without its relay is byte-for-byte the tag-only block —
+// TestBlockTrailers covers the optional attestation trailer that rides
+// outside the header: it does not change the block hash, it survives a round
+// trip, and a block re-encoded without it is byte-for-byte the bare block —
 // which is what makes the stored form identical on every replica.
 func TestBlockTrailers(t *testing.T) {
 	b := &Block{
@@ -165,41 +165,32 @@ func TestBlockTrailers(t *testing.T) {
 	}
 	b.ComputeTxRoot()
 	bare := b.Encode()
-	b.VerifyTag = []byte("tag")
-	tagged := b.Encode()
-	b.KeyRelay = []byte("relay")
-	full := b.Encode()
+	b.Attestation = []byte("attestation")
 
-	back, err := DecodeBlock(full)
+	back, err := DecodeBlock(b.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(back.VerifyTag) != "tag" || string(back.KeyRelay) != "relay" {
-		t.Errorf("trailers = %q %q", back.VerifyTag, back.KeyRelay)
+	if string(back.Attestation) != "attestation" {
+		t.Errorf("attestation = %q", back.Attestation)
 	}
 	if back.Hash() != b.Hash() {
-		t.Error("trailers changed the block hash")
+		t.Error("the attestation changed the block hash")
 	}
-	back.KeyRelay = nil
-	if !bytes.Equal(back.Encode(), tagged) {
-		t.Error("block re-encoded without its relay differs from the tag-only block")
+	back.Attestation = nil
+	if !bytes.Equal(back.Encode(), bare) {
+		t.Error("block re-encoded without its attestation differs from the bare block")
 	}
-	for name, enc := range map[string][]byte{"bare": bare, "tagged": tagged} {
-		if got, err := DecodeBlock(enc); err != nil || len(got.KeyRelay) != 0 {
-			t.Errorf("%s block: err=%v relay=%q", name, err, got.KeyRelay)
-		}
-	}
-	b.VerifyTag = nil
-	if got, err := DecodeBlock(b.Encode()); err != nil || len(got.VerifyTag) != 0 || string(got.KeyRelay) != "relay" {
-		t.Errorf("relay under an empty tag: err=%v", err)
+	if got, err := DecodeBlock(bare); err != nil || len(got.Attestation) != 0 {
+		t.Errorf("bare block: err=%v attestation=%q", err, got.Attestation)
 	}
 
 	hdr, txs := Bytes(b.HeaderBytes()), List(Bytes(b.Txs[0].Encode()))
-	if _, err := DecodeBlock(Encode(List(hdr, txs, Bytes(nil), Bytes(nil), Bytes(nil)))); err == nil {
-		t.Error("a third trailer must be rejected")
+	if _, err := DecodeBlock(Encode(List(hdr, txs, Bytes(nil), Bytes(nil)))); err == nil {
+		t.Error("a second trailer must be rejected")
 	}
-	if _, err := DecodeBlock(Encode(List(hdr, txs, Bytes([]byte("tag")), List()))); err == nil {
-		t.Error("a list-typed relay must be rejected")
+	if _, err := DecodeBlock(Encode(List(hdr, txs, List()))); err == nil {
+		t.Error("a list-typed attestation must be rejected")
 	}
 }
 

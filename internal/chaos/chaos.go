@@ -3,7 +3,7 @@
 // and injects the fault schedule — message loss on every link, leader
 // crashes with restarts, and a partition that splits and heals — then
 // requires full convergence: every transaction committed with an OK receipt
-// on every node, identical chains, identical state roots. Nothing in the
+// on every node, identical header chains. Nothing in the
 // harness touches consensus internals or produces blocks: the nodes cut
 // their own (Cluster.StartDriver), and recovery comes entirely from the
 // automatic timers, retransmission and catch-up sync.
@@ -195,9 +195,10 @@ type Report struct {
 	Height      uint64
 	ViewChanges uint64
 	Elapsed     time.Duration
-	// StateRoot commits to the full header chain (which in turn commits to
-	// every transaction set); identical on every node at convergence.
-	StateRoot chain.Hash
+	// HeaderChainHash is a hash of the retained header chain (which in turn
+	// commits to every transaction set); identical on every node at
+	// convergence.
+	HeaderChainHash chain.Hash
 	// Net aggregates the fault injector's counters for the whole run.
 	Net p2p.Stats
 	// Metrics holds the global-registry counter deltas accrued during the
@@ -650,9 +651,9 @@ func Run(opts Options) (*Report, error) {
 		time.Sleep(opts.StepEvery)
 	}
 
-	// Convergence holds; certify identical chains via a state root over the
-	// header sequence (headers commit to the tx sets, and execution is
-	// deterministic, so equal header chains imply equal state). The root
+	// Convergence holds; certify identical chains via a hash over the header
+	// sequence (headers commit to the tx sets, and execution is
+	// deterministic, so equal header chains imply equal state). The hash
 	// starts at the highest retained floor across nodes: with pruning or a
 	// wipe-rejoin in play, history below the last stable checkpoint exists
 	// on no (or not every) node — by design — and the headers above it chain
@@ -664,7 +665,7 @@ func Run(opts Options) (*Report, error) {
 			floor = pt
 		}
 	}
-	roots := make([]chain.Hash, opts.Nodes)
+	hashes := make([]chain.Hash, opts.Nodes)
 	for i, n := range cluster.Nodes {
 		hasher := sha256.New()
 		for h := floor; h < report.Height; h++ {
@@ -674,14 +675,14 @@ func Run(opts Options) (*Report, error) {
 			}
 			hasher.Write(hdr)
 		}
-		copy(roots[i][:], hasher.Sum(nil))
+		copy(hashes[i][:], hasher.Sum(nil))
 	}
 	for i := 1; i < opts.Nodes; i++ {
-		if roots[i] != roots[0] {
-			return nil, fmt.Errorf("chaos: state root divergence: node %d %x vs node 0 %x", i, roots[i][:8], roots[0][:8])
+		if hashes[i] != hashes[0] {
+			return nil, fmt.Errorf("chaos: header chain divergence: node %d %x vs node 0 %x", i, hashes[i][:8], hashes[0][:8])
 		}
 	}
-	report.StateRoot = roots[0]
+	report.HeaderChainHash = hashes[0]
 	if opts.Crashes > 0 {
 		// Post-crash certification: every node's sealed state must re-verify
 		// end-to-end (AEAD open of every confidential code and state record)

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -167,17 +165,9 @@ func (e *Engine) CheckpointMACKeyFor(epoch uint64) []byte {
 	return e.attestSubKey(epoch, checkpointMACLabel)
 }
 
-// preVerifyMACLabel scopes the pre-verification attestation MAC key under
-// k_states, separating it from the checkpoint-manifest MAC domain.
-const preVerifyMACLabel = "confide/preverify-attest-mac"
-
-// keyRelayLabel scopes the AEAD key that seals a block's k_tx relay, again
-// under k_states: only provisioned enclaves in the ring can seal or open one.
-const keyRelayLabel = "confide/ktx-relay"
-
-// preVerifyTagLen is 8 bytes of big-endian epoch followed by an HMAC-SHA256
-// digest.
-const preVerifyTagLen = 8 + 32
+// attestLabel scopes the AEAD key that seals a block's attestation, under
+// k_states: only provisioned enclaves in the ring can seal or open one.
+const attestLabel = "confide/ktx-relay"
 
 // attestSubKey derives the labelled sub-key of an epoch's k_states. Nil when
 // the engine holds no ring secrets for that epoch.
@@ -192,9 +182,9 @@ func (e *Engine) attestSubKey(epoch uint64, label string) []byte {
 	return crypto.DeriveSubKey(key, label)
 }
 
-// attestBinding is what both the tag and the relay are bound to: (height,
-// proposer, txRoot). Binding the proposer keeps an attestation minted for
-// one replica's block from validating another replica's block with the same
+// attestBinding is what an attestation is bound to: (height, proposer,
+// txRoot). Binding the proposer keeps an attestation minted for one
+// replica's block from validating another replica's block with the same
 // height and root.
 func attestBinding(height uint64, proposer uint32, txRoot chain.Hash) []byte {
 	msg := make([]byte, 8+4+32)
@@ -204,48 +194,36 @@ func attestBinding(height uint64, proposer uint32, txRoot chain.Hash) []byte {
 	return msg
 }
 
-// preVerifyMAC computes the attestation digest over the block binding under
-// the epoch's derived key. Nil when the engine holds no ring secrets.
-func (e *Engine) preVerifyMAC(epoch, height uint64, proposer uint32, txRoot chain.Hash) []byte {
-	key := e.attestSubKey(epoch, preVerifyMACLabel)
-	if key == nil {
-		return nil
-	}
-	mac := hmac.New(sha256.New, key)
-	mac.Write(attestBinding(height, proposer, txRoot))
-	return mac.Sum(nil)
-}
-
-// AttestBlock produces the proposer-side attestation for a block: the tag,
-// which is the enclave's claim that every transaction in txs passed
-// signature pre-verification (step P3) inside THIS enclave before proposal,
-// and the key relay, which hands the k_tx this enclave recovered for each
-// confidential transaction to the follower enclaves so the cluster pays one
-// private-key open per transaction, not one per replica. The claim is
-// enforced at the enclave boundary, not assumed: the tx root is recomputed
-// from the supplied transactions and both are refused (nil) unless every
-// public and confidential transaction has a locally verified
-// pre-verification cache entry. Attestation-seeded entries do not qualify —
-// trust must be grounded in a signature this enclave checked and a key this
-// enclave recovered itself, never chained transitively through another
-// proposer's tag or relay. Cache lookups, root computation, the MAC and the
-// seal all run in one ecall, so an untrusted host can neither substitute the
-// root nor skip the cache check; forging a tag over unverified transactions
-// requires compromising the enclave itself.
+// AttestPreVerified produces the proposer-side attestation for a block: the
+// enclave's claim that every transaction in txs passed signature
+// pre-verification (step P3) inside THIS enclave before proposal, sealed
+// together with the k_tx this enclave recovered for each confidential
+// transaction, so the follower enclaves skip both the signature checks and
+// the envelopes' private-key opens: the cluster pays one of each per
+// transaction, not one per replica. The claim is enforced at the enclave
+// boundary, not assumed: the tx root is recomputed from the supplied
+// transactions and the attestation is refused (nil) unless every public and
+// confidential transaction has a locally verified pre-verification cache
+// entry. Attestation-seeded entries do not qualify — trust must be grounded
+// in a signature this enclave checked and a key this enclave recovered
+// itself, never chained transitively through another proposer's
+// attestation. Cache lookups, root computation and the seal all run in one
+// ecall, so an untrusted host can neither substitute the root nor skip the
+// cache check; forging an attestation over unverified transactions requires
+// compromising the enclave itself.
 //
-// The relay is the keys in block order (32 B each), sealed with AES-GCM
-// under the epoch's relay sub-key with the block binding as AAD, so it opens
-// only for this (height, proposer, tx set). A block without confidential
-// transactions has none.
-//
-// Both are epoch-prefixed so followers can derive the matching key across
-// rotations. A public engine (no ring) returns nil and blocks go out
-// untagged — followers then verify every signature themselves, exactly as
-// before. Governance transactions are outside the claim (they carry no
-// account signature and are checked semantically at execution).
-func (e *Engine) AttestBlock(height uint64, proposer uint32, txs []*chain.Tx) (tag, relay []byte) {
+// The attestation is the epoch (8 bytes, so followers derive the matching
+// key across rotations), then the keys in block order (32 B each, none for
+// a public-only block) sealed with AES-GCM under the epoch's attestation
+// sub-key with the block binding as AAD: GCM authenticates the claim even
+// when it seals no keys, and it opens only for this (height, proposer, tx
+// set). A public engine (no ring) returns nil and blocks go out unattested —
+// followers then verify every signature themselves. Governance transactions
+// are outside the claim (they carry no account signature and are checked
+// semantically at execution).
+func (e *Engine) AttestPreVerified(height uint64, proposer uint32, txs []*chain.Tx) (att []byte) {
 	if e.ring == nil || e.preCache == nil {
-		return nil, nil
+		return nil
 	}
 	_ = e.enclave.Ecall(len(txs)*32, tee.CopyInOut, func() error {
 		leaves := make([]chain.Hash, len(txs))
@@ -267,57 +245,59 @@ func (e *Engine) AttestBlock(height uint64, proposer uint32, txs []*chain.Tx) (t
 			}
 		}
 		epoch := e.ring.Current()
-		txRoot := chain.MerkleRoot(leaves)
-		digest := e.preVerifyMAC(epoch, height, proposer, txRoot)
-		if digest == nil {
-			return nil
-		}
-		tag = binary.BigEndian.AppendUint64(make([]byte, 0, preVerifyTagLen), epoch)
-		tag = append(tag, digest...)
-		if len(keys) == 0 {
-			return nil
-		}
-		sealed, err := crypto.SealAEAD(e.attestSubKey(epoch, keyRelayLabel), keys, attestBinding(height, proposer, txRoot))
+		sealed, err := crypto.SealAEAD(e.attestSubKey(epoch, attestLabel), keys, attestBinding(height, proposer, chain.MerkleRoot(leaves)))
 		if err != nil {
 			return nil // followers fall back to the full open
 		}
-		relay = append(binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(sealed)), epoch), sealed...)
+		att = append(binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(sealed)), epoch), sealed...)
 		return nil
 	})
-	return tag, relay
+	return att
 }
 
-// AttestPreVerified is AttestBlock's tag alone.
-func (e *Engine) AttestPreVerified(height uint64, proposer uint32, txs []*chain.Tx) []byte {
-	tag, _ := e.AttestBlock(height, proposer, txs)
-	return tag
+// AttestationCarriesKeys reports whether att is longer than an attestation
+// sealing no keys: the node strips exactly those before storing a block, so
+// a one-time key gains no lifetime from having been relayed.
+func AttestationCarriesKeys(att []byte) bool { return len(att) > 8+crypto.AEADOverhead }
+
+// openAttestation opens a proposer's attestation for the block (height,
+// proposer, txRoot) and returns the keys it seals. It runs inside an ecall:
+// the attestation sub-key never leaves the enclave. False — an unknown or
+// stale epoch, or a seal that does not authenticate for this block — means
+// the attestation vouches for nothing.
+func (e *Engine) openAttestation(height uint64, proposer uint32, txRoot chain.Hash, att []byte) ([]byte, bool) {
+	if e.ring == nil || len(att) < 8 {
+		return nil, false
+	}
+	epoch := binary.BigEndian.Uint64(att[:8])
+	if !e.ring.Accepts(epoch) {
+		return nil, false
+	}
+	// A sub-key this ring can no longer derive fails the open like any other
+	// wrong key.
+	keys, err := crypto.OpenAEAD(e.attestSubKey(epoch, attestLabel), att[8:], attestBinding(height, proposer, txRoot))
+	return keys, err == nil
 }
 
-// AdoptKeyRelay opens a proposer's key relay for the block (height,
-// proposer, txRoot) whose transactions are txs, and seeds the
-// pre-verification cache with the relayed k_tx of every confidential
-// transaction this enclave has not opened itself, so their execution
-// decrypts symmetrically. Relay-seeded entries are attested: they never
-// ground a new tag or relay, and they leave with DropPreVerified like any
-// other entry. False — an unknown or stale epoch, a relay that does not
-// authenticate for this block, a length that does not match the block's
-// confidential transactions — adopts nothing and only withdraws the
-// shortcut; it never rejects a transaction or a block. The node calls it
-// only after the block's tag verified.
-func (e *Engine) AdoptKeyRelay(height uint64, proposer uint32, txRoot chain.Hash, txs []*chain.Tx, relay []byte) bool {
-	if e.ring == nil || e.preCache == nil || len(relay) < 8 {
+// AdoptAttestation opens, in one ecall, the attestation of the block
+// (height, proposer, txRoot) whose transactions are txs. When it
+// authenticates and seals one key per confidential transaction, each of
+// those transactions gets an attested cache entry that both vouches for its
+// signature and carries its k_tx, so execution decrypts symmetrically and
+// skips the check; true then also vouches for the block's public
+// transactions, which the caller hands to the engine that runs them
+// (TrustPreVerified). Attested entries never ground a new attestation, and
+// they leave with DropPreVerified like any other entry; an entry this
+// enclave opened itself is kept. False adopts nothing and only withdraws the
+// shortcut; it never rejects a transaction or a block.
+func (e *Engine) AdoptAttestation(height uint64, proposer uint32, txRoot chain.Hash, txs []*chain.Tx, att []byte) bool {
+	if e.preCache == nil {
 		return false
 	}
 	adopted := false
-	_ = e.enclave.Ecall(len(relay), tee.CopyInOut, func() error {
-		epoch := binary.BigEndian.Uint64(relay[:8])
-		if !e.ring.Accepts(epoch) {
-			return nil
-		}
-		// A sub-key this ring can no longer derive fails the open like any
-		// other wrong key.
-		keys, err := crypto.OpenAEAD(e.attestSubKey(epoch, keyRelayLabel), relay[8:], attestBinding(height, proposer, txRoot))
-		if err != nil {
+	_ = e.enclave.Ecall(len(att), tee.CopyInOut, func() error {
+		keys, ok := e.openAttestation(height, proposer, txRoot, att)
+		if !ok {
 			return nil
 		}
 		var conf []chain.Hash
@@ -336,26 +316,22 @@ func (e *Engine) AdoptKeyRelay(height uint64, proposer uint32, txRoot chain.Hash
 			ktx := keys[i*crypto.SymKeySize : (i+1)*crypto.SymKeySize]
 			e.preCache.put(h, preMeta{ktx: ktx, verified: true, attested: true})
 		}
+		mPreverifyAttested.Add(uint64(len(conf)))
 		adopted = true
 		return nil
 	})
 	return adopted
 }
 
-// VerifyPreVerifyTag checks a block's attestation tag against this enclave's
-// ring. False means the follower must fall back to full per-transaction
-// signature verification — an invalid tag never rejects a block, it only
-// withdraws the shortcut.
-func (e *Engine) VerifyPreVerifyTag(height uint64, proposer uint32, txRoot chain.Hash, tag []byte) bool {
-	if e.ring == nil || len(tag) != preVerifyTagLen {
-		return false
-	}
-	epoch := binary.BigEndian.Uint64(tag[:8])
-	if epoch == 0 || !e.ring.Accepts(epoch) {
-		return false
-	}
-	want := e.preVerifyMAC(epoch, height, proposer, txRoot)
-	return want != nil && hmac.Equal(want, tag[8:])
+// VerifyPreVerifyTag reports whether att authenticates for the block
+// (height, proposer, txRoot) under this enclave's ring, adopting nothing.
+func (e *Engine) VerifyPreVerifyTag(height uint64, proposer uint32, txRoot chain.Hash, att []byte) bool {
+	ok := false
+	_ = e.enclave.Ecall(len(att), tee.CopyInOut, func() error {
+		_, ok = e.openAttestation(height, proposer, txRoot, att)
+		return nil
+	})
+	return ok
 }
 
 // Confidential reports whether this engine runs in confidential mode (holds
@@ -594,7 +570,7 @@ func (e *Engine) Execute(tx *chain.Tx) (*ExecResult, error) {
 // Figure 7): a cached key replaces the private-key decryption with a
 // symmetric one and skips signature re-verification. The cached key is this
 // enclave's own (local pre-verification) or the proposer enclave's
-// (AdoptKeyRelay).
+// (AdoptAttestation).
 func (e *Engine) openForExecution(epoch uint64, env []byte, meta preMeta) (*chain.RawTx, []byte, error) {
 	if len(meta.ktx) > 0 {
 		start := time.Now()
@@ -621,7 +597,6 @@ func (e *Engine) openForExecution(epoch uint64, env []byte, meta preMeta) (*chai
 		// A relayed key that does not open the body withdraws the whole
 		// entry, the vouched signature included: nothing a peer sent may fail
 		// a transaction this replica can still judge for itself.
-		meta = preMeta{}
 	}
 	// Full path: the expensive private-key decryption plus verification.
 	raw, ktx, _, err := e.openEnvelope(epoch, env)
@@ -629,16 +604,7 @@ func (e *Engine) openForExecution(epoch uint64, env []byte, meta preMeta) (*chai
 	if err != nil {
 		return nil, nil, err
 	}
-	// A keyless attested entry (a tagged block that reached this replica
-	// without its relay — catch-up sync — or whose relay was refused) means
-	// the proposer's enclave already checked this signature and vouched for
-	// it under the ring-derived MAC; re-running ECDSA here would pay the
-	// dominant per-transaction cost a second time for no additional assurance
-	// within the TEE trust model.
-	if !meta.attested {
-		err = e.checkSignature(raw)
-	}
-	return raw, ktx, err
+	return raw, ktx, e.checkSignature(raw)
 }
 
 // executeRaw runs the decoded transaction body and assembles the result.

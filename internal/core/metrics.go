@@ -15,10 +15,10 @@ var (
 	mPreverifyRejects = metrics.Default().Counter("confide_core_preverify_rejects_total",
 		"transactions dropped by pre-verification (bad envelope, signature or encoding)")
 	mPreverifyAttested = metrics.Default().Counter("confide_core_preverify_attested_total",
-		"transactions accepted on the proposer enclave's attestation tag instead of local signature verification")
+		"transactions accepted on the proposer enclave's block attestation instead of local signature verification")
 	// How execution obtained each confidential transaction's k_tx: the
 	// private-key open ("ecdh"), this enclave's pre-verification ("local") or
-	// the proposer enclave's key relay ("relayed"). Which replica paid the
+	// the proposer enclave's attestation ("relayed"). Which replica paid the
 	// ECDH is answerable from a scrape.
 	mOpenECDH = metrics.Default().Counter("confide_core_envelope_opens_total",
 		"envelope opens at execution, by source of k_tx", metrics.L{K: "path", V: "ecdh"})

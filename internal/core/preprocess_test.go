@@ -72,17 +72,17 @@ func TestProfileCountsEveryVerification(t *testing.T) {
 }
 
 // Pre-verification never consults or upgrades what the cache already holds:
-// over an entry a peer's tag or relay seeded — here one whose relayed key is
+// over an entry a peer's attestation seeded — here one whose relayed key is
 // not even this envelope's — it runs the full open and check and leaves this
-// enclave's own result, and only that grounds a tag.
+// enclave's own result, and only that grounds an attestation.
 func TestPreVerifyReplacesSeededEntries(t *testing.T) {
 	p, f, txs := relayPair(t)
 	conf := txs[:2]
 	own0, _ := p.engine.preCache.get(conf[0].Hash())
 	own1, _ := p.engine.preCache.get(conf[1].Hash())
 	f.engine.preCache.put(conf[0].Hash(), preMeta{ktx: own1.ktx, verified: true, attested: true}) // a relay that lied
-	f.engine.TrustPreVerified(conf[1:])                                                           // a tag, no key
-	if tag, relay := f.engine.AttestBlock(8, 3, conf); tag != nil || relay != nil {
+	f.engine.TrustPreVerified(conf[1:])                                                           // a vouched signature, no key
+	if att := f.engine.AttestPreVerified(8, 3, conf); att != nil {
 		t.Fatal("seeded entries grounded an attestation")
 	}
 	f.engine.Profile().Reset()
@@ -101,14 +101,16 @@ func TestPreVerifyReplacesSeededEntries(t *testing.T) {
 		t.Errorf("pre-verification over seeded entries ran %d checks and %d opens, want 2 and 2",
 			snap[OpTxVerify].Count, snap[OpTxDecrypt].Count)
 	}
-	if tag, relay := f.engine.AttestBlock(8, 3, conf); tag == nil || relay == nil {
-		t.Error("locally verified entries must ground a tag and a relay")
+	if att := f.engine.AttestPreVerified(8, 3, conf); att == nil {
+		t.Error("locally verified entries must ground an attestation")
 	}
 }
 
 // A relayed key that does not open its envelope vouches for nothing: the
 // entry's signature claim goes with it, so a transaction whose signature is
-// bad is refused by the full open's own check.
+// bad is refused by the full open's own check. Nor does an attested entry
+// without a key: an attestation that opened always seeds one, so the full
+// open always checks the signature.
 func TestLyingRelayCannotVouchForBadSignature(t *testing.T) {
 	p, f, txs := relayPair(t)
 	other, _ := p.engine.preCache.get(txs[0].Hash())
@@ -119,11 +121,9 @@ func TestLyingRelayCannotVouchForBadSignature(t *testing.T) {
 	if _, err := f.engine.Execute(forged); err == nil {
 		t.Error("a bad signature executed behind a relayed key that failed to open")
 	}
-	// The keyless claim is the tag's, and is honoured: that is the trust rule
-	// the withdrawal must not be confused with.
 	f.engine.preCache.put(forged.Hash(), preMeta{verified: true, attested: true})
-	if _, err := f.engine.Execute(forged); err != nil {
-		t.Errorf("keyless attested entry: %v", err)
+	if _, err := f.engine.Execute(forged); err == nil {
+		t.Error("a bad signature executed behind a keyless attested entry")
 	}
 }
 

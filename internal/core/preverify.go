@@ -18,11 +18,11 @@ import (
 type preMeta struct {
 	ktx      []byte
 	verified bool
-	// attested marks entries seeded from a proposer's block-level
-	// attestation rather than local verification: the signature result comes
-	// from its tag (TrustPreVerified) and k_tx, when present, from its key
-	// relay (AdoptKeyRelay). A relayed key that fails to open its envelope
-	// costs only the shortcut, where a local one is a hard error.
+	// attested marks entries seeded from a proposer's block attestation
+	// rather than local verification (AdoptAttestation; TrustPreVerified on
+	// the engine that runs public transactions). A confidential one always
+	// carries its k_tx; a relayed key that fails to open its envelope costs
+	// only the shortcut, where a local one is a hard error.
 	attested bool
 }
 
@@ -82,7 +82,7 @@ func (c *preVerifyCache) Len() int {
 // cached, and the valid transactions are returned for the verified pool. On a
 // confidential engine, public transactions are verified inside the enclave
 // too — only in-enclave checks can later be covered by the block attestation
-// tag (AttestBlock). On a public engine the same path runs in the untrusted
+// (AttestPreVerified). On a public engine the same path runs in the untrusted
 // host. Invalid transactions are dropped.
 func (e *Engine) PreVerifyBatch(txs []*chain.Tx) []*chain.Tx {
 	if len(txs) == 0 {
@@ -124,8 +124,8 @@ func (e *Engine) PreVerifyBatch(txs []*chain.Tx) []*chain.Tx {
 
 // preVerify judges one transaction from its bytes alone — gate, open, check —
 // and returns the entry P4 caches for it. It never reads the cache: what a
-// peer's tag or relay seeded there is replaced by this enclave's own result,
-// which is the only kind AttestBlock accepts.
+// peer's attestation seeded there is replaced by this enclave's own result,
+// which is the only kind AttestPreVerified accepts.
 func (e *Engine) preVerify(tx *chain.Tx) (meta preMeta, err error) {
 	var raw *chain.RawTx
 	switch tx.Type {
@@ -149,14 +149,15 @@ func (e *Engine) preVerify(tx *chain.Tx) (meta preMeta, err error) {
 	return meta, err
 }
 
-// TrustPreVerified seeds the cache with attestation-backed entries: the
-// proposer's enclave vouched (via the block's MAC tag, which it only mints
-// over transactions its own pre-verification cache verified) that these
-// transactions passed signature pre-verification, so this replica may skip
-// re-running ECDSA on them. Entries already cached are kept — local
-// pre-verification's outranks an attestation, and AdoptKeyRelay's holds the
-// relayed k_tx. Attested entries never ground a new attestation in turn
-// (AttestBlock rejects them), so trust does not chain across proposers.
+// TrustPreVerified seeds the cache with attestation-backed entries for
+// transactions whose block attestation opened (AdoptAttestation): the
+// proposer's enclave vouched that they passed signature pre-verification, so
+// this engine may skip re-running ECDSA on them. The node calls it on the
+// engine that runs public transactions; a confidential transaction's entry
+// vouches for nothing without the key AdoptAttestation seeds. Entries already
+// cached are kept — local pre-verification outranks an attestation. Attested
+// entries never ground an attestation in turn (AttestPreVerified rejects
+// them), so trust does not chain across proposers.
 func (e *Engine) TrustPreVerified(txs []*chain.Tx) {
 	if e.preCache == nil {
 		return

@@ -70,16 +70,11 @@ func TestParseTxHash(t *testing.T) {
 }
 
 func TestVerifyProofRejectsTampering(t *testing.T) {
-	// Build a real single-tx block proof by hand: header {height, prev,
-	// txroot, ...} as a 6-item list like chain.Block.HeaderBytes.
+	// Build a real single-tx block proof by hand.
 	tx := &chain.Tx{Type: chain.TxTypePublic, Payload: []byte("payload")}
 	leaf := tx.Hash()
 	root := chain.MerkleRoot([]chain.Hash{leaf})
-	var zero chain.Hash
-	header := chain.Encode(chain.List(
-		chain.Uint(5), chain.Bytes(zero[:]), chain.Bytes(root[:]),
-		chain.Bytes(zero[:]), chain.Uint(0), chain.Uint(1),
-	))
+	header := (&chain.Block{Header: chain.Header{Height: 5, TxRoot: root, Proposer: 1}}).HeaderBytes()
 	good := &Proof{Header: header, Height: 5, Tx: tx.Encode(), Index: 0}
 
 	if _, err := VerifyProof(good); err != nil {
@@ -101,10 +96,7 @@ func TestVerifyProofRejectsTampering(t *testing.T) {
 	bad = *good
 	tamperedRoot := root
 	tamperedRoot[0] ^= 0x01
-	bad.Header = chain.Encode(chain.List(
-		chain.Uint(5), chain.Bytes(zero[:]), chain.Bytes(tamperedRoot[:]),
-		chain.Bytes(zero[:]), chain.Uint(0), chain.Uint(1),
-	))
+	bad.Header = (&chain.Block{Header: chain.Header{Height: 5, TxRoot: tamperedRoot, Proposer: 1}}).HeaderBytes()
 	if _, err := VerifyProof(&bad); !errors.Is(err, ErrBadProof) {
 		t.Fatal("tampered tx-root accepted")
 	}
@@ -114,9 +106,10 @@ func TestVerifyProofRejectsTampering(t *testing.T) {
 		t.Fatal("malformed path accepted")
 	}
 	bad = *good
+	var zero chain.Hash
 	bad.Header = chain.Encode(chain.List(
-		chain.Uint(5), chain.Bytes(zero[:]), chain.Bytes(root[:31]), // six fields, short tx-root
-		chain.Bytes(zero[:]), chain.Uint(0), chain.Uint(1),
+		chain.Uint(5), chain.Bytes(zero[:]), chain.Bytes(root[:31]), // five fields, short tx-root
+		chain.Uint(0), chain.Uint(1),
 	))
 	if _, err := VerifyProof(&bad); !errors.Is(err, ErrBadProof) {
 		t.Fatal("31-byte tx-root accepted")

@@ -12,36 +12,35 @@ import (
 	"confide/internal/p2p"
 )
 
-// relayCounters snapshots the registry series the key-relay tests certify
-// from. The registry is process-wide, so every assertion is on a delta.
-type relayCounters struct {
-	adopted, rejected, absent uint64
-	ecdh, local, relayed      uint64
+// attestCounters snapshots the registry series the attestation tests
+// certify from. The registry is process-wide, so every assertion is on a
+// delta.
+type attestCounters struct {
+	accepted, rejected, absent uint64
+	ecdh, local, relayed       uint64
 }
 
-func readRelayCounters() relayCounters {
+func readAttestCounters() attestCounters {
 	s := metrics.Default().Snapshot().Counters
-	return relayCounters{
-		adopted:  s[`confide_node_key_relay_total{outcome="adopted"}`],
-		rejected: s[`confide_node_key_relay_total{outcome="rejected"}`],
-		absent:   s[`confide_node_key_relay_total{outcome="absent"}`],
+	return attestCounters{
+		accepted: s[`confide_node_verify_tag_total{outcome="accepted"}`],
+		rejected: s[`confide_node_verify_tag_total{outcome="rejected"}`],
+		absent:   s[`confide_node_verify_tag_total{outcome="absent"}`],
 		ecdh:     s[`confide_core_envelope_opens_total{path="ecdh"}`],
 		local:    s[`confide_core_envelope_opens_total{path="local"}`],
 		relayed:  s[`confide_core_envelope_opens_total{path="relayed"}`],
 	}
 }
 
-func (a relayCounters) since(b relayCounters) relayCounters {
-	return relayCounters{
-		adopted: a.adopted - b.adopted, rejected: a.rejected - b.rejected, absent: a.absent - b.absent,
+func (a attestCounters) since(b attestCounters) attestCounters {
+	return attestCounters{
+		accepted: a.accepted - b.accepted, rejected: a.rejected - b.rejected, absent: a.absent - b.absent,
 		ecdh: a.ecdh - b.ecdh, local: a.local - b.local, relayed: a.relayed - b.relayed,
 	}
 }
 
 // submitCredits submits n confidential credits through the leader and waits
-// for gossip to land them in the pools of nodes (a transaction gossiped in after its
-// block committed would be pre-verified by the next ProcessRound and leave a
-// cache entry behind, which these tests count).
+// for gossip to land them in the pools of nodes.
 func submitCredits(t *testing.T, c *Cluster, nodes []*Node, account string, n int) []*chain.Tx {
 	t.Helper()
 	client := newClusterClient(t, c)
@@ -51,14 +50,25 @@ func submitCredits(t *testing.T, c *Cluster, nodes []*Node, account string, n in
 		if err != nil {
 			t.Fatal(err)
 		}
+		txs[i] = tx
+	}
+	return submitAndGossip(t, c, nodes, txs)
+}
+
+// submitAndGossip submits txs and waits for gossip to land them in the
+// pools of nodes (a transaction gossiped in after its block committed would
+// be pre-verified by the next ProcessRound and leave a cache entry behind,
+// which these tests count).
+func submitAndGossip(t *testing.T, c *Cluster, nodes []*Node, txs []*chain.Tx) []*chain.Tx {
+	t.Helper()
+	for _, tx := range txs {
 		if err := c.Submit(tx); err != nil {
 			t.Fatal(err)
 		}
-		txs[i] = tx
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for _, node := range nodes {
-		for node.UnverifiedPoolLen() < n {
+		for node.UnverifiedPoolLen() < len(txs) {
 			if time.Now().After(deadline) {
 				t.Fatalf("gossip never reached node %d", node.ID())
 			}
@@ -72,7 +82,7 @@ func submitCredits(t *testing.T, c *Cluster, nodes []*Node, account string, n in
 // the leader pre-verifies, so every follower reaches execution with nothing
 // but what the block brings it. It is ProposeBlock with one seam: mutate
 // edits the proposal after the enclave attested it, which is what a
-// Byzantine proposer host can do to a tag or a relay. nodes are the replicas
+// Byzantine proposer host can do to an attestation. nodes are the replicas
 // expected to commit the block.
 func proposeLeaderOnly(t *testing.T, c *Cluster, nodes []*Node, mutate func(*chain.Block)) *chain.Block {
 	t.Helper()
@@ -90,8 +100,8 @@ func proposeLeaderOnly(t *testing.T, c *Cluster, nodes []*Node, mutate func(*cha
 		Txs:    txs,
 	}
 	block.ComputeTxRoot()
-	block.VerifyTag, block.KeyRelay = leader.confEngine.AttestBlock(height, id, txs)
-	if len(block.VerifyTag) == 0 || len(block.KeyRelay) == 0 {
+	block.Attestation = leader.confEngine.AttestPreVerified(height, id, txs)
+	if len(block.Attestation) == 0 {
 		t.Fatal("leader's enclave refused to attest its own verified pool")
 	}
 	if mutate != nil {
@@ -113,7 +123,7 @@ func proposeLeaderOnly(t *testing.T, c *Cluster, nodes []*Node, mutate func(*cha
 
 // requireIdenticalBlock certifies that every node committed the block at
 // height byte-identically — same stored payload (hence header), same
-// receipts — and that the stored form decodes with no relay.
+// receipts — and that the stored form carries no keys.
 func requireIdenticalBlock(t *testing.T, nodes []*Node, height uint64, txs []*chain.Tx) {
 	t.Helper()
 	want, found, err := nodes[0].store.Get(BlockKey(height))
@@ -129,8 +139,8 @@ func requireIdenticalBlock(t *testing.T, nodes []*Node, height uint64, txs []*ch
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(block.KeyRelay) != 0 {
-			t.Errorf("node %d: BlockAt(%d) carries %d relay bytes", n.ID(), height, len(block.KeyRelay))
+		if core.AttestationCarriesKeys(block.Attestation) {
+			t.Errorf("node %d: BlockAt(%d) carries a %d-byte attestation with keys", n.ID(), height, len(block.Attestation))
 		}
 		// WaitHeight returns at the height advance; the commit sweep (pools,
 		// pre-verification entries) finishes under applyMu just after it.
@@ -149,30 +159,42 @@ func requireIdenticalBlock(t *testing.T, nodes []*Node, height uint64, txs []*ch
 	}
 }
 
-// TestKeyRelayAdoptedAndEveryFallback is the relay's cluster contract. With
-// the genuine relay, three followers execute on relayed keys and nobody pays
-// an ECDH at execution. With the relay bit-flipped, truncated, stamped with
-// an unknown epoch, removed, or riding under a forged tag, every follower
-// falls back to the full open and the block commits byte-identically — a
-// relay can cost its shortcut, never a transaction or a block. The last two
-// rounds run across a key-epoch rotation.
+// sigChecks sums the signature checks both engines of each node ran.
+func sigChecks(nodes []*Node) uint64 {
+	var n uint64
+	for _, node := range nodes {
+		for _, e := range []*core.Engine{node.ConfidentialEngine(), node.PublicEngine()} {
+			n += e.Profile().Snapshot()[core.OpTxVerify].Count
+		}
+	}
+	return n
+}
+
+// TestKeyRelayAdoptedAndEveryFallback is the attestation's cluster contract.
+// With the genuine attestation, three followers execute on relayed keys and
+// nobody pays an ECDH or a signature check at execution. With it
+// bit-flipped, truncated, stamped with an unknown epoch or removed, every
+// follower falls back to the full open and check and the block commits
+// byte-identically — an attestation can cost its shortcut, never a
+// transaction or a block. The last two rounds run across a key-epoch
+// rotation.
 func TestKeyRelayAdoptedAndEveryFallback(t *testing.T) {
 	c := newTestCluster(t, ClusterOptions{Nodes: 4, Node: Config{ResealRate: -1}})
 	const perBlock = 5
 	followers := uint64(len(c.Nodes) - 1)
 
-	type deltas struct{ adopted, rejected, absent, ecdh, relayed uint64 }
+	type deltas struct{ accepted, rejected, absent, ecdh, relayed, sigChecks uint64 }
 	fallback := func(outcome string) deltas {
-		w := deltas{ecdh: followers * perBlock}
+		w := deltas{ecdh: followers * perBlock, sigChecks: followers * perBlock}
 		switch outcome {
 		case "rejected":
-			w.rejected = followers + 1 // the leader applies its own mangled relay too
+			w.rejected = followers + 1 // the leader applies its own mangled attestation too
 		case "absent":
 			w.absent = followers + 1
 		}
 		return w
 	}
-	genuine := deltas{adopted: followers + 1, relayed: followers * perBlock}
+	genuine := deltas{accepted: followers + 1, relayed: followers * perBlock}
 
 	rounds := []struct {
 		name   string
@@ -181,33 +203,38 @@ func TestKeyRelayAdoptedAndEveryFallback(t *testing.T) {
 		rotate bool
 	}{
 		{name: "genuine", want: genuine},
-		{name: "bit-flipped", want: fallback("rejected"), mutate: func(b *chain.Block) { b.KeyRelay[len(b.KeyRelay)/2] ^= 1 }},
-		{name: "truncated", want: fallback("rejected"), mutate: func(b *chain.Block) { b.KeyRelay = b.KeyRelay[:len(b.KeyRelay)-7] }},
-		{name: "unknown epoch", want: fallback("rejected"), mutate: func(b *chain.Block) { binary.BigEndian.PutUint64(b.KeyRelay[:8], 40) }},
-		{name: "removed", want: fallback("absent"), mutate: func(b *chain.Block) { b.KeyRelay = nil }},
-		{name: "forged tag", want: fallback("rejected"), mutate: func(b *chain.Block) { b.VerifyTag[len(b.VerifyTag)-1] ^= 1 }},
+		{name: "bit-flipped", want: fallback("rejected"), mutate: func(b *chain.Block) { b.Attestation[len(b.Attestation)/2] ^= 1 }},
+		{name: "truncated", want: fallback("rejected"), mutate: func(b *chain.Block) { b.Attestation = b.Attestation[:len(b.Attestation)-7] }},
+		{name: "unknown epoch", want: fallback("rejected"), mutate: func(b *chain.Block) { binary.BigEndian.PutUint64(b.Attestation[:8], 40) }},
+		{name: "removed", want: fallback("absent"), mutate: func(b *chain.Block) { b.Attestation = nil }},
 		{name: "genuine after rotation", want: genuine, rotate: true},
-		{name: "bit-flipped after rotation", want: fallback("rejected"), mutate: func(b *chain.Block) { b.KeyRelay[9] ^= 1 }},
+		{name: "bit-flipped after rotation", want: fallback("rejected"), mutate: func(b *chain.Block) { b.Attestation[9] ^= 1 }},
 	}
 	for _, r := range rounds {
 		if r.rotate {
 			rotateAndActivate(t, c, 2)
 		}
 		txs := submitCredits(t, c, c.Nodes, "relay", perBlock)
-		before := readRelayCounters()
+		var followerNodes []*Node
+		for _, n := range c.Nodes {
+			if n != c.Leader() {
+				followerNodes = append(followerNodes, n)
+			}
+		}
+		before, checks := readAttestCounters(), sigChecks(followerNodes)
 		block := proposeLeaderOnly(t, c, c.Nodes, r.mutate)
 		if len(block.Txs) != perBlock {
 			t.Fatalf("%s: block carries %d txs, want %d", r.name, len(block.Txs), perBlock)
 		}
-		d := readRelayCounters().since(before)
-		got := deltas{d.adopted, d.rejected, d.absent, d.ecdh, d.relayed}
+		requireIdenticalBlock(t, c.Nodes, block.Header.Height, txs)
+		d := readAttestCounters().since(before)
+		got := deltas{d.accepted, d.rejected, d.absent, d.ecdh, d.relayed, sigChecks(followerNodes) - checks}
 		if got != r.want {
-			t.Errorf("%s: {adopted rejected absent ecdh relayed} = %v, want %v", r.name, got, r.want)
+			t.Errorf("%s: {accepted rejected absent ecdh relayed sigChecks} = %v, want %v", r.name, got, r.want)
 		}
 		if d.local != perBlock {
 			t.Errorf("%s: %d local-key opens, want %d (the leader's)", r.name, d.local, perBlock)
 		}
-		requireIdenticalBlock(t, c.Nodes, block.Header.Height, txs)
 	}
 	want := []byte{byte(len(rounds) * perBlock)}
 	for _, n := range c.Nodes {
@@ -217,28 +244,97 @@ func TestKeyRelayAdoptedAndEveryFallback(t *testing.T) {
 	}
 }
 
-// TestStoredAndSyncedBlocksCarryNoRelay pins the no-persistence rule: the
-// relay is transport only, so neither the bytes under blockKey nor a sync
-// response contain it — a one-time key gains no lifetime from having been
-// relayed.
+// TestFollowerOpensAttestationInEnclave pins where a follower checks an
+// attestation: inside its enclave, one ecall per applied block, a public-only
+// block included. A bit-flipped attestation then withdraws every shortcut at
+// once — the vouched signatures along with the keys — so each follower
+// checks every signature of the block itself.
+func TestFollowerOpensAttestationInEnclave(t *testing.T) {
+	c := newTestCluster(t, ClusterOptions{Nodes: 4, Node: Config{ResealRate: -1}})
+	pubAddr := chain.AddressFromBytes([]byte("pub-ledger"))
+	if err := c.DeployEverywhere(pubAddr, chain.AddressFromBytes([]byte("own")), core.VMCVM, ledgerModule(t), false, 1); err != nil {
+		t.Fatal(err)
+	}
+	pubClient, _ := core.NewClient(nil)
+	const perBlock = 4
+	pubCredits := func() []*chain.Tx {
+		txs := make([]*chain.Tx, perBlock)
+		for i := range txs {
+			tx, err := pubClient.NewPublicTx(pubAddr, "credit", acct("pub"), []byte{1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			txs[i] = tx
+		}
+		return submitAndGossip(t, c, c.Nodes, txs)
+	}
+	flip := func(b *chain.Block) { b.Attestation[len(b.Attestation)/2] ^= 1 }
+	leader := c.Leader()
+	var followers []*Node
+	for _, n := range c.Nodes {
+		if n != leader {
+			followers = append(followers, n)
+		}
+	}
+	for _, r := range []struct {
+		name      string
+		submit    func() []*chain.Tx
+		mutate    func(*chain.Block)
+		sigChecks uint64 // per follower
+	}{
+		{name: "public only", submit: pubCredits},
+		{name: "public only, bit-flipped", submit: pubCredits, mutate: flip, sigChecks: perBlock},
+		{name: "confidential, bit-flipped", submit: func() []*chain.Tx { return submitCredits(t, c, c.Nodes, "conf", perBlock) }, mutate: flip, sigChecks: perBlock},
+	} {
+		txs := r.submit()
+		ecalls := make([]uint64, len(followers))
+		checks := make([]uint64, len(followers))
+		for i, n := range followers {
+			ecalls[i] = n.ConfidentialEngine().Enclave().Stats().Ecalls
+			checks[i] = sigChecks([]*Node{n})
+		}
+		block := proposeLeaderOnly(t, c, c.Nodes, r.mutate)
+		requireIdenticalBlock(t, c.Nodes, block.Header.Height, txs)
+		public := block.Txs[0].Type == chain.TxTypePublic
+		if stored, err := c.Nodes[0].BlockAt(block.Header.Height); err != nil || public && len(stored.Attestation) == 0 {
+			t.Errorf("%s: a keyless attestation must be stored with its block (err=%v)", r.name, err)
+		}
+		for i, n := range followers {
+			if got := sigChecks([]*Node{n}) - checks[i]; got != r.sigChecks {
+				t.Errorf("%s: follower %d checked %d signatures, want %d", r.name, n.ID(), got, r.sigChecks)
+			}
+			if !public {
+				continue // confidential execution makes ecalls of its own
+			}
+			if got := n.ConfidentialEngine().Enclave().Stats().Ecalls - ecalls[i]; got != 1 {
+				t.Errorf("%s: follower %d made %d ecalls applying the block, want 1", r.name, n.ID(), got)
+			}
+		}
+	}
+}
+
+// TestStoredAndSyncedBlocksCarryNoRelay pins the no-persistence rule: relayed
+// keys are transport only, so neither the bytes under blockKey nor a sync
+// response contain an attestation that carries them — a one-time key gains
+// no lifetime from having been relayed.
 func TestStoredAndSyncedBlocksCarryNoRelay(t *testing.T) {
 	c := newTestCluster(t, ClusterOptions{Nodes: 4})
 	txs := submitCredits(t, c, c.Nodes, "store", 4)
-	var relay []byte
-	block := proposeLeaderOnly(t, c, c.Nodes, func(b *chain.Block) { relay = append([]byte(nil), b.KeyRelay...) })
+	var att []byte
+	block := proposeLeaderOnly(t, c, c.Nodes, func(b *chain.Block) { att = append([]byte(nil), b.Attestation...) })
 	height := block.Header.Height
-	if !bytes.Contains(block.Encode(), relay) {
-		t.Fatal("the proposal itself must carry the relay")
+	if !bytes.Contains(block.Encode(), att) || !core.AttestationCarriesKeys(att) {
+		t.Fatal("the proposal itself must carry the attestation and its keys")
 	}
 	requireIdenticalBlock(t, c.Nodes, height, txs)
 	for _, n := range c.Nodes {
 		raw, _, _ := n.store.Get(BlockKey(height))
-		if bytes.Contains(raw, relay[8:]) {
-			t.Errorf("node %d persisted the relay under blockKey", n.ID())
+		if bytes.Contains(raw, att[8:]) {
+			t.Errorf("node %d persisted the attestation under blockKey", n.ID())
 		}
 		stored, err := chain.DecodeBlock(raw)
-		if err != nil || len(stored.VerifyTag) == 0 {
-			t.Errorf("node %d: stored block lost its tag (err=%v)", n.ID(), err)
+		if err != nil || len(stored.Attestation) != 0 {
+			t.Errorf("node %d: stored block carries a %d-byte attestation (err=%v)", n.ID(), len(stored.Attestation), err)
 		}
 	}
 
@@ -253,16 +349,16 @@ func TestStoredAndSyncedBlocksCarryNoRelay(t *testing.T) {
 	observer.Send(c.Nodes[1].ID(), syncReqTopic, chain.Encode(chain.Uint(height)))
 	select {
 	case data := <-resp:
-		if bytes.Contains(data, relay[8:]) {
-			t.Error("sync response carries the relay")
+		if bytes.Contains(data, att[8:]) {
+			t.Error("sync response carries the attestation")
 		}
 		it, err := chain.Decode(data)
 		if err != nil || !it.IsList || len(it.List) != 1 {
 			t.Fatalf("malformed sync response (err=%v)", err)
 		}
 		synced, err := chain.DecodeBlock(it.List[0].Str)
-		if err != nil || len(synced.KeyRelay) != 0 || synced.Header.Height != height {
-			t.Errorf("synced block: err=%v, %d relay bytes", err, len(synced.KeyRelay))
+		if err != nil || len(synced.Attestation) != 0 || synced.Header.Height != height {
+			t.Errorf("synced block: err=%v, %d attestation bytes", err, len(synced.Attestation))
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no sync response")
@@ -270,10 +366,10 @@ func TestStoredAndSyncedBlocksCarryNoRelay(t *testing.T) {
 }
 
 // TestWipedFollowerRejoinsWithoutRelays wipes a follower while the other
-// three commit relayed blocks, then lets it rejoin through catch-up sync,
-// which serves stored blocks and hence no relays: it must take the full open
-// for every transaction and still end byte-identical to the followers that
-// adopted every relay.
+// three commit attested blocks, then lets it rejoin through catch-up sync,
+// which serves stored blocks and hence no keys: it must take the full open
+// and check for every transaction and still end byte-identical to the
+// followers that adopted every attestation.
 func TestWipedFollowerRejoinsWithoutRelays(t *testing.T) {
 	c := newTestCluster(t, ClusterOptions{Nodes: 4, Node: Config{SyncInterval: 15 * time.Millisecond}})
 	victim := victimOf(c)
@@ -303,7 +399,7 @@ func TestWipedFollowerRejoinsWithoutRelays(t *testing.T) {
 	if err := rejoined.ConfidentialEngine().DeployContract(ledgerAddr, chain.AddressFromBytes([]byte("own")), core.VMCVM, ledgerModule(t), true, 1); err != nil {
 		t.Fatal(err)
 	}
-	before := readRelayCounters()
+	before, checks := readAttestCounters(), sigChecks([]*Node{rejoined})
 	syncBefore := mSyncPathBlocks.Value()
 	c.Net().Heal()
 	if err := rejoined.WaitHeight(tip, 15*time.Second); err != nil {
@@ -311,16 +407,19 @@ func TestWipedFollowerRejoinsWithoutRelays(t *testing.T) {
 	}
 	rejoined.applyMu.Lock() // the last synced block's application has finished
 	rejoined.applyMu.Unlock()
-	d := readRelayCounters().since(before)
+	d := readAttestCounters().since(before)
 	for deadline := time.Now().Add(2 * time.Second); mSyncPathBlocks.Value() == syncBefore; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Error("rejoin did not take the block-sync path")
 			break
 		}
 	}
-	if d.absent != blocks || d.ecdh != blocks*perBlock || d.adopted != 0 || d.relayed != 0 {
-		t.Errorf("rejoin: absent=%d ecdh=%d adopted=%d relayed=%d, want %d %d 0 0",
-			d.absent, d.ecdh, d.adopted, d.relayed, blocks, blocks*perBlock)
+	if d.absent != blocks || d.ecdh != blocks*perBlock || d.accepted != 0 || d.relayed != 0 {
+		t.Errorf("rejoin: absent=%d ecdh=%d accepted=%d relayed=%d, want %d %d 0 0",
+			d.absent, d.ecdh, d.accepted, d.relayed, blocks, blocks*perBlock)
+	}
+	if got := sigChecks([]*Node{rejoined}) - checks; got != blocks*perBlock {
+		t.Errorf("rejoin: %d signature checks, want %d", got, blocks*perBlock)
 	}
 	for h := uint64(0); h < tip; h++ {
 		block, err := rejoined.BlockAt(h)
@@ -335,14 +434,14 @@ func TestWipedFollowerRejoinsWithoutRelays(t *testing.T) {
 	}
 
 	// Back in the ring, the next block commits on all four (the rejoined
-	// replica adopts its relay when consensus delivers it the proposal, and
-	// takes the full open again if sync gets there first).
+	// replica adopts its attestation when consensus delivers it the proposal,
+	// and takes the full open again if sync gets there first).
 	txs := submitCredits(t, c, c.Nodes, "rejoin", perBlock)
-	before = readRelayCounters()
+	before = readAttestCounters()
 	block := proposeLeaderOnly(t, c, c.Nodes, nil)
 	requireIdenticalBlock(t, c.Nodes, block.Header.Height, txs)
-	if d := readRelayCounters().since(before); d.adopted < 3 || d.adopted+d.absent != 4 || d.rejected != 0 {
-		t.Errorf("post-rejoin block: adopted=%d absent=%d rejected=%d", d.adopted, d.absent, d.rejected)
+	if d := readAttestCounters().since(before); d.accepted < 3 || d.accepted+d.absent != 4 || d.rejected != 0 {
+		t.Errorf("post-rejoin block: accepted=%d absent=%d rejected=%d", d.accepted, d.absent, d.rejected)
 	}
 }
 

@@ -51,24 +51,17 @@ var (
 	mOCCConflicts = metrics.Default().Counter("confide_node_occ_conflicts_total",
 		"speculative results discarded and re-executed by the validation pass")
 
-	// Attested pre-verification: whether followers could accept the
-	// proposer enclave's signature attestation or had to fall back to full
-	// per-transaction ECDSA.
-	mVerifyTagAccepted = metrics.Default().Counter("confide_node_verify_tag_total",
-		"block pre-verification attestation tags, by outcome", metrics.L{K: "outcome", V: "accepted"})
-	mVerifyTagRejected = metrics.Default().Counter("confide_node_verify_tag_total",
-		"block pre-verification attestation tags, by outcome", metrics.L{K: "outcome", V: "rejected"})
-
-	// Key relay: whether a block with confidential transactions let this
-	// replica skip their private-key opens ("adopted"), carried a relay it
-	// could not use ("rejected"), or arrived without one ("absent": catch-up
-	// sync, or a proposer that could not attest).
-	mKeyRelayAdopted = metrics.Default().Counter("confide_node_key_relay_total",
-		"applied blocks with confidential transactions, by key-relay outcome", metrics.L{K: "outcome", V: "adopted"})
-	mKeyRelayRejected = metrics.Default().Counter("confide_node_key_relay_total",
-		"applied blocks with confidential transactions, by key-relay outcome", metrics.L{K: "outcome", V: "rejected"})
-	mKeyRelayAbsent = metrics.Default().Counter("confide_node_key_relay_total",
-		"applied blocks with confidential transactions, by key-relay outcome", metrics.L{K: "outcome", V: "absent"})
+	// Attested pre-verification, per applied block: whether the proposer
+	// enclave's attestation opened, so execution skipped every signature
+	// check and private-key open ("accepted"), failed to open ("rejected"),
+	// or was missing ("absent": catch-up sync of a block whose attestation
+	// carried keys, or a proposer that could not attest).
+	mAttestAccepted = metrics.Default().Counter("confide_node_verify_tag_total",
+		"applied blocks, by outcome of their pre-verification attestation", metrics.L{K: "outcome", V: "accepted"})
+	mAttestRejected = metrics.Default().Counter("confide_node_verify_tag_total",
+		"applied blocks, by outcome of their pre-verification attestation", metrics.L{K: "outcome", V: "rejected"})
+	mAttestAbsent = metrics.Default().Counter("confide_node_verify_tag_total",
+		"applied blocks, by outcome of their pre-verification attestation", metrics.L{K: "outcome", V: "absent"})
 
 	// Catch-up path selection: how lagging nodes rejoined the tip.
 	mSyncPathBlocks = metrics.Default().Counter("confide_node_sync_path_total",

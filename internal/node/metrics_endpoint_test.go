@@ -183,10 +183,9 @@ func TestMetricsEndpointDuringClusterRun(t *testing.T) {
 		`confide_core_envelope_opens_total{path="ecdh"}`:    0,
 		`confide_core_envelope_opens_total{path="local"}`:   relayed,
 		`confide_core_envelope_opens_total{path="relayed"}`: relayed * 3,
-		`confide_node_key_relay_total{outcome="adopted"}`:   4,
-		`confide_node_key_relay_total{outcome="rejected"}`:  0,
-		`confide_node_key_relay_total{outcome="absent"}`:    0,
 		`confide_node_verify_tag_total{outcome="accepted"}`: 4,
+		`confide_node_verify_tag_total{outcome="rejected"}`: 0,
+		`confide_node_verify_tag_total{outcome="absent"}`:   0,
 		`confide_core_executed_total{type="confidential"}`:  relayed * 4,
 		`confide_core_preverify_attested_total`:             relayed * 4,
 		`confide_node_occ_speculative_total`:                0,
@@ -228,7 +227,7 @@ func TestMetricsEndpointDuringClusterRun(t *testing.T) {
 	summary := metrics.Default().Summary()
 	for _, series := range []string{
 		`confide_core_envelope_opens_total{path="relayed"}`,
-		`confide_node_key_relay_total{outcome="adopted"}`,
+		`confide_node_verify_tag_total{outcome="accepted"}`,
 	} {
 		if !strings.Contains(summary, series) {
 			t.Errorf("Summary omits %s", series)

@@ -546,15 +546,14 @@ func (n *Node) ProposeBlock() (int, error) {
 	}
 	block.ComputeTxRoot()
 	// Everything in the verified pool passed signature pre-verification in
-	// this node's enclave; attest that fact so followers can accept the
-	// batch without re-running ECDSA per transaction, and relay the k_tx the
-	// enclave recovered on the way so they skip the envelope's private-key
-	// open too. The enclave re-checks its own cache and recomputes the root
-	// before attesting (AttestBlock refuses otherwise), so the attestation
-	// cannot claim more than the enclave actually verified. Tag and relay
-	// ride outside the header, leaving the block hash (and the scheduler's
-	// tracking of it) unchanged.
-	block.VerifyTag, block.KeyRelay = n.confEngine.AttestBlock(height, uint32(n.endpoint.ID()), txs)
+	// this node's enclave; attest that fact, sealed together with the k_tx
+	// the enclave recovered on the way, so followers skip both the ECDSA
+	// check and the envelope's private-key open per transaction. The enclave
+	// re-checks its own cache and recomputes the root before attesting
+	// (AttestPreVerified refuses otherwise), so the attestation cannot claim
+	// more than the enclave actually verified. It rides outside the header,
+	// leaving the block hash (and the scheduler's tracking of it) unchanged.
+	block.Attestation = n.confEngine.AttestPreVerified(height, uint32(n.endpoint.ID()), txs)
 	n.sched.Track(height, block.Hash(), parent, txs)
 	if _, err := n.replica.Propose(block.Encode()); err != nil {
 		// The proposal never entered consensus (view changed under us, or
@@ -733,48 +732,33 @@ func (n *Node) applyDecoded(block *chain.Block, payload []byte) bool {
 		return false
 	}
 
-	// If the proposer's enclave attested pre-verification of this batch (and
-	// the tag checks out against our ring), seed the engines' caches so
-	// execution skips per-transaction ECDSA and, with the proposer's key
-	// relay adopted, the envelopes' private-key open. The tx root above
-	// already binds tag and relay to exactly these transactions. A missing or
-	// bad one costs nothing but its shortcut: execution falls back to opening
-	// every envelope and verifying every signature itself.
-	var conf, pub []*chain.Tx
-	for _, tx := range block.Txs {
-		switch tx.Type {
-		case chain.TxTypeConfidential:
-			conf = append(conf, tx)
-		case chain.TxTypePublic:
-			pub = append(pub, tx)
+	// If the proposer's enclave attested pre-verification of this batch, one
+	// ecall opens the attestation: success vouches for every signature and
+	// seeds the relayed k_tx, so execution skips per-transaction ECDSA and
+	// the envelopes' private-key open. The tx root above already binds the
+	// attestation to exactly these transactions. A missing or bad one costs
+	// nothing but its shortcut: execution falls back to opening every
+	// envelope and verifying every signature itself.
+	switch {
+	case len(block.Attestation) == 0:
+		mAttestAbsent.Inc()
+	case n.confEngine.AdoptAttestation(block.Header.Height, block.Header.Proposer, block.Header.TxRoot, block.Txs, block.Attestation):
+		var pub []*chain.Tx
+		for _, tx := range block.Txs {
+			if tx.Type == chain.TxTypePublic {
+				pub = append(pub, tx)
+			}
 		}
+		n.pubEngine.TrustPreVerified(pub)
+		mAttestAccepted.Inc()
+	default:
+		mAttestRejected.Inc()
 	}
-	tagged := false
-	if len(block.VerifyTag) > 0 {
-		tagged = n.confEngine.VerifyPreVerifyTag(block.Header.Height, block.Header.Proposer, block.Header.TxRoot, block.VerifyTag)
-		if tagged {
-			n.confEngine.TrustPreVerified(conf)
-			n.pubEngine.TrustPreVerified(pub)
-			mVerifyTagAccepted.Inc()
-		} else {
-			mVerifyTagRejected.Inc()
-		}
-	}
-	if len(conf) > 0 {
-		switch {
-		case len(block.KeyRelay) == 0:
-			mKeyRelayAbsent.Inc()
-		case tagged && n.confEngine.AdoptKeyRelay(block.Header.Height, block.Header.Proposer, block.Header.TxRoot, block.Txs, block.KeyRelay):
-			mKeyRelayAdopted.Inc()
-		default:
-			mKeyRelayRejected.Inc()
-		}
-	}
-	// The relay is transport only: a one-time key gains no lifetime beyond
-	// this application, so the block is stored (and later served to SPV
-	// readers and catch-up sync) without it.
-	if len(block.KeyRelay) > 0 {
-		block.KeyRelay = nil
+	// Relayed keys are transport only: a one-time key gains no lifetime
+	// beyond this application, so a block whose attestation carries keys is
+	// stored (and later served to SPV readers and catch-up sync) without it.
+	if core.AttestationCarriesKeys(block.Attestation) {
+		block.Attestation = nil
 		payload = block.Encode()
 	}
 

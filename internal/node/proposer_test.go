@@ -14,15 +14,9 @@ func preVerifiedTotal() uint64 {
 	return metrics.Default().Snapshot().CounterSum("confide_core_preverified_total")
 }
 
-// tagCounters reads the per-block attestation outcomes (process-wide, so
-// callers assert on deltas).
-func tagCounters() (accepted, rejected uint64) {
-	return mVerifyTagAccepted.Value(), mVerifyTagRejected.Value()
-}
-
 // TestOnlyLeaderPreVerifies pins the loop's first rule: under the driver each
 // transaction is pre-verified once in the whole cluster, by the leader, and
-// the followers execute on its enclave's tag and key relay — no replica opens
+// the followers execute on its enclave's attestation — no replica opens
 // an envelope with sk_tx at execution. The load is paced, so the leader is
 // never too busy for a follower to have found the time.
 func TestOnlyLeaderPreVerifies(t *testing.T) {
@@ -32,8 +26,7 @@ func TestOnlyLeaderPreVerifies(t *testing.T) {
 	})
 	txs := pipelineLedgerTxs(t, cluster, 11, 64)
 	leader := cluster.Leader()
-	preVerified, relays := preVerifiedTotal(), readRelayCounters()
-	accepted, rejected := tagCounters()
+	preVerified, before := preVerifiedTotal(), readAttestCounters()
 	height := leader.Height()
 	stop := cluster.StartDriver(0)
 	defer stop()
@@ -55,25 +48,21 @@ func TestOnlyLeaderPreVerifies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// WaitHeight returns at the height advance; the tag and relay counters of
+	// WaitHeight returns at the height advance; the attestation counters of
 	// the last block were bumped before it.
-	d := readRelayCounters().since(relays)
+	d := readAttestCounters().since(before)
 	if d.ecdh != 0 {
 		t.Errorf("%d envelopes opened with sk_tx at execution, want 0", d.ecdh)
 	}
-	if want := 4 * blocks; d.adopted != want || d.rejected != 0 || d.absent != 0 {
-		t.Errorf("key relays over %d blocks: %d adopted, %d rejected, %d absent; want %d adopted", blocks, d.adopted, d.rejected, d.absent, want)
-	}
-	a, r := tagCounters()
-	if want := 4 * blocks; a-accepted != want || r != rejected {
-		t.Errorf("verify tags over %d blocks: %d accepted, %d rejected; want %d accepted", blocks, a-accepted, r-rejected, want)
+	if want := 4 * blocks; d.accepted != want || d.rejected != 0 || d.absent != 0 {
+		t.Errorf("attestations over %d blocks: %d accepted, %d rejected, %d absent; want %d accepted", blocks, d.accepted, d.rejected, d.absent, want)
 	}
 }
 
 // TestNewLeaderVerifiesColdPool pins the other half of that rule: followers
 // hold gossiped transactions nobody verified, the leader dies, and the view
 // change's winner pre-verifies its cold pool and commits all of them under
-// valid tags.
+// valid attestations.
 func TestNewLeaderVerifiesColdPool(t *testing.T) {
 	c := newTestCluster(t, faultOpts(4))
 	survivors := c.Nodes[1:]
@@ -83,8 +72,7 @@ func TestNewLeaderVerifiesColdPool(t *testing.T) {
 			t.Fatalf("node %d verified %d transactions before it led", n.ID(), n.VerifiedPoolLen())
 		}
 	}
-	preVerified := preVerifiedTotal()
-	accepted, rejected := tagCounters()
+	preVerified, before := preVerifiedTotal(), readAttestCounters()
 	c.Nodes[0].Kill()
 	for _, n := range survivors {
 		defer n.StartProposer(0)()
@@ -107,9 +95,8 @@ func TestNewLeaderVerifiesColdPool(t *testing.T) {
 	if c.Nodes[1].Replica().ViewChanges() == 1 && got != uint64(len(txs)) {
 		t.Errorf("one view change, yet %d pre-verifications of %d transactions: someone besides the successor verified", got, len(txs))
 	}
-	a, r := tagCounters()
-	if a == accepted || r != rejected {
-		t.Errorf("successor's blocks: %d tags accepted, %d rejected", a-accepted, r-rejected)
+	if d := readAttestCounters().since(before); d.accepted == 0 || d.rejected != 0 {
+		t.Errorf("successor's blocks: %d attestations accepted, %d rejected", d.accepted, d.rejected)
 	}
 }
 

@@ -95,7 +95,7 @@ func TestTamperedProofRejected(t *testing.T) {
 		t.Errorf("garbage header: err = %v, want ErrBadProof", err)
 	}
 
-	// Six well-formed fields, but a 31-byte TxRoot.
+	// Five well-formed fields, but a 31-byte TxRoot.
 	hdr, err := chain.DecodeHeader(proof.HeaderBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestTamperedProofRejected(t *testing.T) {
 	forged4 := *proof
 	forged4.HeaderBytes = chain.Encode(chain.List(
 		chain.Uint(hdr.Height), chain.Bytes(hdr.PrevHash[:]), chain.Bytes(hdr.TxRoot[:31]),
-		chain.Bytes(hdr.StateRoot[:]), chain.Uint(hdr.Timestamp), chain.Uint(uint64(hdr.Proposer)),
+		chain.Uint(hdr.Timestamp), chain.Uint(uint64(hdr.Proposer)),
 	))
 	if err := VerifyTxProof(&forged4); !errors.Is(err, ErrBadProof) {
 		t.Errorf("31-byte tx root: err = %v, want ErrBadProof", err)
