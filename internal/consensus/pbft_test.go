@@ -52,10 +52,21 @@ func newClusterOpts(t *testing.T, n int, cfg p2p.Config, opts Options) *cluster 
 	return c
 }
 
+// log returns replica i's delivered payloads. A replica counts a delivery,
+// and wakes WaitDelivered, before its callback appends the payload here, so
+// log first waits for the callbacks to catch up with that count.
 func (c *cluster) log(i int) [][]byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([][]byte(nil), c.logs[i]...)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		delivered := c.replicas[i].Delivered()
+		c.mu.Lock()
+		out := append([][]byte(nil), c.logs[i]...)
+		c.mu.Unlock()
+		if uint64(len(out)) >= delivered || time.Now().After(deadline) {
+			return out
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestSingleReplicaCommitsImmediately(t *testing.T) {

@@ -83,9 +83,8 @@ type Cluster struct {
 	faults  []*faultfs.FS
 	crashes []*vfs.CrashPoints
 	// While StartDriver is in effect (nil otherwise): each node's proposer stop
-	// function, and their linger for the nodes rebuildNode creates meanwhile.
+	// function; rebuildNode starts one for the nodes it creates meanwhile.
 	proposers []func()
-	linger    time.Duration
 }
 
 // NewCluster boots a network: a software root of trust, per-node platforms,
@@ -344,7 +343,7 @@ func (c *Cluster) rebuildNode(i int) (quarantined bool, err error) {
 	}
 	c.Nodes[i] = node
 	if c.proposers != nil {
-		c.proposers[i] = node.StartProposer(c.linger)
+		c.proposers[i] = node.StartProposer()
 	}
 	return quarantined, nil
 }
@@ -501,16 +500,16 @@ func (c *Cluster) ProcessRound(timeout time.Duration) (int, error) {
 	return count, nil
 }
 
-// StartDriver starts every node's proposer (Node.StartProposer; linger 0
-// selects the default): from here the cluster produces blocks by itself, as an
-// over-the-wire workload needs, and a node replaced by RestartNode or
-// ReviveNode gets its proposer too. stop halts every proposer and waits. Both
-// belong, like RestartNode, to the goroutine that owns the cluster.
-func (c *Cluster) StartDriver(linger time.Duration) (stop func()) {
-	c.linger = linger
+// StartDriver starts every node's proposer (Node.StartProposer): from here
+// the cluster produces blocks by itself, as an over-the-wire workload needs,
+// and a node replaced by RestartNode or ReviveNode gets its proposer too. stop
+// halts every proposer and waits. Both belong, like RestartNode, to the
+// goroutine that owns the cluster. The duration is ignored; the parameter
+// stays only because the benchmark harness calls StartDriver(0).
+func (c *Cluster) StartDriver(time.Duration) (stop func()) {
 	c.proposers = make([]func(), len(c.Nodes))
 	for i, n := range c.Nodes {
-		c.proposers[i] = n.StartProposer(linger)
+		c.proposers[i] = n.StartProposer()
 	}
 	return func() {
 		for _, stop := range c.proposers {

@@ -90,11 +90,12 @@ func TestPartitionHealConvergence(t *testing.T) {
 			t.Fatal(err)
 		}
 		txs = append(txs, tx)
+		// Read the target first: the block can apply before SubmitTx returns.
+		target := c.Nodes[0].Height() + 1
 		if err := c.Nodes[0].SubmitTx(tx); err != nil {
 			t.Fatal(err)
 		}
 		majority := c.Nodes[:3]
-		target := c.Nodes[0].Height() + 1
 		waitUntil(t, 10*time.Second, func() bool {
 			for _, n := range majority {
 				if n.Height() < target {

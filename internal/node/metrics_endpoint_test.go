@@ -219,7 +219,7 @@ func TestMetricsEndpointDuringClusterRun(t *testing.T) {
 	stop()
 	fourth := scrape(t, srv.URL, nil)
 	moved := func(series string) float64 { return fourth[series] - third[series] }
-	cut := moved(`confide_node_blocks_cut_total{reason="full"}`) + moved(`confide_node_blocks_cut_total{reason="linger"}`)
+	cut := moved(`confide_node_blocks_cut_total{reason="full"}`) + moved(`confide_node_blocks_cut_total{reason="idle"}`)
 	if proposed := moved("confide_consensus_proposals_total"); cut == 0 || cut != proposed {
 		t.Errorf("blocks_cut_total moved by %v over %v driver proposals", cut, proposed)
 	}

@@ -4,7 +4,8 @@
 // and the KV store — the complete platform of Figure 2.
 //
 // A node cuts its own blocks once StartProposer runs: a leader pre-verifies
-// its pool and proposes on size-or-linger, a follower verifies nothing.
+// its pool and proposes a full block at once and a partial one when its
+// ordering window is empty, a follower verifies nothing.
 // Cluster.ProcessRound drives the same two steps synchronously (the reference).
 package node
 
@@ -292,9 +293,12 @@ func (n *Node) seqAfter(height uint64) uint64 {
 
 // alignReplica tells consensus that everything below this node's tip is
 // settled, however it got there (a recovered store, catch-up sync, a snapshot
-// install), so the replica rejoins ordering at the live tip.
+// install), so the replica rejoins ordering at the live tip. A proposal of
+// this node's that arrived by sync leaves its window here, not through
+// onCommit, so the proposer loop is kicked too.
 func (n *Node) alignReplica() {
 	n.replica.AdvanceTo(n.seqAfter(n.Height())) // a no-op at or below what it delivered
+	n.kick()
 }
 
 // uncommitted is the one answer to "has this transaction committed?": nil
@@ -568,24 +572,20 @@ func (n *Node) ProposeBlock() (int, error) {
 	return len(txs), nil
 }
 
-// defaultLinger is how long a partial block waits for more transactions: the
-// mean wait under the 5 ms driver tick this loop replaced.
-const defaultLinger = 2500 * time.Microsecond
-
 // StartProposer makes this node produce blocks by itself: one goroutine,
 // parked until a transaction is pooled, consensus delivers (a window slot
 // freed) or the replica adopts a view. While the node leads, each pass
-// pre-verifies one budget of the un-verified pool, then cuts blocks while
-// fewer than Config.PipelineDepth proposals are in flight (more only pile up
-// ahead of execution and flood the network with retransmits) and the verified
-// pool holds a full block or has been non-empty for linger (0: defaultLinger).
-// Wake-ups coalesce, so batches grow with load. stop halts the loop and waits.
-func (n *Node) StartProposer(linger time.Duration) (stop func()) {
-	if linger <= 0 {
-		linger = defaultLinger
-	}
+// pre-verifies one budget of the un-verified pool, then cuts blocks. A full
+// block goes out while fewer than Config.PipelineDepth proposals are in
+// flight (more only pile up ahead of execution and flood the network with
+// retransmits). A partial one goes out only when the window is empty and no
+// wake-up arrived during the pass; otherwise it waits for the in-flight
+// block's delivery, which kicks the loop again. The consensus round is the
+// clock: batches grow with load, and an idle window waits for nothing. stop
+// halts the loop and waits.
+func (n *Node) StartProposer() (stop func()) {
 	quit := make(chan struct{})
-	done := n.spawn(func() { n.runProposer(linger, quit) })
+	done := n.spawn(func() { n.runProposer(quit) })
 	n.kick() // whatever is pooled already
 	var once sync.Once
 	return func() {
@@ -623,10 +623,7 @@ func (n *Node) kick() {
 	}
 }
 
-func (n *Node) runProposer(linger time.Duration, quit <-chan struct{}) {
-	timer := time.NewTimer(linger)
-	defer timer.Stop()
-	var since time.Time // when the verified pool was first seen non-empty after the last cut
+func (n *Node) runProposer(quit <-chan struct{}) {
 	for {
 		select {
 		case <-quit:
@@ -634,7 +631,6 @@ func (n *Node) runProposer(linger time.Duration, quit <-chan struct{}) {
 		case <-n.stop:
 			return
 		case <-n.wake:
-		case <-timer.C:
 		}
 		if !n.replica.IsLeader() {
 			continue
@@ -646,28 +642,24 @@ func (n *Node) runProposer(linger time.Duration, quit <-chan struct{}) {
 		for {
 			pooled := n.verified.Len()
 			if pooled == 0 {
-				since = time.Time{}
 				break
 			}
-			if since.IsZero() {
-				since = time.Now()
-			}
-			if n.replica.InFlight() >= uint64(n.cfg.PipelineDepth) {
-				break // onCommit kicks when a slot frees
-			}
+			inFlight := n.replica.InFlight()
 			cut := mBlocksCutFull
 			if pooled < n.cfg.BlockMaxTxs {
-				if wait := linger - time.Since(since); wait > 0 {
-					timer.Reset(wait)
+				// More is on its way (a pending wake-up) or a round is
+				// running: either one comes back here, with a fuller pool.
+				if len(n.wake) > 0 || inFlight > 0 {
 					break
 				}
-				cut = mBlocksCutLinger
+				cut = mBlocksCutIdle
+			} else if inFlight >= uint64(n.cfg.PipelineDepth) {
+				break // onCommit kicks when a slot frees
 			}
 			if _, err := n.ProposeBlock(); err != nil {
 				break // lost the view; adopting the next one kicks
 			}
 			cut.Inc()
-			since = time.Time{}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"confide/internal/chain"
+	"confide/internal/consensus"
 	"confide/internal/metrics"
 )
 
@@ -75,7 +76,7 @@ func TestNewLeaderVerifiesColdPool(t *testing.T) {
 	preVerified, before := preVerifiedTotal(), readAttestCounters()
 	c.Nodes[0].Kill()
 	for _, n := range survivors {
-		defer n.StartProposer(0)()
+		defer n.StartProposer()()
 	}
 
 	waitUntil(t, 20*time.Second, func() bool {
@@ -100,22 +101,30 @@ func TestNewLeaderVerifiesColdPool(t *testing.T) {
 	}
 }
 
-// TestProposerCutsOnSizeOrLinger pins the cutting rule: a full block goes out
-// at once, a partial one when it has lingered, and nothing pooled means
-// nothing proposed.
-func TestProposerCutsOnSizeOrLinger(t *testing.T) {
-	const linger = 300 * time.Millisecond
-	c := newTestCluster(t, ClusterOptions{Nodes: 4, Node: Config{BlockMaxTxs: 8}})
+// TestProposerCutsOnSizeOrIdle pins the cutting rule: a full block goes out
+// at once, and so does a partial one when the ordering window is empty; a
+// partial pool waits while a proposal is in flight and goes out when that
+// proposal is delivered; an idle cluster cuts nothing; and after a view
+// change that carries a prepared block, the new leader still cuts a partial
+// one.
+func TestProposerCutsOnSizeOrIdle(t *testing.T) {
+	const commitTopic = "pbft/commit" // dropping it holds a proposal prepared but undelivered
+	c := newTestCluster(t, ClusterOptions{Nodes: 4, Node: Config{
+		BlockMaxTxs: 8,
+		Consensus: consensus.Options{
+			// Long enough to hold a proposal without a view change; the
+			// quick retransmits deliver it soon after the hold ends.
+			ViewTimeout:        2 * time.Second,
+			RetransmitInterval: 20 * time.Millisecond,
+			RetransmitMax:      100 * time.Millisecond,
+		},
+	}})
 	client := newClusterClient(t, c)
-	leader := c.Leader()
-	stop := c.StartDriver(linger)
+	stop := c.StartDriver(0)
 	defer func() { stop() }()
 
-	// submit pools n credits on the leader, requires them to commit in one
-	// block, and returns the time from submission to that block's cut.
-	submit := func(n int) time.Duration {
+	credits := func(n int) []*chain.Tx {
 		t.Helper()
-		height := leader.Height()
 		txs := make([]*chain.Tx, n)
 		for i := range txs {
 			tx, _, err := client.NewConfidentialTx(ledgerAddr, "credit", acct("cut"), []byte{1})
@@ -124,48 +133,132 @@ func TestProposerCutsOnSizeOrLinger(t *testing.T) {
 			}
 			txs[i] = tx
 		}
-		start := time.Now()
+		return txs
+	}
+	submit := func(to *Node, txs []*chain.Tx) {
+		t.Helper()
 		for _, tx := range txs {
-			if err := leader.SubmitTx(tx); err != nil {
+			if err := to.SubmitTx(tx); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	// pool submits txs with the proposers stopped, so that one pass finds
+	// all of them, and returns when it restarted them.
+	pool := func(to *Node, txs []*chain.Tx) time.Time {
+		t.Helper()
+		stop()
+		submit(to, txs)
+		start := time.Now()
+		stop = c.StartDriver(0)
+		return start
+	}
+	// committedIn waits for txs to commit everywhere and requires the block
+	// at height to carry exactly them.
+	committedIn := func(txs []*chain.Tx, height uint64) *chain.Block {
+		t.Helper()
 		waitCommittedEverywhere(t, c, txs, 10*time.Second)
-		if got := leader.Height(); got != height+1 {
-			t.Fatalf("%d transactions went out in %d blocks, want 1", n, got-height)
-		}
-		block, err := leader.BlockAt(height)
+		block, err := c.Nodes[0].BlockAt(height)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(block.Txs) != n {
-			t.Fatalf("block carries %d transactions, want %d", len(block.Txs), n)
+		want := map[chain.Hash]bool{}
+		for _, tx := range txs {
+			want[tx.Hash()] = true
 		}
-		return time.Unix(0, int64(block.Header.Timestamp)).Sub(start)
+		for _, tx := range block.Txs {
+			delete(want, tx.Hash())
+		}
+		if len(block.Txs) != len(txs) || len(want) != 0 {
+			t.Fatalf("block %d carries %d transactions, want the %d submitted together", height, len(block.Txs), len(txs))
+		}
+		return block
+	}
+	full, idle := mBlocksCutFull.Value(), mBlocksCutIdle.Value()
+	cuts := func(wantFull, wantIdle uint64) {
+		t.Helper()
+		if f, i := mBlocksCutFull.Value()-full, mBlocksCutIdle.Value()-idle; f != wantFull || i != wantIdle {
+			t.Errorf("%d full and %d idle cuts, want %d and %d", f, i, wantFull, wantIdle)
+		}
 	}
 
-	full, lingered := mBlocksCutFull.Value(), mBlocksCutLinger.Value()
-	if waited := submit(8); waited >= linger {
-		t.Errorf("a full block waited %s, linger is %s", waited, linger)
+	leader := c.Leader()
+	height := leader.Height()
+	fullBlock := credits(8)
+	pool(leader, fullBlock)
+	committedIn(fullBlock, height)
+	cuts(1, 0)
+
+	// No timer: the cut follows the pre-verification pass.
+	partial := credits(3)
+	start := pool(leader, partial)
+	if waited := time.Unix(0, int64(committedIn(partial, height+1).Header.Timestamp)).Sub(start); waited > 250*time.Millisecond {
+		t.Errorf("a partial block on an empty window waited %s", waited)
 	}
-	if f, l := mBlocksCutFull.Value()-full, mBlocksCutLinger.Value()-lingered; f != 1 || l != 0 {
-		t.Errorf("full block counted as %d full, %d linger cuts", f, l)
+	cuts(1, 1)
+
+	// Hold one partial block in flight: the next partial pool waits for its
+	// delivery, not for a clock.
+	c.Net().SetTopicDropRate(commitTopic, 1)
+	held := credits(3)
+	pool(leader, held)
+	waitUntil(t, 5*time.Second, func() bool { return leader.Replica().InFlight() == 1 })
+	behind := credits(2)
+	submit(leader, behind)
+	waitUntil(t, 5*time.Second, func() bool { return leader.VerifiedPoolLen() == len(behind) })
+	time.Sleep(50 * time.Millisecond)
+	if got := leader.Replica().InFlight(); got != 1 || leader.VerifiedPoolLen() != len(behind) {
+		t.Errorf("with a proposal in flight: %d in flight, %d pooled; want 1 and %d", got, leader.VerifiedPoolLen(), len(behind))
 	}
-	if waited := submit(3); waited < linger {
-		t.Errorf("a partial block was cut after %s, before its %s linger", waited, linger)
-	}
-	if f, l := mBlocksCutFull.Value()-full, mBlocksCutLinger.Value()-lingered; f != 1 || l != 1 {
-		t.Errorf("after the partial block: %d full, %d linger cuts; want 1 and 1", f, l)
+	cuts(1, 2)
+	c.Net().SetTopicDropRate(commitTopic, 0)
+	committedIn(held, height+2)
+	committedIn(behind, height+3)
+	cuts(1, 3)
+	if !leader.IsLeader() {
+		t.Fatal("the view changed while a proposal was held; the hold outlasted ViewTimeout")
 	}
 
-	// Idle, on a linger short enough to wait out twenty times over.
-	stop()
-	const short = 10 * time.Millisecond
-	stop = c.StartDriver(short)
-	height, proposals := leader.Height(), leader.replica.InFlight()
-	time.Sleep(20 * short)
-	if got := leader.Height(); got != height || leader.replica.InFlight() != proposals {
-		t.Errorf("idle cluster went from height %d to %d (%d in flight): empty blocks", height, got, leader.replica.InFlight())
+	// Idle: nothing pooled, nothing proposed.
+	height = leader.Height()
+	time.Sleep(100 * time.Millisecond)
+	if got := leader.Height(); got != height || leader.Replica().InFlight() != 0 {
+		t.Errorf("idle cluster went from height %d to %d (%d in flight): empty blocks", height, got, leader.Replica().InFlight())
+	}
+
+	// The leader's partial block prepares everywhere but cannot commit, so
+	// the view changes and carries it; its delivery frees the new leader's
+	// window.
+	c.Net().SetTopicDropRate(commitTopic, 1)
+	carried := credits(3)
+	pool(leader, carried)
+	var successor *Node
+	waitUntil(t, 10*time.Second, func() bool {
+		for _, n := range c.Nodes {
+			if n != leader && n.IsLeader() {
+				successor = n
+				return true
+			}
+		}
+		return false
+	})
+	c.Net().SetTopicDropRate(commitTopic, 0)
+	if block := committedIn(carried, height); block.Header.Proposer != uint32(leader.ID()) {
+		t.Fatalf("the held block was re-cut by node %d, not carried across the view change", block.Header.Proposer)
+	}
+	// The successor held gossiped copies of the carried transactions; let
+	// its pools and window settle before the last partial pool.
+	waitUntil(t, 10*time.Second, func() bool {
+		return successor.Replica().InFlight() == 0 && successor.VerifiedPoolLen() == 0 && successor.UnverifiedPoolLen() == 0
+	})
+	idle, height = mBlocksCutIdle.Value(), successor.Height()
+	last := credits(2)
+	pool(successor, last)
+	if block := committedIn(last, height); block.Header.Proposer != uint32(successor.ID()) {
+		t.Errorf("the partial block after the view change came from node %d, want the new leader %d", block.Header.Proposer, successor.ID())
+	}
+	if got := mBlocksCutIdle.Value() - idle; got != 1 {
+		t.Errorf("the new leader's partial block counted %d idle cuts, want 1", got)
 	}
 }
 

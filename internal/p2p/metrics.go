@@ -14,6 +14,12 @@ var (
 	mReordered  = metrics.Default().Counter("confide_p2p_reordered_total", "messages held back by reorder jitter")
 	mCorrupted  = metrics.Default().Counter("confide_p2p_corrupted_total", "messages delivered with an injected payload bit-flip")
 
+	// The simulated link's schedule versus the runtime's: a timer-delivered
+	// message lands when its AfterFunc fires, which on an idle process is
+	// rounded up to the netpoller's millisecond.
+	mDeliveryLateness = metrics.Default().Histogram("confide_p2p_delivery_lateness_seconds",
+		"time from a message's scheduled delivery to its enqueue at the receiver", nil)
+
 	mDropRate      = dropCounter("rate")
 	mDropLink      = dropCounter("link")
 	mDropTopic     = dropCounter("topic")

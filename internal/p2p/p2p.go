@@ -461,14 +461,19 @@ func (e *Endpoint) send(to NodeID, topic string, data []byte) {
 	}
 }
 
-// deliverAt schedules msg for delivery at the given instant.
+// deliverAt schedules msg for delivery at the given instant, and records how
+// late the enqueue ran against it.
 func (dst *Endpoint) deliverAt(msg Message, at time.Time) {
 	delay := time.Until(at)
 	if delay <= 0 {
+		mDeliveryLateness.ObserveDuration(-delay)
 		dst.enqueue(msg)
 		return
 	}
-	time.AfterFunc(delay, func() { dst.enqueue(msg) })
+	time.AfterFunc(delay, func() {
+		mDeliveryLateness.ObserveSince(at)
+		dst.enqueue(msg)
+	})
 }
 
 func (dst *Endpoint) enqueue(msg Message) {

@@ -99,6 +99,29 @@ func TestLatencyAppliedPerZone(t *testing.T) {
 	}
 }
 
+// TestDeliveryLatenessRecorded pins the lateness histogram: a message on a
+// 200 µs link, delivered by its timer, leaves one non-negative sample.
+func TestDeliveryLatenessRecorded(t *testing.T) {
+	n := NewNetwork(Config{IntraZone: LinkProfile{Latency: 200 * time.Microsecond}})
+	a, _ := n.Join(1, 0)
+	b, _ := n.Join(2, 0)
+	got := make(chan struct{})
+	b.Subscribe("late", func(Message) { close(got) })
+	count, sum := mDeliveryLateness.Count(), mDeliveryLateness.Sum()
+	a.Send(2, "late", []byte("x"))
+	select {
+	case <-got:
+	case <-time.After(time.Second):
+		t.Fatal("message not delivered")
+	}
+	if d := mDeliveryLateness.Count() - count; d < 1 {
+		t.Errorf("delivery recorded %d lateness samples, want one", d)
+	}
+	if late := mDeliveryLateness.Sum() - sum; late < 0 {
+		t.Errorf("lateness summed to %v s, want ≥ 0", late)
+	}
+}
+
 func TestBandwidthSerializesSender(t *testing.T) {
 	// 1 MB/s uplink: ten 10 KB messages take ~100 ms to serialize.
 	n := NewNetwork(Config{
