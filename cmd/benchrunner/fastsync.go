@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"confide/internal/chain"
+	"confide/internal/consensus"
 	"confide/internal/core"
 	"confide/internal/metrics"
 	"confide/internal/node"
@@ -78,8 +79,12 @@ func fastSyncCell(mode string, blocks, interval, retention uint64) (fastSyncRow,
 	cluster, err := node.NewCluster(node.ClusterOptions{
 		Nodes: 4,
 		Node: node.Config{
-			BlockMaxTxs:        8,
-			EngineOpts:         core.AllOptimizations(),
+			BlockMaxTxs: 8,
+			EngineOpts:  core.AllOptimizations(),
+			// Both rejoin paths start on a 10 ms beat: the checkpoint
+			// announce, and the heartbeat that tells a replica how far
+			// behind it is.
+			Consensus:          consensus.Options{HeartbeatInterval: 10 * time.Millisecond},
 			SyncInterval:       10 * time.Millisecond,
 			CheckpointInterval: interval,
 			Retention:          retention,

@@ -56,10 +56,9 @@ func runRotation(txs int) (any, error) {
 	cluster, err := node.NewCluster(node.ClusterOptions{
 		Nodes: 4,
 		Node: node.Config{
-			BlockMaxTxs:  8,
-			EngineOpts:   core.AllOptimizations(),
-			SyncInterval: 10 * time.Millisecond,
-			ResealRate:   -1, // sweep measured explicitly below
+			BlockMaxTxs: 8,
+			EngineOpts:  core.AllOptimizations(),
+			ResealRate:  -1, // sweep measured explicitly below
 		},
 	})
 	if err != nil {

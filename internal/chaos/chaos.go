@@ -6,7 +6,7 @@
 // on every node, identical header chains. Nothing in the
 // harness touches consensus internals or produces blocks: the nodes cut
 // their own (Cluster.StartDriver), and recovery comes entirely from the
-// automatic timers, retransmission and catch-up sync.
+// automatic timers, retransmission and block catch-up.
 //
 // The package imports node and gateway and is imported only by tests and
 // cmd/benchrunner, so no production package carries harness code.

@@ -28,7 +28,7 @@ func TestRunRejectsUnrunnableOptions(t *testing.T) {
 // TestCrashDrillPipelined fires the crash points with a deep window and OCC
 // lanes, so a power cut lands with several delivered blocks queued behind
 // execution: the queued blocks are dropped with the node and must come back
-// through the committed log or catch-up sync with nothing lost.
+// through block catch-up with nothing lost.
 func TestCrashDrillPipelined(t *testing.T) {
 	report, err := Run(Options{
 		Seed:          2,

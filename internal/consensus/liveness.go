@@ -29,10 +29,11 @@ import (
 //     (but see prepare/commit votes for it) or whole committed sequences
 //     (crash, partition) pull them from peers. In-flight payloads are only
 //     accepted when f+1 distinct voters vouch for their digest; committed
-//     payloads come from the responder's committed log.
+//     payloads are what the responder's application reads back for them
+//     (Options.ReadCommitted).
 
 // fetchWindow bounds sequences served per fetch request.
-const fetchWindow = 8
+const fetchWindow = 16
 
 // outMsg is a message staged under r.mu and sent after unlock.
 type outMsg struct {
@@ -198,11 +199,8 @@ func (r *Replica) tick() {
 		}
 	}
 	if bestDelivered > r.delivered && now.Sub(r.fetchLastSent) >= r.fetchInterval {
-		r.fetchLastSent = now
 		r.fetchInterval = backoff(r.fetchInterval, r.opts.RetransmitMax)
-		mFetches.Inc()
-		out = append(out, outMsg{to: bestPeer, topic: topicFetch,
-			data: encodeMsg(msgFetch, r.view, r.delivered, zeroDigest[:], nil)})
+		out = append(out, outMsg{to: bestPeer, topic: topicFetch, data: r.gapFetch(now)})
 	}
 	r.mu.Unlock()
 
@@ -216,6 +214,15 @@ func (r *Replica) tick() {
 	if requestVC {
 		r.RequestViewChange()
 	}
+}
+
+// gapFetch records and encodes a delivery-gap fetch starting at this
+// replica's delivered count. Caller holds r.mu.
+func (r *Replica) gapFetch(now time.Time) []byte {
+	r.fetchLastSent = now
+	r.fetchFrom = r.delivered
+	mFetches.Inc()
+	return encodeMsg(msgFetch, r.view, r.delivered, zeroDigest[:], nil)
 }
 
 func backoff(cur, max time.Duration) time.Duration {
@@ -259,32 +266,44 @@ func (r *Replica) onStatus(m p2p.Message) {
 }
 
 // onFetch serves a peer's catch-up request: up to fetchWindow sequences
-// starting at the requested one, each either from the committed log (with
-// a committed tag) or, for in-flight instances, the pre-prepare contents.
+// starting at the requested one, each either committed here (read back
+// through Options.ReadCommitted, outside the lock, and sent with a committed
+// tag) or in flight (the pre-prepare contents). Committed sequences are
+// answered up to the first one ReadCommitted cannot serve.
 func (r *Replica) onFetch(m p2p.Message) {
 	typ, _, from, _, _, err := decodeMsg(m.Data)
 	if err != nil || typ != msgFetch {
 		return
 	}
 	var out []outMsg
+	var committed []uint64
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return
 	}
+	view := r.view
 	for seq := from; seq < from+fetchWindow; seq++ {
-		if payload, ok := r.committedLog[seq]; ok {
-			digest := sha256.Sum256(payload)
-			out = append(out, outMsg{to: m.From, topic: topicFetchResp,
-				data: encodeMsg(msgFetchCommitted, r.view, seq, digest[:], payload)})
+		if seq < r.delivered {
+			committed = append(committed, seq)
 			continue
 		}
 		if inst, ok := r.instances[seq]; ok && inst.havePre {
 			out = append(out, outMsg{to: m.From, topic: topicFetchResp,
-				data: encodeMsg(msgFetchResp, r.view, seq, inst.digest[:], inst.payload)})
+				data: encodeMsg(msgFetchResp, view, seq, inst.digest[:], inst.payload)})
 		}
 	}
 	r.mu.Unlock()
+	if r.opts.ReadCommitted != nil {
+		for _, seq := range committed {
+			payload := r.opts.ReadCommitted(seq)
+			if payload == nil {
+				break
+			}
+			digest := sha256.Sum256(payload)
+			r.endpoint.Send(m.From, topicFetchResp, encodeMsg(msgFetchCommitted, view, seq, digest[:], payload))
+		}
+	}
 	for _, o := range out {
 		r.endpoint.Send(o.to, o.topic, o.data)
 	}
@@ -317,11 +336,21 @@ func (r *Replica) onFetchResp(m p2p.Message) {
 		inst.havePre = true
 		inst.digest = digest
 		inst.payload = append([]byte(nil), payload...)
+		mFetchedCommitted.Inc()
 		r.pending[seq] = inst.payload
 		if seq >= r.nextSeq {
 			r.nextSeq = seq + 1
 		}
 		r.deliverReady()
+		// The whole window asked for has delivered: while the peer is still
+		// ahead, ask for the next one now instead of on the next tick, so
+		// catch-up runs at round-trip speed.
+		if !r.closed && r.delivered >= r.fetchFrom+fetchWindow && r.peerDelivered[m.From] > r.delivered {
+			next := r.gapFetch(time.Now())
+			r.mu.Unlock()
+			r.endpoint.Send(m.From, topicFetch, next)
+			r.mu.Lock()
+		}
 		return
 	}
 

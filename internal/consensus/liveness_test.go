@@ -1,7 +1,9 @@
 package consensus
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -177,6 +179,64 @@ func TestRejoiningReplicaCatchesUp(t *testing.T) {
 		if log[j][0] != byte(j) {
 			t.Fatalf("caught-up log diverges at %d", j)
 		}
+	}
+}
+
+// TestCommittedFetchServedFromReadCommitted: a rejoining replica's committed
+// catch-up carries exactly what its peers' ReadCommitted returns for each
+// sequence — what their applications kept — not the payloads they delivered.
+func TestCommittedFetchServedFromReadCommitted(t *testing.T) {
+	stored := func(seq uint64) []byte { return []byte(fmt.Sprintf("stored %d", seq)) }
+	opts := fastOpts()
+	opts.ReadCommitted = stored
+	c := newClusterOpts(t, 4, p2p.Config{}, opts)
+	c.endpoints[3].Crash()
+	const blocks = 5
+	for i := 0; i < blocks; i++ {
+		if _, err := c.replicas[0].Propose([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range c.replicas[:3] {
+		if err := r.WaitDelivered(blocks, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.endpoints[3].Recover()
+	if err := c.replicas[3].WaitDelivered(blocks, 10*time.Second); err != nil {
+		t.Fatalf("rejoined replica never caught up: %v", err)
+	}
+	for seq, got := range c.log(3)[:blocks] {
+		if want := stored(uint64(seq)); !bytes.Equal(got, want) {
+			t.Fatalf("seq %d: caught up with %q, want the served %q", seq, got, want)
+		}
+	}
+}
+
+// TestCatchUpChasesWindows: a replica several fetch windows behind asks for
+// the next window as soon as one has delivered, not on its retransmission
+// timer — here 2 s, longer than the whole catch-up may take.
+func TestCatchUpChasesWindows(t *testing.T) {
+	opts := fastOpts()
+	opts.ViewTimeout = 10 * time.Second
+	opts.RetransmitInterval = 2 * time.Second
+	opts.RetransmitMax = 2 * time.Second
+	c := newClusterOpts(t, 4, p2p.Config{}, opts)
+	c.endpoints[3].Crash()
+	const blocks = 3*fetchWindow + 1
+	for i := 0; i < blocks; i++ {
+		if _, err := c.replicas[0].Propose([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range c.replicas[:3] {
+		if err := r.WaitDelivered(blocks, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.endpoints[3].Recover()
+	if err := c.replicas[3].WaitDelivered(blocks, 1500*time.Millisecond); err != nil {
+		t.Fatalf("catch-up waited on the retransmission timer: %v", err)
 	}
 }
 

@@ -11,7 +11,8 @@
 // changes on leader silence, unacknowledged protocol messages retransmit
 // with exponential backoff, replicas that missed a pre-prepare fetch it by
 // sequence from peers, and replicas that fall behind (crash, partition)
-// catch up from peers' committed logs. View change implements leader
+// fetch committed sequences from what peers' applications kept
+// (Options.ReadCommitted). View change implements leader
 // crash-failover: when 2f+1 replicas vote for a higher view, everyone
 // adopts it and the round-robin successor leads. Each vote carries the
 // voter's prepared certificates (sequence, prepare-view, payload); the new
@@ -57,7 +58,7 @@ const (
 	msgStatus         // heartbeat: view + delivered count
 	msgFetch          // request instances/committed payloads from seq
 	msgFetchResp      // in-flight payload replay (pre-prepare contents)
-	msgFetchCommitted // committed payload from the responder's log
+	msgFetchCommitted // committed payload read back by the responder's application
 	msgViewAdopted    // view-change vote re-sent by a replica already in that view
 )
 
@@ -84,6 +85,12 @@ type Options struct {
 	// view (the application may lead now). Like WorkPending it runs with the
 	// replica's lock held: it must only signal, never block or call back.
 	ViewAdopted func()
+	// ReadCommitted, when set, serves a lagging peer's catch-up fetch: the
+	// payload this replica delivered at seq, read back from wherever the
+	// application keeps what committed, or nil when it cannot serve it. It
+	// runs without the replica's lock. Unset, the replica serves no committed
+	// payloads: it keeps none of its own.
+	ReadCommitted func(seq uint64) []byte
 }
 
 func (o Options) withDefaults() Options {
@@ -101,10 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// committedLogCap bounds how many recently delivered payloads are retained to
-// serve catch-up fetches.
-const committedLogCap = 512
 
 // CommitFn is called exactly once per sequence number, in order, with the
 // committed payload.
@@ -137,8 +140,6 @@ type Replica struct {
 	closed   bool
 
 	// Liveness state (see liveness.go).
-	committedLog  map[uint64][]byte // recent deliveries, serves catch-up
-	logMin        uint64            // lowest retained committedLog seq
 	carry         map[uint64]carryEntry
 	peerViews     map[p2p.NodeID]uint64 // highest view seen per peer
 	peerDelivered map[p2p.NodeID]uint64 // highest delivered seen per peer
@@ -148,6 +149,7 @@ type Replica struct {
 	vcInterval    time.Duration
 	fetchLastSent time.Time
 	fetchInterval time.Duration
+	fetchFrom     uint64 // first sequence of the last delivery-gap fetch
 	viewChanges   uint64
 	deliveredCh   chan struct{} // closed+replaced on every delivery
 	stop          chan struct{}
@@ -207,7 +209,6 @@ func NewReplicaWithOptions(endpoint *p2p.Endpoint, n int, onCommit CommitFn, opt
 		instances:     make(map[uint64]*instance),
 		pending:       make(map[uint64][]byte),
 		viewVotes:     make(map[uint64]map[p2p.NodeID][]vcEntry),
-		committedLog:  make(map[uint64][]byte),
 		carry:         make(map[uint64]carryEntry),
 		peerViews:     make(map[p2p.NodeID]uint64),
 		peerDelivered: make(map[p2p.NodeID]uint64),
@@ -634,7 +635,7 @@ func (r *Replica) deliverReady() {
 		delete(r.instances, seq)
 		delete(r.carry, seq)
 		r.delivered++
-		r.recordDelivered(seq, payload)
+		r.recordDelivered()
 		cb := r.onCommit
 		r.mu.Unlock()
 		if cb != nil {
@@ -644,23 +645,18 @@ func (r *Replica) deliverReady() {
 	}
 }
 
-// recordDelivered maintains the committed log, progress clock and waiter
-// notification after one delivery. Caller holds r.mu.
-func (r *Replica) recordDelivered(seq uint64, payload []byte) {
+// recordDelivered maintains the progress clock and waiter notification after
+// one delivery. Caller holds r.mu.
+func (r *Replica) recordDelivered() {
 	mDelivered.Inc()
-	r.committedLog[seq] = payload
-	for len(r.committedLog) > committedLogCap {
-		delete(r.committedLog, r.logMin)
-		r.logMin++
-	}
 	r.lastProgress = time.Now()
 	r.fetchInterval = r.opts.RetransmitInterval
 	close(r.deliveredCh)
 	r.deliveredCh = make(chan struct{})
 }
 
-// AdvanceTo fast-forwards the delivery counter after the application
-// obtained sequences below seq out of band (block catch-up sync). State for
+// AdvanceTo fast-forwards the delivery counter past sequences the application
+// already holds (a recovered store, a snapshot install). State for
 // skipped sequences is pruned; payloads already committed at or beyond seq
 // become deliverable.
 func (r *Replica) AdvanceTo(seq uint64) {
@@ -684,12 +680,6 @@ func (r *Replica) AdvanceTo(seq uint64) {
 			delete(r.carry, s)
 		}
 	}
-	if r.logMin < seq {
-		for s := r.logMin; s < seq; s++ {
-			delete(r.committedLog, s)
-		}
-		r.logMin = seq
-	}
 	r.delivered = seq
 	if r.nextSeq < seq {
 		r.nextSeq = seq
@@ -701,26 +691,6 @@ func (r *Replica) AdvanceTo(seq uint64) {
 	r.deliveredCh = make(chan struct{})
 	r.deliverReady()
 	r.mu.Unlock()
-}
-
-// CompactLog garbage-collects committed-log payloads below seq. The node
-// anchors this at its last stable checkpoint: any peer lagging past that
-// point is served a state snapshot rather than replayed payloads, so
-// retaining them serves nobody and consensus memory stops growing with
-// chain length. Sequences not yet delivered are never dropped.
-func (r *Replica) CompactLog(seq uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if seq > r.delivered {
-		seq = r.delivered
-	}
-	if seq <= r.logMin {
-		return
-	}
-	for s := r.logMin; s < seq; s++ {
-		delete(r.committedLog, s)
-	}
-	r.logMin = seq
 }
 
 // Delivered reports how many sequences have been handed to the application.

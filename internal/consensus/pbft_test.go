@@ -11,7 +11,8 @@ import (
 )
 
 // cluster spins up n replicas on one simulated network and records each
-// replica's committed payload log.
+// replica's committed payload log, which also serves its peers' catch-up
+// fetches (Options.ReadCommitted), the way a node serves them from its store.
 type cluster struct {
 	replicas  []*Replica
 	endpoints []*p2p.Endpoint
@@ -35,6 +36,17 @@ func newClusterOpts(t *testing.T, n int, cfg p2p.Config, opts Options) *cluster 
 			t.Fatal(err)
 		}
 		i := i
+		opts := opts
+		if opts.ReadCommitted == nil {
+			opts.ReadCommitted = func(seq uint64) []byte {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				if seq < uint64(len(c.logs[i])) {
+					return c.logs[i][seq]
+				}
+				return nil
+			}
+		}
 		r := NewReplicaWithOptions(e, n, func(seq uint64, payload []byte) {
 			c.mu.Lock()
 			c.logs[i] = append(c.logs[i], append([]byte(nil), payload...))

@@ -91,7 +91,6 @@ func startNet(t *testing.T, gwCfg gateway.Config) *testNet {
 				RetransmitMax:      200 * time.Millisecond,
 				HeartbeatInterval:  30 * time.Millisecond,
 			},
-			SyncInterval: 40 * time.Millisecond,
 		},
 	})
 	if err != nil {

@@ -36,10 +36,6 @@ type Config struct {
 	// uncommitted backlog (both pools plus in-flight consensus instances)
 	// holds this many transactions (default 4096, negative disables).
 	MaxPoolDepth int
-	// MaxTxBytes bounds one wire-encoded transaction (default: the node's
-	// own submission bound, so the edge rejects before decode what the
-	// node would reject after).
-	MaxTxBytes int
 	// DrainTimeout bounds graceful shutdown: in-flight requests get this
 	// long to finish before connections are closed (default 5s).
 	DrainTimeout time.Duration
@@ -66,9 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPoolDepth == 0 {
 		c.MaxPoolDepth = 4096
-	}
-	if c.MaxTxBytes == 0 {
-		c.MaxTxBytes = c.Node.MaxTxBytes()
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
@@ -399,12 +392,15 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !g.admit(w, r, 1) {
 		return
 	}
-	body, err := readBody(r, g.cfg.MaxTxBytes)
+	// The node's own submission bound: the edge rejects before decode what
+	// the node would reject after.
+	maxTx := g.cfg.Node.MaxTxBytes()
+	body, err := readBody(r, maxTx)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrorBody{Error: CodeBadRequest, Detail: err.Error()})
 		return
 	}
-	tx, err := decodeSubmit(body, g.cfg.MaxTxBytes)
+	tx, err := decodeSubmit(body, maxTx)
 	if err != nil {
 		writeDecodeError(w, err)
 		return
@@ -423,7 +419,7 @@ func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrorBody{Error: CodeBadRequest, Detail: err.Error()})
 		return
 	}
-	txs, err := decodeBatch(body, batchTxsCap, g.cfg.MaxTxBytes)
+	txs, err := decodeBatch(body, batchTxsCap, g.cfg.Node.MaxTxBytes())
 	if err != nil {
 		writeDecodeError(w, err)
 		return

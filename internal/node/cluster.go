@@ -193,7 +193,7 @@ func (c *Cluster) nodeDir(i int) string {
 // storeOptions builds node i's LSM options, routing the store through the
 // node's fault filesystem and crash points under DiskFaults.
 func (c *Cluster) storeOptions(i int) storage.LSMOptions {
-	opts := storage.LSMOptions{WriteLatency: c.opts.StoreWriteLatency}
+	var opts storage.LSMOptions
 	if c.opts.DiskFaults {
 		opts.FS = c.faults[i]
 		opts.Crash = c.crashes[i]
@@ -331,13 +331,9 @@ func (c *Cluster) RestartNode(i int, wipe bool) error {
 }
 
 // rebuildNode boots a replacement node i on the same network identity, on a
-// fresh platform, with the replica's seq↔height base aligned to a peer that
-// kept running. Reports whether crash recovery quarantined its store.
+// fresh platform. Reports whether crash recovery quarantined its store.
 func (c *Cluster) rebuildNode(i int) (quarantined bool, err error) {
-	cfg := c.nodeConfig(i)
-	base := c.peerBase(i)
-	cfg.replicaBase = &base
-	node, quarantined, err := c.bootNode(i, tee.NewPlatform(c.Root), nil, cfg)
+	node, quarantined, err := c.bootNode(i, tee.NewPlatform(c.Root), nil, c.nodeConfig(i))
 	if err != nil {
 		return quarantined, err
 	}
@@ -346,18 +342,6 @@ func (c *Cluster) rebuildNode(i int) (quarantined bool, err error) {
 		c.proposers[i] = node.StartProposer()
 	}
 	return quarantined, nil
-}
-
-// peerBase returns the replica base of a healthy peer of node i — under
-// overlapping faults the next-neighbour pick could land on a node that is
-// itself dead.
-func (c *Cluster) peerBase(i int) uint64 {
-	for j := 1; j < len(c.Nodes); j++ {
-		if peer := c.Nodes[(i+j)%len(c.Nodes)]; peer.Failed() == nil {
-			return peer.baseHeight
-		}
-	}
-	return c.Nodes[(i+1)%len(c.Nodes)].baseHeight
 }
 
 // ArmCrash arms the named crash point (vfs.CrashPointNames) on node i. The

@@ -100,7 +100,7 @@ func TestFailedCommittedLookupIsFatal(t *testing.T) {
 	block := &chain.Block{Txs: []*chain.Tx{tx}} // height 0 on the zero prev-hash: the tip of an empty chain
 	block.ComputeTxRoot()
 	fatals := mStoreFatal.Value()
-	if n.applyDecoded(block, block.Encode()) {
+	if n.applyDecoded(0, block, block.Encode()) {
 		t.Fatal("applyDecoded applied a block whose committed lookup failed")
 	}
 	if n.Failed() == nil {
@@ -146,10 +146,10 @@ func goroutinesInside() (count int, stacks string) {
 	return count, stacks
 }
 
-// TestKillWaitsForEveryGoroutine: Close on a cluster whose sync loops tick
-// every millisecond, whose proposers run and whose re-seal loops are
+// TestKillWaitsForEveryGoroutine: Close on a cluster whose announce loops
+// tick every millisecond, whose proposers run and whose re-seal loops are
 // mid-sweep returns with every goroutine the cluster started out of its loop
-// — the proposer, the sync and re-seal loops, the executor, the replica's
+// — the proposer, the announce and re-seal loops, the executor, the replica's
 // timers and the endpoint's handlers — with no sleep and no poll: nothing can
 // still be writing a store that RestartNode is about to reopen.
 func TestKillWaitsForEveryGoroutine(t *testing.T) {
@@ -159,7 +159,8 @@ func TestKillWaitsForEveryGoroutine(t *testing.T) {
 		// 20 records/s is one record per 50 ms tick, and its write takes 120:
 		// the sweep below needs seconds and a loop at it is always inside the
 		// store, so Close lands in the middle of a write on every node.
-		Node:              Config{ResealRate: 20, SyncInterval: time.Millisecond},
+		// Checkpoints are on so the announce loop runs too.
+		Node:              Config{ResealRate: 20, CheckpointInterval: 4, SyncInterval: time.Millisecond},
 		StoreWriteLatency: 120 * time.Millisecond,
 	})
 	stop := c.StartDriver(0)

@@ -17,7 +17,7 @@ import (
 // committed transaction's receipt present and all sealed state re-verifying.
 
 // crashClusterOptions is the cluster shape the targeted drills run on:
-// disk-fault stores, fast catch-up sync, and checkpoints (so the prune and
+// disk-fault stores, fast checkpoint announces, and checkpoints (so the prune and
 // install paths have traffic and a quarantined store can fast-sync).
 func crashClusterOptions(seed int64) ClusterOptions {
 	return ClusterOptions{

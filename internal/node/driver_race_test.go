@@ -20,7 +20,7 @@ import (
 // it sat forever on a follower (followers never propose) and DrainAll spun
 // its full round budget against a pending count that could not reach zero.
 // promoteVerified makes the committed-check and the pool insert atomic
-// against applyBlock. Enclave delay injection and store read latency widen
+// against applyDecoded. Enclave delay injection and store read latency widen
 // the race window enough to hit it reliably before the fix.
 //
 // The test runs at pipeline depth 1 (the serialized PR 5 mode this was

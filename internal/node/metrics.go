@@ -55,7 +55,7 @@ var (
 	// Attested pre-verification, per applied block: whether the proposer
 	// enclave's attestation opened, so execution skipped every signature
 	// check and private-key open ("accepted"), failed to open ("rejected"),
-	// or was missing ("absent": catch-up sync of a block whose attestation
+	// or was missing ("absent": block catch-up of a block whose attestation
 	// carried keys, or a proposer that could not attest).
 	mAttestAccepted = metrics.Default().Counter("confide_node_verify_tag_total",
 		"applied blocks, by outcome of their pre-verification attestation", metrics.L{K: "outcome", V: "accepted"})
@@ -64,7 +64,9 @@ var (
 	mAttestAbsent = metrics.Default().Counter("confide_node_verify_tag_total",
 		"applied blocks, by outcome of their pre-verification attestation", metrics.L{K: "outcome", V: "absent"})
 
-	// Catch-up path selection: how lagging nodes rejoined the tip.
+	// Catch-up path selection: how lagging nodes rejoined the tip. The
+	// "blocks" series is the one consensus increments for every committed
+	// payload its replica accepts from a fetch response.
 	mSyncPathBlocks = metrics.Default().Counter("confide_node_sync_path_total",
 		"catch-up progress, by path", metrics.L{K: "path", V: "blocks"})
 	mSyncPathSnapshot = metrics.Default().Counter("confide_node_sync_path_total",

@@ -7,6 +7,12 @@
 // its pool and proposes a full block at once and a partial one when its
 // ordering window is empty, a follower verifies nothing.
 // Cluster.ProcessRound drives the same two steps synchronously (the reference).
+//
+// Every block a node applies arrives the same way: consensus delivers it, the
+// executor applies it. A node that fell behind is caught up by its replica's
+// fetch of committed sequences, which its peers answer from their stores
+// (readCommitted); one a full checkpoint interval behind takes a snapshot
+// instead (snapshot_sync.go).
 package node
 
 import (
@@ -53,11 +59,11 @@ type Config struct {
 	// Consensus tunes the replica's liveness timers (view timeout,
 	// retransmission, heartbeats). Zero fields take consensus defaults.
 	Consensus consensus.Options
-	// SyncInterval paces block catch-up gossip (height announcements and
-	// the rate limit on sync requests). Default 100ms.
+	// SyncInterval paces checkpoint announces and snapshot-fetch retries.
+	// Default 100ms.
 	SyncInterval time.Duration
-	// CheckpointInterval exports a state snapshot every this many blocks
-	// (and anchors consensus-log GC there). 0 disables checkpoints.
+	// CheckpointInterval exports a state snapshot every this many blocks. 0
+	// disables checkpoints.
 	CheckpointInterval uint64
 	// Retention keeps at least this many recent block payloads when pruning.
 	// 0 disables pruning entirely (every block is retained, as before).
@@ -76,11 +82,6 @@ type Config struct {
 	// disables the bound.
 	MaxTxBytes int
 
-	// replicaBase, when set, overrides the replica sequence↔height base: a
-	// node restarted into a live cluster must map consensus sequences the
-	// way its peers do (their base, usually 0), not from its own recovered
-	// height. Set by Cluster.RestartNode.
-	replicaBase *uint64
 	// crash is the crash-point registry shared with this node's store; nil
 	// (the default) disables crash points. Set by the cluster's disk-fault
 	// harness.
@@ -129,9 +130,8 @@ type Node struct {
 	unverified *chain.TxPool
 	verified   *chain.TxPool
 
-	// applyMu serializes block application: consensus delivery and catch-up
-	// sync race to apply the same heights, and the height guard inside
-	// applyBlock makes whichever path loses a no-op.
+	// applyMu serializes block application (the executor) against a snapshot
+	// install.
 	applyMu sync.Mutex
 	// proposeMu serializes ProposeBlock so the Predict→Track window of the
 	// block scheduler sees a consistent predicted chain.
@@ -143,9 +143,6 @@ type Node struct {
 	// executor is the execute-behind-order queue: consensus delivery
 	// enqueues, its goroutine applies.
 	executor *pipeline.Executor
-	// baseHeight is the chain height when the replica was created; replica
-	// sequence s maps to block height baseHeight + s.
-	baseHeight uint64
 
 	stop      chan struct{}
 	stopOnce  sync.Once
@@ -153,7 +150,8 @@ type Node struct {
 
 	wake chan struct{} // the proposer loop's doorbell (kick): one slot, so rings coalesce
 	// running counts every goroutine the node started (spawn): the proposer,
-	// the sync and re-seal loops, a snapshot fetch. Kill waits for all of them.
+	// the checkpoint-announce and re-seal loops, a snapshot fetch. Kill waits
+	// for all of them.
 	running sync.WaitGroup
 
 	// fatal records the first unrecoverable storage error: the node killed
@@ -181,9 +179,6 @@ type Node struct {
 	pendingRotation   *keyepoch.Rotation
 	rotationCandidate *keyepoch.Rotation
 	lastDrained       uint64
-
-	syncMu      sync.Mutex
-	syncLastReq time.Time
 
 	// snapshots holds the latest exported checkpoint for serving; snapMu
 	// guards the fetch-session state in snapshot_sync.go.
@@ -225,33 +220,23 @@ func New(cfg Config, endpoint *p2p.Endpoint, n int, confEngine, pubEngine *core.
 	}
 	// The queue bound doubles the pipeline depth so delivery backpressures
 	// only when execution falls well behind.
-	node.executor = pipeline.NewExecutor(cfg.PipelineDepth*2, func(b *chain.Block, payload []byte) {
-		node.applyDecoded(b, payload)
+	node.executor = pipeline.NewExecutor(cfg.PipelineDepth*2, func(seq uint64, b *chain.Block, payload []byte) {
+		node.applyDecoded(seq, b, payload)
 	})
 	node.recoverChainState()
 	node.adoptEpochState()
-	node.baseHeight = node.height
-	if cfg.replicaBase != nil {
-		// Restarting into a live cluster: adopt the peers' seq↔height base
-		// so consensus sequences line up, then fast-forward past what the
-		// local chain already holds.
-		node.baseHeight = *cfg.replicaBase
-	}
 	opts := cfg.Consensus
 	opts.WorkPending = func() bool {
 		return node.unverified.Len()+node.verified.Len() > 0
 	}
 	opts.ViewAdopted = node.kick // this node may lead now
+	opts.ReadCommitted = node.readCommitted
 	node.replica = consensus.NewReplicaWithOptions(endpoint, n, node.onCommit, opts)
 	node.alignReplica()
 	// A peer's relay enters by the same door as a client's submission; one
 	// that fails it (oversized, undecodable, stale) is dropped, not re-gossiped.
 	endpoint.Subscribe(gossipTopic, func(m p2p.Message) { _ = node.admit(nil, m.Data) })
-	// Snapshot topics first: a height status heard while checkpoint announces
-	// still go unheard sends a far-behind node down genesis replay instead of
-	// fast-sync.
 	node.startSnapshotSync()
-	node.startSync()
 	node.startResealLoop()
 	return node
 }
@@ -281,24 +266,78 @@ func (n *Node) recoverChainState() {
 	}
 }
 
-// seqAfter maps a chain height to the replica sequence that orders the block
-// at that height: replica sequence s ↔ block height baseHeight + s, 0 for a
-// height at or below the base. The only place the base is subtracted.
-func (n *Node) seqAfter(height uint64) uint64 {
-	if height <= n.baseHeight {
-		return 0
+// seqOf reads the consensus sequence that ordered the block at height.
+func (n *Node) seqOf(height uint64) (uint64, bool) {
+	raw, found, err := n.store.Get(blockSeqKey(height))
+	if err != nil || !found || len(raw) != 8 {
+		return 0, false
 	}
-	return height - n.baseHeight
+	return binary.BigEndian.Uint64(raw), true
 }
 
 // alignReplica tells consensus that everything below this node's tip is
-// settled, however it got there (a recovered store, catch-up sync, a snapshot
-// install), so the replica rejoins ordering at the live tip. A proposal of
-// this node's that arrived by sync leaves its window here, not through
-// onCommit, so the proposer loop is kicked too.
+// settled, however it got there (a recovered store, a snapshot install), so
+// the replica rejoins ordering at the live tip. A proposal of this node's that
+// a snapshot covered leaves its window here, not through onCommit, so the
+// proposer loop is kicked too.
 func (n *Node) alignReplica() {
-	n.replica.AdvanceTo(n.seqAfter(n.Height())) // a no-op at or below what it delivered
+	if tip := n.Height(); tip > 0 {
+		if seq, ok := n.seqOf(tip - 1); ok {
+			n.replica.AdvanceTo(seq + 1) // a no-op at or below what it delivered
+		}
+	}
 	n.kick()
+}
+
+// readCommitted serves a lagging peer's committed fetch (consensus
+// Options.ReadCommitted) from the store: the block ordered at seq, or an
+// empty payload when seq ordered none (applying either leaves the peer's chain
+// where this node's went). It serves nothing it cannot place — a sequence past
+// this node's tip, or below its retained blocks — and nothing to a peer a full
+// checkpoint interval behind the latest checkpoint: that is onSnapAnnounce's
+// case, and the peer catches up by snapshot instead.
+func (n *Node) readCommitted(seq uint64) []byte {
+	tip := n.Height()
+	if tip == 0 {
+		return nil
+	}
+	tipSeq, ok := n.seqOf(tip - 1)
+	if !ok || seq > tipSeq {
+		return nil
+	}
+	// The blocks above the one ordered at (or last before) seq each took a
+	// sequence in (seq, tipSeq], so that block is at least this high. Below
+	// the prune floor only the record just under it is kept, so start there
+	// at the lowest; a record past seq at the start places seq below it.
+	from := tip - 1 - min(tipSeq-seq, tip-1)
+	if floor := n.PrunedTo(); floor > 0 {
+		from = max(from, floor-1)
+	}
+	for height := from; height < tip; height++ {
+		at, ok := n.seqOf(height)
+		switch {
+		case !ok:
+			return nil
+		case at < seq:
+			continue
+		case at > seq && height == from:
+			return nil // ordered below the retained blocks
+		}
+		// The peer holds every block below height and wants this one (at ==
+		// seq) or the no-op before it: height is the peer's own.
+		if interval := n.cfg.CheckpointInterval; interval > 0 && height+interval <= n.snapshots.LatestHeight() {
+			return nil
+		}
+		if at > seq {
+			return []byte{} // between two blocks: seq ordered none
+		}
+		raw, found, err := n.store.Get(BlockKey(height))
+		if err != nil || !found {
+			return nil
+		}
+		return raw
+	}
+	return nil
 }
 
 // uncommitted is the one answer to "has this transaction committed?": nil
@@ -390,15 +429,6 @@ func (n *Node) Backlog() int {
 	return n.unverified.Len() + n.verified.Len() + n.sched.InFlightTxs() + n.executor.QueuedTxs()
 }
 
-// syncedHeight is the chain height this node has already secured locally:
-// the executed tip plus the consensus-delivered blocks waiting on the
-// execute-behind-order queue. The catch-up sync layer gates on this — the
-// queued blocks will land without any peer's help, so only a gap beyond
-// them is genuinely missing.
-func (n *Node) syncedHeight() uint64 {
-	return n.Height() + uint64(n.executor.Depth())
-}
-
 // MaxTxBytes reports the wire-encoded transaction size bound this node
 // enforces at its submission boundary (0 = unbounded).
 func (n *Node) MaxTxBytes() int {
@@ -444,7 +474,7 @@ func (n *Node) repoolUncommitted(txs []*chain.Tx) {
 // promoteVerified moves a pre-verified transaction into the verified pool
 // unless it already committed (ErrAlreadyCommitted) or the pool refuses it.
 // The check and the Add hold the state lock, making them atomic against
-// applyBlock, which takes the same lock between writing the block's receipts
+// applyDecoded, which takes the same lock between writing the block's receipts
 // and sweeping the pools — whichever side runs second sees the other's
 // effect. Without this, a transaction in transit through pre-verification
 // while its block commits would be re-added after the sweep and sit in a
@@ -681,25 +711,15 @@ func (n *Node) onCommit(seq uint64, payload []byte) {
 	if aborted := n.sched.Delivered(block.Header.Height, block.Hash()); len(aborted) > 0 {
 		n.repoolUncommitted(aborted)
 	}
-	n.executor.Submit(block, payload)
+	n.executor.Submit(seq, block, payload)
 }
 
-// applyBlock validates and executes one encoded block at the current chain
-// tip. Both consensus delivery and catch-up sync funnel through it; applyMu
-// plus the height/prev-hash guard make duplicate or stale applications
-// no-ops, so the two paths can race safely. Reports whether the chain
-// advanced.
-func (n *Node) applyBlock(payload []byte) bool {
-	block, err := chain.DecodeBlock(payload)
-	if err != nil {
-		return false
-	}
-	return n.applyDecoded(block, payload)
-}
-
-// applyDecoded is applyBlock past decoding — the executor queue carries
-// blocks already decoded, so it enters here.
-func (n *Node) applyDecoded(block *chain.Block, payload []byte) bool {
+// applyDecoded validates and executes one delivered block at the current
+// chain tip, on the executor goroutine; every block the node applies comes
+// through here, a caught-up one included. The height/prev-hash guard makes a
+// duplicate or stale delivery a no-op. seq is the consensus sequence that
+// delivered it, recorded with the block. Reports whether the chain advanced.
+func (n *Node) applyDecoded(seq uint64, block *chain.Block, payload []byte) bool {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 
@@ -707,19 +727,18 @@ func (n *Node) applyDecoded(block *chain.Block, payload []byte) bool {
 	tipHeight, tipHash := n.height, n.prevHash
 	n.mu.Unlock()
 	if block.Header.Height != tipHeight || block.Header.PrevHash != tipHash {
-		// Stale (already applied via the other path) or gapped. A stale
-		// delivery can still carry transactions that never committed — a
-		// proposal cut against a tip another instance advanced past. The
-		// proposer popped those from its pool at proposal time; without
-		// re-pooling, its copies are gone and the transactions strand in
-		// every follower's pool until leadership happens to rotate. Put the
-		// uncommitted ones back (Add dedups, so nodes that still hold their
-		// gossiped copies no-op).
+		// Stale or gapped. A stale delivery can still carry transactions
+		// that never committed — a proposal cut against a tip another
+		// instance advanced past. The proposer popped those from its pool at
+		// proposal time; without re-pooling, its copies are gone and the
+		// transactions strand in every follower's pool until leadership
+		// happens to rotate. Put the uncommitted ones back (Add dedups, so
+		// nodes that still hold their gossiped copies no-op).
 		n.repoolUncommitted(block.Txs)
 		return false
 	}
-	// A synced block travelled outside consensus; re-derive the tx root
-	// before trusting its contents.
+	// A caught-up block was read back from a peer's store, not voted on as
+	// these bytes; re-derive the tx root before trusting its contents.
 	if chain.TxRoot(block.Txs) != block.Header.TxRoot {
 		return false
 	}
@@ -748,7 +767,7 @@ func (n *Node) applyDecoded(block *chain.Block, payload []byte) bool {
 	}
 	// Relayed keys are transport only: a one-time key gains no lifetime
 	// beyond this application, so a block whose attestation carries keys is
-	// stored (and later served to SPV readers and catch-up sync) without it.
+	// stored (and later served to SPV readers and lagging peers) without it.
 	if core.AttestationCarriesKeys(block.Attestation) {
 		block.Attestation = nil
 		payload = block.Encode()
@@ -780,6 +799,9 @@ func (n *Node) applyDecoded(block *chain.Block, payload []byte) bool {
 
 	commitStart := time.Now()
 	batch.Put(BlockKey(block.Header.Height), payload)
+	seqBytes := binary.BigEndian.AppendUint64(nil, seq)
+	batch.Put(blockSeqKey(block.Header.Height), seqBytes)
+	batch.Put(seqTipKey, seqBytes)
 	if activated {
 		// The epoch marker flips in the same atomic batch as the block that
 		// crossed the activation height.
@@ -805,8 +827,8 @@ func (n *Node) applyDecoded(block *chain.Block, payload []byte) bool {
 	n.setTip(block.Header.Height+1, block.Hash())
 	// The committed tip advanced: consume the predicted chain's head if
 	// this was the predicted block, or abort the whole in-flight suffix if
-	// a different block landed at a predicted height (view change winner,
-	// catch-up sync). Aborted transactions re-enter the pool; execution
+	// a different block landed at a predicted height (a view change winner).
+	// Aborted transactions re-enter the pool; execution
 	// dedup keeps any that later committed elsewhere from running twice.
 	if aborted := n.sched.Applied(block.Header.Height, block.Hash()); len(aborted) > 0 {
 		n.repoolUncommitted(aborted)
@@ -862,8 +884,7 @@ func (n *Node) setTip(height uint64, hash chain.Hash) {
 }
 
 // maybeCheckpoint exports a snapshot when the chain crosses a checkpoint
-// boundary, then anchors consensus-log GC and block pruning at it. Caller
-// holds applyMu.
+// boundary, then anchors block pruning at it. Caller holds applyMu.
 func (n *Node) maybeCheckpoint() {
 	interval := n.cfg.CheckpointInterval
 	if interval == 0 {
@@ -882,9 +903,6 @@ func (n *Node) maybeCheckpoint() {
 	}
 	mCheckpointSeconds.ObserveSince(start)
 	n.snapshots.Set(cp)
-	// Peers lagging past this checkpoint get a snapshot, not block replay:
-	// the consensus committed log below it serves nobody.
-	n.replica.CompactLog(n.seqAfter(height)) // a no-op at or below the log's floor
 	n.pruneBlocks(height)
 }
 
@@ -1026,7 +1044,7 @@ func (n *Node) StoredReceipt(txHash chain.Hash) ([]byte, bool, error) {
 }
 
 // WaitHeight blocks until the node has committed at least h blocks. The
-// wait parks on a notification channel that applyBlock closes on every
+// wait parks on a notification channel that setTip closes on every
 // height advance — no polling.
 func (n *Node) WaitHeight(h uint64, timeout time.Duration) error {
 	timer := time.NewTimer(timeout)
@@ -1079,7 +1097,7 @@ func (n *Node) VerifiedPoolLen() int { return n.verified.Len() }
 // UnverifiedPoolLen reports the un-verified pool backlog.
 func (n *Node) UnverifiedPoolLen() int { return n.unverified.Len() }
 
-// Close stops the sync loop, the consensus replica, the endpoint and the
+// Close stops the node's loops, the consensus replica, the endpoint and the
 // store. Idempotent.
 func (n *Node) Close() {
 	n.Kill()
@@ -1103,9 +1121,8 @@ func (n *Node) Kill() {
 		// The node's own goroutines first, so no ProposeBlock races the dying
 		// replica. Then: unblock a delivery loop parked in Submit and wait out
 		// the in-progress block application, so replica.Close below cannot
-		// deadlock against it. Replica and endpoint wait for their loops too
-		// (the endpoint's runs the sync path's applyBlock): the store sees no
-		// new writes after Kill returns.
+		// deadlock against it. Replica and endpoint wait for their loops too,
+		// so the store sees no new writes after Kill returns.
 		n.running.Wait()
 		n.executor.Close()
 		n.replica.Close()

@@ -158,6 +158,13 @@ func TestProposerCutsOnSizeOrIdle(t *testing.T) {
 	committedIn := func(txs []*chain.Tx, height uint64) *chain.Block {
 		t.Helper()
 		waitCommittedEverywhere(t, c, txs, 10*time.Second)
+		for _, n := range c.Nodes {
+			// The receipts land in the block's batch just before the tip
+			// moves; the idle check below reads the tip.
+			if err := n.WaitHeight(height+1, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
 		block, err := c.Nodes[0].BlockAt(height)
 		if err != nil {
 			t.Fatal(err)

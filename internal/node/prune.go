@@ -12,7 +12,7 @@ import (
 // payloads below `height − Retention` exist only to replay history that any
 // lagging peer would now receive as a snapshot instead, so they can be
 // retired. The store keeps a base marker recording where the retained chain
-// starts; recovery and catch-up sync both respect it. Pruning never passes
+// starts; recovery and block catch-up both respect it. Pruning never passes
 // the last stable checkpoint, so the snapshot + retained tail always
 // reconstruct the full state.
 
@@ -97,6 +97,12 @@ func (n *Node) pruneBlocks(checkpointHeight uint64) {
 			}
 		}
 		batch.Delete(BlockKey(h))
+	}
+	// Sequence records go one lower: the one under the floor stays, so
+	// readCommitted can still place a sequence that ordered no block just
+	// below the floor block.
+	for h := max(from, 1) - 1; h+1 < floor; h++ {
+		batch.Delete(blockSeqKey(h))
 	}
 	batch.Put(metaBaseKey, encodeStoreBase(floor, blockAtFloor.Header.PrevHash))
 	if err := n.store.WriteBatch(batch); err != nil {

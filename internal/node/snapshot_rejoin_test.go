@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"confide/internal/chain"
+	"confide/internal/consensus"
 	"confide/internal/metrics"
 )
 
@@ -93,6 +94,11 @@ func TestClusterWipeAndRejoinSnapshotSync(t *testing.T) {
 			CheckpointInterval: interval,
 			SnapshotChunkBytes: 256, // force a multi-chunk parallel fetch
 			SyncInterval:       15 * time.Millisecond,
+			// Heartbeats outpace checkpoint announces, so the wiped node
+			// learns it is behind and fetches before it hears of the
+			// checkpoint: only readCommitted's threshold keeps it from
+			// starting genesis replay.
+			Consensus: consensus.Options{HeartbeatInterval: 5 * time.Millisecond},
 		},
 	})
 	txs := driveBlocks(t, c, 2*interval+1, "wipe") // height 7: checkpoints at 3 and 6
@@ -103,6 +109,7 @@ func TestClusterWipeAndRejoinSnapshotSync(t *testing.T) {
 
 	before := metrics.Default().Snapshot()
 	pathBefore := mSyncPathSnapshot.Value()
+	blocksBefore := mSyncPathBlocks.Value()
 	badBefore := mSnapBadChunks.Value()
 	failBefore := mSnapInstallFailures.Value()
 
@@ -143,8 +150,23 @@ func TestClusterWipeAndRejoinSnapshotSync(t *testing.T) {
 	if tail := tip - base; tail >= interval {
 		t.Errorf("replayed a %d-block tail, want < %d", tail, interval)
 	}
+	if fetched := mSyncPathBlocks.Value() - blocksBefore; fetched >= interval {
+		t.Errorf("fetched %d committed blocks, want only the tail (< %d)", fetched, interval)
+	}
 	if got := mSnapInstallHeight.Value(); uint64(got) != base {
 		t.Errorf("install-height gauge %d, want %d", got, base)
+	}
+	// The checkpoint carried one sequence record, its tip block's: the node
+	// holds per-block records from the checkpoint tip up and none below.
+	seqs := 0
+	if err := rejoined.Store().Iterate([]byte("meta/seq/"), func(_, _ []byte) bool {
+		seqs++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := int(tip - base + 1); seqs != want {
+		t.Errorf("%d sequence records after install at %d (tip %d), want %d", seqs, base, tip, want)
 	}
 
 	// State converged: same tip hash, same balances, and receipts from

@@ -12,18 +12,18 @@ import (
 	"confide/internal/storage/vfs"
 )
 
-// Snapshot fast-sync. Block catch-up (sync.go) replays history one block at
-// a time, which is the right tool for short gaps but makes a wiped or
-// long-offline node replay from genesis — and stops working entirely once
-// peers prune old payloads. This layer is the long-gap path: exporting
-// nodes announce their latest checkpoint height alongside the usual height
-// gossip; a node more than one checkpoint interval behind requests a
-// manifest (rotating across announcing peers), streams that manifest's
-// chunks in parallel from its origin (each chunk verified against its
-// content address the moment it arrives, with retries, backoff and per-peer
-// scoring on bad data), atomically installs the verified state, and then
-// replays only the tail above the checkpoint through the ordinary sync
-// path.
+// Snapshot fast-sync. Block catch-up (consensus fetching committed blocks
+// from peers' stores, readCommitted) replays history one block at a time,
+// which is the right tool for short gaps but makes a wiped or long-offline
+// node replay from genesis — and stops working entirely once peers prune old
+// payloads. This layer is the long-gap path: exporting nodes announce their
+// latest checkpoint height every SyncInterval; a node at least one checkpoint
+// interval behind requests a manifest (rotating across announcing peers),
+// streams that manifest's chunks in parallel from its origin (each chunk
+// verified against its content address the moment it arrives, with retries,
+// backoff and per-peer scoring on bad data), atomically installs the verified
+// state, and then replays only the tail above the checkpoint through block
+// catch-up.
 
 const (
 	snapAnnounceTopic     = "confide/snap/announce"      // Uint(checkpoint height)
@@ -66,31 +66,34 @@ type snapFetchSession struct {
 	manReqs  int          // manifest requests sent (rotation cursor)
 }
 
-// startSnapshotSync subscribes the snapshot topics. The announce loop rides
-// on syncLoop's ticker (sync.go).
+// startSnapshotSync subscribes the snapshot topics and, when this node
+// exports checkpoints, starts announcing them.
 func (n *Node) startSnapshotSync() {
 	n.endpoint.Subscribe(snapAnnounceTopic, n.onSnapAnnounce)
 	n.endpoint.Subscribe(snapManifestReqTopic, n.onSnapManifestReq)
 	n.endpoint.Subscribe(snapManifestRespTopic, n.onSnapManifestResp)
 	n.endpoint.Subscribe(snapChunkReqTopic, n.onSnapChunkReq)
 	n.endpoint.Subscribe(snapChunkRespTopic, n.onSnapChunkResp)
-}
-
-// announceCheckpoint broadcasts the latest exported checkpoint height (from
-// syncLoop, alongside the height announcement).
-func (n *Node) announceCheckpoint() {
-	if h := n.snapshots.LatestHeight(); h > 0 {
-		n.endpoint.Broadcast(snapAnnounceTopic, chain.Encode(chain.Uint(h)))
+	if n.cfg.CheckpointInterval > 0 {
+		n.spawn(n.announceLoop)
 	}
 }
 
-// snapshotFetchActive reports whether a fast-sync session is in flight —
-// onSyncStatus holds off block requests while one is (the snapshot will
-// land the node past those blocks anyway).
-func (n *Node) snapshotFetchActive() bool {
-	n.snapMu.Lock()
-	defer n.snapMu.Unlock()
-	return n.snapFetch != nil
+// announceLoop broadcasts the latest exported checkpoint height every
+// SyncInterval.
+func (n *Node) announceLoop() {
+	ticker := time.NewTicker(n.cfg.SyncInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-n.stop:
+			return
+		case <-ticker.C:
+			if h := n.snapshots.LatestHeight(); h > 0 {
+				n.endpoint.Broadcast(snapAnnounceTopic, chain.Encode(chain.Uint(h)))
+			}
+		}
+	}
 }
 
 // onSnapAnnounce reacts to a peer's checkpoint announcement: when the
@@ -110,6 +113,7 @@ func (n *Node) onSnapAnnounce(m p2p.Message) {
 	if interval == 0 {
 		return // checkpoints disabled locally: keep the block-replay path
 	}
+	// readCommitted serves nothing below the same threshold.
 	if height := n.Height(); peerCkpt <= height || peerCkpt-height < interval {
 		return // within one checkpoint of the tip: tail replay is cheaper
 	}
@@ -396,7 +400,7 @@ func (n *Node) fetchChunk(s *snapFetchSession, idx int, failed <-chan struct{}) 
 // the full sealed state, the base marker records the new chain start, the
 // engines drop stale cached plaintext, and consensus fast-forwards so the
 // node rejoins ordering at the live tip. The block tail above the
-// checkpoint arrives through the ordinary catch-up sync.
+// checkpoint arrives through block catch-up.
 func (n *Node) installSnapshot(man *snapshot.Manifest, chunks [][]byte) bool {
 	n.applyMu.Lock()
 	if man.Height <= n.Height() {
@@ -424,6 +428,9 @@ func (n *Node) installSnapshot(man *snapshot.Manifest, chunks [][]byte) bool {
 	// checkpoint.
 	commit := &storage.Batch{}
 	commit.Put(metaBaseKey, encodeStoreBase(man.Height, man.TipHash))
+	if seq, found, err := n.store.Get(seqTipKey); err == nil && found {
+		commit.Put(blockSeqKey(man.Height-1), seq) // where ordering resumes
+	}
 	commit.Delete(snapshot.InstallingKey)
 	if err := n.store.WriteBatch(commit); err != nil {
 		if !errors.Is(err, storage.ErrClosed) {

@@ -46,6 +46,25 @@ func BlockKey(height uint64) []byte {
 	return key[:]
 }
 
+// blockSeqKey is where the consensus sequence that ordered the block at
+// height lives, 8 bytes big-endian, written in that block's atomic batch. A
+// sequence maps to no fixed height: a gap-fill no-op or a stale proposal
+// takes one and leaves the chain as it was. Under meta/, so no snapshot
+// carries the mapping; the one record an installing node needs rides in
+// seqTipKey.
+func blockSeqKey(height uint64) []byte {
+	var key [17]byte
+	copy(key[:9], "meta/seq/")
+	binary.BigEndian.PutUint64(key[9:], height)
+	return key[:]
+}
+
+// seqTipKey holds the sequence that ordered the tip block, rewritten in every
+// block's batch. Outside meta/, so a checkpoint carries exactly this record:
+// the installer files it as its own blockSeqKey(checkpoint height − 1) and
+// learns where ordering resumes.
+var seqTipKey = []byte("seq/tip")
+
 // BlockAt loads a committed block from this node's store.
 func (n *Node) BlockAt(height uint64) (*chain.Block, error) {
 	raw, found, err := n.store.Get(BlockKey(height))

@@ -7,8 +7,10 @@ import (
 	"confide/internal/chain"
 )
 
-// queued is one ordered block awaiting execution.
+// queued is one ordered block awaiting execution, with the consensus
+// sequence that ordered it.
 type queued struct {
+	seq     uint64
 	block   *chain.Block
 	payload []byte
 }
@@ -23,7 +25,7 @@ type queued struct {
 // Sequential application is deliberate: block order is the serialization
 // contract. Concurrency lives inside a block (RunLanes), not across blocks.
 type Executor struct {
-	apply func(*chain.Block, []byte)
+	apply func(uint64, *chain.Block, []byte)
 	queue chan queued
 	stop  chan struct{}
 	done  chan struct{}
@@ -42,7 +44,7 @@ type Executor struct {
 // NewExecutor starts the executor goroutine. capacity bounds how many
 // delivered-but-unexecuted blocks may queue before delivery backpressures;
 // apply is invoked once per block, in delivery order.
-func NewExecutor(capacity int, apply func(*chain.Block, []byte)) *Executor {
+func NewExecutor(capacity int, apply func(seq uint64, block *chain.Block, payload []byte)) *Executor {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -61,13 +63,13 @@ func (e *Executor) run() {
 	for {
 		select {
 		case q := <-e.queue:
-			e.apply(q.block, q.payload)
+			e.apply(q.seq, q.block, q.payload)
 			e.account(-1, q.block)
 		case <-e.stop:
 			// Queued blocks are dropped, not applied: they are ordered
-			// consensus output the replica's committed log (or catch-up
-			// sync) re-delivers after a restart, so no transaction is lost.
-			// Only the accounting is unwound.
+			// consensus output that a restarted node fetches again from its
+			// peers' stores, so no transaction is lost. Only the accounting
+			// is unwound.
 			for {
 				select {
 				case q := <-e.queue:
@@ -80,9 +82,10 @@ func (e *Executor) run() {
 	}
 }
 
-// Submit enqueues one delivered block, blocking while the queue is full.
-// Returns false once the executor is closed (the block is dropped; see run).
-func (e *Executor) Submit(block *chain.Block, payload []byte) bool {
+// Submit enqueues the block delivered at seq, blocking while the queue is
+// full. Returns false once the executor is closed (the block is dropped; see
+// run).
+func (e *Executor) Submit(seq uint64, block *chain.Block, payload []byte) bool {
 	// Never blocks indefinitely under the read lock: once stop closes, the
 	// send select below always has a ready case.
 	e.sendMu.RLock()
@@ -94,7 +97,7 @@ func (e *Executor) Submit(block *chain.Block, payload []byte) bool {
 	}
 	e.account(+1, block)
 	select {
-	case e.queue <- queued{block: block, payload: payload}:
+	case e.queue <- queued{seq: seq, block: block, payload: payload}:
 		return true
 	case <-e.stop:
 		e.account(-1, block)
@@ -129,7 +132,7 @@ func (e *Executor) Close() {
 	// returned, and any later Submit fails the stop check before sending.
 	// Whatever such a racing Submit managed to enqueue after run()'s drain
 	// is unwound here, keeping the queue metrics honest for anything that
-	// reads Backlog()/syncedHeight() during shutdown.
+	// reads Backlog() during shutdown.
 	e.sendMu.Lock()
 	defer e.sendMu.Unlock()
 	for {

@@ -19,7 +19,7 @@ func TestExecutorAppliesInOrder(t *testing.T) {
 	var mu sync.Mutex
 	var got []uint64
 	done := make(chan struct{}, 8)
-	e := NewExecutor(4, func(b *chain.Block, payload []byte) {
+	e := NewExecutor(4, func(_ uint64, b *chain.Block, payload []byte) {
 		mu.Lock()
 		got = append(got, b.Header.Height)
 		mu.Unlock()
@@ -27,7 +27,7 @@ func TestExecutorAppliesInOrder(t *testing.T) {
 	})
 	defer e.Close()
 	for h := uint64(0); h < 5; h++ {
-		if !e.Submit(block(h, 1), nil) {
+		if !e.Submit(h, block(h, 1), nil) {
 			t.Fatalf("submit %d rejected", h)
 		}
 	}
@@ -51,14 +51,14 @@ func TestExecutorAppliesInOrder(t *testing.T) {
 // the executor drains.
 func TestExecutorBackpressure(t *testing.T) {
 	release := make(chan struct{})
-	e := NewExecutor(1, func(b *chain.Block, payload []byte) { <-release })
+	e := NewExecutor(1, func(_ uint64, b *chain.Block, payload []byte) { <-release })
 	defer e.Close()
 	defer close(release)
 
-	e.Submit(block(0, 1), nil) // picked up by the executor, blocked in apply
-	e.Submit(block(1, 1), nil) // fills the queue
+	e.Submit(0, block(0, 1), nil) // picked up by the executor, blocked in apply
+	e.Submit(0, block(1, 1), nil) // fills the queue
 	blocked := make(chan bool, 1)
-	go func() { blocked <- e.Submit(block(2, 1), nil) }()
+	go func() { blocked <- e.Submit(0, block(2, 1), nil) }()
 	select {
 	case <-blocked:
 		t.Fatal("submit returned with the queue full")
@@ -82,10 +82,10 @@ func TestExecutorBackpressure(t *testing.T) {
 // applying.
 func TestExecutorQueuedTxs(t *testing.T) {
 	release := make(chan struct{})
-	e := NewExecutor(4, func(b *chain.Block, payload []byte) { <-release })
+	e := NewExecutor(4, func(_ uint64, b *chain.Block, payload []byte) { <-release })
 	defer e.Close()
-	e.Submit(block(0, 3), nil)
-	e.Submit(block(1, 2), nil)
+	e.Submit(0, block(0, 3), nil)
+	e.Submit(0, block(1, 2), nil)
 	if got := e.QueuedTxs(); got != 5 {
 		t.Fatalf("queued txs = %d, want 5", got)
 	}
@@ -105,15 +105,15 @@ func TestExecutorQueuedTxs(t *testing.T) {
 func TestExecutorClose(t *testing.T) {
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	e := NewExecutor(1, func(b *chain.Block, payload []byte) {
+	e := NewExecutor(1, func(_ uint64, b *chain.Block, payload []byte) {
 		started <- struct{}{}
 		<-release
 	})
-	e.Submit(block(0, 1), nil)
-	<-started                  // executor is inside apply(block 0)
-	e.Submit(block(1, 1), nil) // fills the queue
+	e.Submit(0, block(0, 1), nil)
+	<-started                     // executor is inside apply(block 0)
+	e.Submit(0, block(1, 1), nil) // fills the queue
 	blocked := make(chan bool, 1)
-	go func() { blocked <- e.Submit(block(2, 1), nil) }()
+	go func() { blocked <- e.Submit(0, block(2, 1), nil) }()
 	time.Sleep(20 * time.Millisecond)
 	closed := make(chan struct{})
 	go func() { e.Close(); close(closed) }()
@@ -139,7 +139,7 @@ func TestExecutorClose(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close never returned")
 	}
-	if e.Submit(block(3, 1), nil) {
+	if e.Submit(0, block(3, 1), nil) {
 		t.Fatal("Submit accepted after Close")
 	}
 	if e.QueuedTxs() != 0 || e.Depth() != 0 {
@@ -153,7 +153,7 @@ func TestExecutorClose(t *testing.T) {
 // that waits out every in-flight Submit.
 func TestExecutorSubmitCloseRace(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		e := NewExecutor(4, func(b *chain.Block, payload []byte) {})
+		e := NewExecutor(4, func(_ uint64, b *chain.Block, payload []byte) {})
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -162,7 +162,7 @@ func TestExecutorSubmitCloseRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for h := uint64(0); h < 8; h++ {
-					e.Submit(block(h, 2), nil)
+					e.Submit(0, block(h, 2), nil)
 				}
 			}()
 		}

@@ -58,8 +58,6 @@ type LSMOptions struct {
 	MaxTables int
 	// SyncWAL fsyncs the WAL on every commit. Default false (tests/bench).
 	SyncWAL bool
-	// WriteLatency injects simulated device latency per WriteBatch.
-	WriteLatency time.Duration
 	// FS is the filesystem seam; nil means the real OS filesystem. Fault
 	// and crash tests substitute faultfs here.
 	FS vfs.FS
@@ -242,70 +240,49 @@ func (s *LSMStore) Get(key []byte) ([]byte, bool, error) {
 func (s *LSMStore) Put(key, value []byte) error {
 	var b Batch
 	b.Put(key, value)
-	return s.writeBatch(&b, false)
+	return s.WriteBatch(&b)
 }
 
 // Delete implements KVStore.
 func (s *LSMStore) Delete(key []byte) error {
 	var b Batch
 	b.Delete(key)
-	return s.writeBatch(&b, false)
+	return s.WriteBatch(&b)
 }
 
-// WriteBatch implements KVStore; this is the block-commit path and is where
-// the optional device write latency applies.
+// WriteBatch implements KVStore; this is the block-commit path.
 func (s *LSMStore) WriteBatch(b *Batch) error {
-	return s.writeBatch(b, true)
-}
-
-func (s *LSMStore) writeBatch(b *Batch, injectLatency bool) error {
 	mBatchWrites.Inc()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return ErrClosed
 	}
 	if err := s.Failed(); err != nil {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %w", ErrStoreFailed, err)
 	}
 	for _, op := range b.ops {
 		if err := s.log.append(op.key, op.value, op.delete); err != nil {
-			err = s.fail(err)
-			s.mu.Unlock()
-			return err
+			return s.fail(err)
 		}
 	}
 	// Seal the batch: replay applies it all-or-nothing, so a torn tail can
 	// never expose half a block commit.
 	if err := s.log.appendCommit(); err != nil {
-		err = s.fail(err)
-		s.mu.Unlock()
-		return err
+		return s.fail(err)
 	}
 	if err := s.log.flush(); err != nil {
 		// The WAL's durability is now unknown; acknowledging this commit —
 		// or any later one — would be a silent lie. Sticky-fail the store.
-		err = s.fail(err)
-		s.mu.Unlock()
-		return err
+		return s.fail(err)
 	}
 	for _, op := range b.ops {
 		s.memInsert(op.key, op.value, op.delete)
 	}
-	var err error
 	if s.memSize >= s.opts.MemtableBytes {
-		if err = s.flushLocked(); err != nil {
-			err = s.fail(err)
+		if err := s.flushLocked(); err != nil {
+			return s.fail(err)
 		}
-	}
-	latency := s.opts.WriteLatency
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if injectLatency && latency > 0 {
-		time.Sleep(latency)
 	}
 	return nil
 }
