@@ -391,10 +391,12 @@ func Table1() (*Table1Result, error) {
 	}
 	commit := func(res *core.ExecResult) error {
 		var batch storage.Batch
-		if err := res.AppendWrites(&batch); err != nil {
-			return err
+		err := res.AppendWrites(&batch)
+		if err == nil {
+			err = store.WriteBatch(&batch)
 		}
-		return store.WriteBatch(&batch)
+		engine.SettleWrites(err == nil)
+		return err
 	}
 	for _, wire := range []struct{ to, val chain.Address }{
 		{gateway, manager}, {manager, service},
@@ -563,10 +565,12 @@ func fig12Cell_run(cell fig12Cell, txCount int) (float64, error) {
 			return 0, fmt.Errorf("tx failed: %s", res.Receipt.Output)
 		}
 		var batch storage.Batch
-		if err := res.AppendWrites(&batch); err != nil {
-			return 0, err
+		err = res.AppendWrites(&batch)
+		if err == nil {
+			err = store.WriteBatch(&batch)
 		}
-		if err := store.WriteBatch(&batch); err != nil {
+		engine.SettleWrites(err == nil)
+		if err != nil {
 			return 0, err
 		}
 	}

@@ -395,6 +395,12 @@ func (e *Engine) ZeroizeDrainedEpochs() int {
 	return e.ring.ZeroizeRetired()
 }
 
+// SettleWrites ends the block whose writes AppendWrites made readable: landed
+// reports that the block's batch reached the store. Until then later
+// transactions read the block's writes; after it, only keys the read cache
+// already held keep theirs in memory, and a block that failed keeps none.
+func (e *Engine) SettleWrites(landed bool) { e.sdm.settle(landed) }
+
 // InvalidateStateCache drops the SDM's read cache. The node calls this
 // after installing a state snapshot, whose writes land in the store
 // directly and would otherwise be shadowed by stale cached plaintext.
@@ -493,7 +499,8 @@ type ExecResult struct {
 }
 
 // AppendWrites seals the transaction's state writes into batch; the node
-// calls it at block commit, after the scheduler has ordered results.
+// calls it at block commit, after the scheduler has ordered results. The
+// writes stay readable to later transactions until the engine's SettleWrites.
 func (r *ExecResult) AppendWrites(batch *storage.Batch) error {
 	batch.Put(ReceiptKey(r.TxHash), r.StoredReceipt)
 	return r.appendWrites(batch)

@@ -30,4 +30,9 @@ var (
 		"transactions executed, by type", metrics.L{K: "type", V: "public"})
 	mExecConfidential = metrics.Default().Counter("confide_core_executed_total",
 		"transactions executed, by type", metrics.L{K: "type", V: "confidential"})
+
+	// The read cache is bounded by what execution reads, not by what it
+	// writes: a written key stays in memory only if it was read (SDM.settle).
+	mSDMCacheEntries = metrics.Default().Gauge("confide_core_sdm_cache_entries",
+		"entries held in the SDM read caches of this process's engines")
 )

@@ -116,6 +116,10 @@ type SDM struct {
 
 	mu    sync.Mutex
 	cache map[string][]byte // decrypted-state read cache
+	// pending holds the plaintext writes of the block being applied until
+	// its batch lands (settle): later transactions in the block read them
+	// first, and the read cache never holds a value the store lacks.
+	pending map[string][]byte
 }
 
 // NewSDM builds the secure data module. enclave and ring are nil for the
@@ -127,6 +131,7 @@ func NewSDM(store storage.KVStore, enclave *tee.Enclave, ring *keyepoch.Ring, pr
 		ring:    ring,
 		profile: profile,
 		cache:   make(map[string][]byte),
+		pending: make(map[string][]byte),
 	}
 }
 
@@ -175,7 +180,10 @@ func (s *SDM) fetch(key []byte) (value []byte, found bool, err error) {
 // orphan its state.
 func (s *SDM) load(sk []byte, confidential bool) ([]byte, bool, error) {
 	s.mu.Lock()
-	v, ok := s.cache[string(sk)]
+	v, ok := s.pending[string(sk)]
+	if !ok {
+		v, ok = s.cache[string(sk)]
+	}
 	s.mu.Unlock()
 	if ok {
 		return append([]byte(nil), v...), v != nil, nil
@@ -199,14 +207,22 @@ func (s *SDM) load(sk []byte, confidential bool) ([]byte, bool, error) {
 		cached = append([]byte{}, value...)
 	}
 	s.mu.Lock()
-	s.cache[string(sk)] = cached
+	s.cachePut(string(sk), cached)
 	s.mu.Unlock()
 	return value, found, nil
 }
 
+// cachePut fills a read-cache entry. Caller holds s.mu.
+func (s *SDM) cachePut(key string, value []byte) {
+	if _, had := s.cache[key]; !had {
+		mSDMCacheEntries.Add(1)
+	}
+	s.cache[key] = value
+}
+
 // sealWrites encrypts a transaction's write set (for confidential
-// contracts) and appends it to batch. The plaintext view lands in the read
-// cache so later transactions in the same block see fresh state.
+// contracts) and appends it to batch. The plaintext view joins the pending
+// writes so later transactions in the same block see fresh state.
 func (s *SDM) sealWrites(addr chain.Address, confidential bool, writes map[string][]byte, batch *storage.Batch) error {
 	for key, value := range writes {
 		sk := stateKey(addr, []byte(key))
@@ -226,27 +242,52 @@ func (s *SDM) sealWrites(addr chain.Address, confidential bool, writes map[strin
 		}
 		batch.Put(sk, stored)
 		s.mu.Lock()
-		s.cache[string(sk)] = append([]byte{}, value...) // present, even if empty
+		s.pending[string(sk)] = append([]byte{}, value...) // present, even if empty
 		s.mu.Unlock()
 	}
 	return nil
 }
 
-// InvalidateCache drops the read cache (tests, reorgs).
-func (s *SDM) InvalidateCache() {
+// settle ends the block whose writes are pending. When its batch landed,
+// a written key the read cache already holds takes its new value, and the
+// rest are dropped: the store has them now, and a key written but never read
+// costs no memory. A block that failed to execute or persist leaves nothing
+// readable.
+func (s *SDM) settle(landed bool) {
 	s.mu.Lock()
-	s.cache = make(map[string][]byte)
+	if landed {
+		for k, v := range s.pending {
+			if _, ok := s.cache[k]; ok {
+				s.cache[k] = v
+			}
+		}
+	}
+	clear(s.pending)
 	s.mu.Unlock()
 }
 
-// forget drops specific cache entries. The re-seal sweep uses it for
-// contract-code records, whose cache holds the raw stored bytes (unlike
-// state entries, which cache plaintext) and would otherwise shadow the
-// re-sealed ciphertext.
+// InvalidateCache drops the read cache and the pending writes (tests,
+// reorgs).
+func (s *SDM) InvalidateCache() {
+	s.mu.Lock()
+	mSDMCacheEntries.Add(-int64(len(s.cache)))
+	s.cache = make(map[string][]byte)
+	clear(s.pending)
+	s.mu.Unlock()
+}
+
+// forget drops specific cache entries and pending writes. The re-seal sweep
+// uses it for contract-code records, whose cache holds the raw stored bytes
+// (unlike state entries, which cache plaintext) and would otherwise shadow
+// the re-sealed ciphertext.
 func (s *SDM) forget(keys ...[]byte) {
 	s.mu.Lock()
 	for _, k := range keys {
-		delete(s.cache, string(k))
+		if _, had := s.cache[string(k)]; had {
+			mSDMCacheEntries.Add(-1)
+			delete(s.cache, string(k))
+		}
+		delete(s.pending, string(k))
 	}
 	s.mu.Unlock()
 }
@@ -338,7 +379,7 @@ func (s *SDM) loadContract(addr chain.Address) (*ContractRecord, []byte, error) 
 			return nil, nil, fmt.Errorf("core: no contract at %s", addr)
 		}
 		s.mu.Lock()
-		s.cache[string(ck)] = append([]byte(nil), data...)
+		s.cachePut(string(ck), append([]byte(nil), data...))
 		s.mu.Unlock()
 	}
 	rec, err := decodeRecord(data)

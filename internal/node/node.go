@@ -787,6 +787,7 @@ func (n *Node) applyDecoded(seq uint64, block *chain.Block, payload []byte) bool
 	start := time.Now()
 	batch, ok := n.executeBlock(block)
 	if !ok {
+		n.settleWrites(false)
 		n.finishEpochTransitions(false, activated)
 		return false
 	}
@@ -808,7 +809,9 @@ func (n *Node) applyDecoded(seq uint64, block *chain.Block, payload []byte) bool
 		batch.Put(keEpochKey, chain.Encode(chain.Uint(n.confEngine.CurrentEpoch())))
 		batch.Delete(kePendingKey)
 	}
-	if err := n.store.WriteBatch(batch); err != nil {
+	err := n.store.WriteBatch(batch)
+	n.settleWrites(err == nil)
+	if err != nil {
 		n.finishEpochTransitions(false, activated)
 		// A failed block commit is node-fatal unless the store was closed
 		// under us by a clean shutdown: the WAL's durability is unknown, so
@@ -906,6 +909,13 @@ func (n *Node) maybeCheckpoint() {
 	n.pruneBlocks(height)
 }
 
+// settleWrites ends the applied block's pending writes in both engines:
+// landed reports that its batch reached the store.
+func (n *Node) settleWrites(landed bool) {
+	n.confEngine.SettleWrites(landed)
+	n.pubEngine.SettleWrites(landed)
+}
+
 // engineFor routes a transaction to its engine.
 func (n *Node) engineFor(tx *chain.Tx) *core.Engine {
 	if tx.Type == chain.TxTypeConfidential {
@@ -958,9 +968,9 @@ func (n *Node) executeBlock(block *chain.Block) (batch *storage.Batch, ok bool) 
 
 	// Validation pass: block order wins; conflicting speculative results
 	// are discarded and re-executed against the updated view. AppendWrites
-	// both fills the durable batch and publishes plaintext writes into the
-	// engines' state cache, so later (re-)executions in the block observe
-	// earlier effects.
+	// both fills the durable batch and makes the plaintext writes readable
+	// as the engines' pending writes, so later (re-)executions in the block
+	// observe earlier effects.
 	written := make(map[string]struct{})
 	batch = &storage.Batch{}
 	height := binary.BigEndian.AppendUint64(nil, block.Header.Height) // each executed transaction's txBlockKey record

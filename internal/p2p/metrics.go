@@ -14,11 +14,12 @@ var (
 	mReordered  = metrics.Default().Counter("confide_p2p_reordered_total", "messages held back by reorder jitter")
 	mCorrupted  = metrics.Default().Counter("confide_p2p_corrupted_total", "messages delivered with an injected payload bit-flip")
 
-	// The simulated link's schedule versus the runtime's: a timer-delivered
-	// message lands when its AfterFunc fires, which on an idle process is
-	// rounded up to the netpoller's millisecond.
+	// The simulated link's schedule versus the process's: how long after its
+	// instant the first of a delivery's two wakers (its runtime timer, the
+	// queue's pacer) handed it over — about 60 µs at the median, kernel timer
+	// slack included, and milliseconds only while every scheduler slot is busy.
 	mDeliveryLateness = metrics.Default().Histogram("confide_p2p_delivery_lateness_seconds",
-		"time from a message's scheduled delivery to its enqueue at the receiver", nil)
+		"time from a message's scheduled delivery instant to its enqueue at the receiver, by whichever of its timer or the delivery queue's pacer ran first", nil)
 
 	mDropRate      = dropCounter("rate")
 	mDropLink      = dropCounter("link")

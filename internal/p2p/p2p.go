@@ -133,6 +133,7 @@ type Network struct {
 	topicDrop    map[string]float64
 	topicCorrupt map[string]float64
 	stats        counters
+	queue        *deliveryQueue
 }
 
 // NewNetwork creates a network with the given shape. A zero Config yields
@@ -151,6 +152,7 @@ func NewNetwork(cfg Config) *Network {
 		linkDrop:     make(map[[2]NodeID]float64),
 		topicDrop:    make(map[string]float64),
 		topicCorrupt: make(map[string]float64),
+		queue:        newDeliveryQueue(),
 	}
 }
 
@@ -433,7 +435,7 @@ func (e *Endpoint) send(to NodeID, topic string, data []byte) {
 	e.mu.Lock()
 	profile := net.profileFor(e, dst)
 	// Transmission delay: the sender's NIC serializes outgoing bytes.
-	now := time.Now()
+	now := net.queue.now()
 	start := e.busyUntil
 	if start.Before(now) {
 		start = now
@@ -453,27 +455,12 @@ func (e *Endpoint) send(to NodeID, topic string, data []byte) {
 		net.stats.corrupted.Add(1)
 		mCorrupted.Inc()
 	}
-	dst.deliverAt(msg, deliverAt.Add(jitter))
+	net.queue.schedule(dst, msg, deliverAt.Add(jitter))
 	if duplicate {
 		net.stats.duplicates.Add(1)
 		mDuplicates.Inc()
-		dst.deliverAt(msg, deliverAt.Add(jitter+50*time.Microsecond))
+		net.queue.schedule(dst, msg, deliverAt.Add(jitter+50*time.Microsecond))
 	}
-}
-
-// deliverAt schedules msg for delivery at the given instant, and records how
-// late the enqueue ran against it.
-func (dst *Endpoint) deliverAt(msg Message, at time.Time) {
-	delay := time.Until(at)
-	if delay <= 0 {
-		mDeliveryLateness.ObserveDuration(-delay)
-		dst.enqueue(msg)
-		return
-	}
-	time.AfterFunc(delay, func() {
-		mDeliveryLateness.ObserveSince(at)
-		dst.enqueue(msg)
-	})
 }
 
 func (dst *Endpoint) enqueue(msg Message) {

@@ -100,7 +100,8 @@ func TestLatencyAppliedPerZone(t *testing.T) {
 }
 
 // TestDeliveryLatenessRecorded pins the lateness histogram: a message on a
-// 200 µs link, delivered by its timer, leaves one non-negative sample.
+// 200 µs link, delivered by whichever waker runs first, leaves one
+// non-negative sample.
 func TestDeliveryLatenessRecorded(t *testing.T) {
 	n := NewNetwork(Config{IntraZone: LinkProfile{Latency: 200 * time.Microsecond}})
 	a, _ := n.Join(1, 0)
