@@ -38,7 +38,7 @@ func main() {
 	txCount := flag.Int("txs", 64, "transactions to run")
 	wl := flag.String("workload", "abs", "workload: abs, scf, concat, enotes, hash, json")
 	vmName := flag.String("vm", "cvm", "contract VM: cvm or evm")
-	storeDir := flag.String("store", "", "durable store directory (LSM; browse it with confide-explorer)")
+	storeDir := flag.String("store", "", "durable store directory (LSM; every commit fsyncs its WAL before it returns; browse it with confide-explorer)")
 	ckptInterval := flag.Uint64("checkpoint-interval", 0, "export a sealed state checkpoint every N blocks (0 = off); enables snapshot fast-sync for lagging peers")
 	retention := flag.Uint64("retention", 0, "with checkpoints on, prune block payloads older than N blocks (0 = keep full history)")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. :9090) for the duration of the run")

@@ -22,6 +22,10 @@ import (
 // It reads DESIGN.md, README.md, EXPERIMENTS.md and docs/*.md. ROADMAP.md
 // stays out because it names tests that do not exist yet, and
 // benchmark/README.md because it changes only together with the benchmark.
+// Those docs, plain text included, and the Go comments outside benchmark/
+// may also cite a ROADMAP item ("item N", "item N(x)", "item Nx"): the
+// number must be in ROADMAP.md's open-items list, and a letter must be one
+// of that item's sub-items.
 func TestDocsCiteExistingArtifacts(t *testing.T) {
 	docs := []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
 	more, err := filepath.Glob("docs/*.md")
@@ -31,6 +35,7 @@ func TestDocsCiteExistingArtifacts(t *testing.T) {
 	docs = append(docs, more...)
 
 	funcs, files := map[string]bool{}, map[string]bool{}
+	var goFiles []string
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -43,6 +48,9 @@ func TestDocsCiteExistingArtifacts(t *testing.T) {
 			return nil
 		}
 		files[d.Name()] = true
+		if strings.HasSuffix(path, ".go") && !strings.HasPrefix(path, "benchmark/") {
+			goFiles = append(goFiles, path)
+		}
 		if !strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
@@ -113,6 +121,65 @@ func TestDocsCiteExistingArtifacts(t *testing.T) {
 			}
 		}
 	}
+
+	items := openItems(t)
+	if bad := badItemCitations("fixed by ROADMAP item 12", items); len(bad) == 0 {
+		t.Error("a citation of closed item 12 passed the item check")
+	}
+	for _, path := range append(docs, goFiles...) {
+		for i, line := range strings.Split(readFile(t, path), "\n") {
+			if strings.HasSuffix(path, ".go") {
+				_, comment, ok := strings.Cut(line, "//")
+				if !ok {
+					continue
+				}
+				line = comment
+			}
+			for _, c := range badItemCitations(line, items) {
+				t.Errorf("%s:%d: %s: not an open ROADMAP item", path, i+1, c)
+			}
+		}
+	}
+}
+
+// itemRE matches a ROADMAP item citation: "item N", "item N(x)", "item Nx".
+var itemRE = regexp.MustCompile(`\bitem (\d+)(?:\(([a-z])\)|([a-z])\b)?`)
+
+// badItemCitations returns the item citations in text that name no item of
+// open, or a sub-item letter the item does not have.
+func badItemCitations(text string, open map[string]string) []string {
+	var bad []string
+	for _, m := range itemRE.FindAllStringSubmatch(text, -1) {
+		body, ok := open[m[1]]
+		if letter := m[2] + m[3]; !ok || letter != "" && !strings.Contains(body, "("+letter+")") {
+			bad = append(bad, m[0])
+		}
+	}
+	return bad
+}
+
+// openItems maps each number of ROADMAP.md's "## Open items" list to the
+// item's text: its numbered line and the indented lines under it.
+func openItems(t *testing.T) map[string]string {
+	t.Helper()
+	_, section, _ := strings.Cut(readFile(t, "ROADMAP.md"), "\n## Open items\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	start := regexp.MustCompile(`^(\d+)\. `)
+	items, cur := map[string]string{}, ""
+	for _, line := range strings.Split(section, "\n") {
+		if m := start.FindStringSubmatch(line); m != nil {
+			cur = m[1]
+		} else if line != "" && !strings.HasPrefix(line, " ") {
+			cur = ""
+		}
+		if cur != "" {
+			items[cur] += line + "\n"
+		}
+	}
+	if len(items) == 0 {
+		t.Fatal("ROADMAP.md has no open items list")
+	}
+	return items
 }
 
 func readFile(t *testing.T, path string) string {

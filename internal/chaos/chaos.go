@@ -125,11 +125,11 @@ type Options struct {
 	// "power cable" fault). When the window lifts the node is revived from
 	// the frozen image: WAL replay normally, quarantine plus snapshot
 	// fast-sync when the image is corrupted beyond the WAL's tolerance.
-	// Enabling this backs every store with faultfs (synced WALs, small
-	// memtables) and turns on checkpoints, and the run is certified from
-	// the registry: every crash recovered, no committed transaction lost,
-	// identical chain prefixes, and every node's sealed state re-verifies
-	// (AuditSealedState) after convergence.
+	// Enabling this backs every store with faultfs (small memtables) and
+	// turns on checkpoints, and the run is certified from the registry:
+	// every crash recovered, no committed transaction lost, identical chain
+	// prefixes, and every node's sealed state re-verifies (AuditSealedState)
+	// after convergence.
 	Crashes int
 	// DiskFaults layers transient disk faults onto the crash victim's
 	// filesystem during each crash window: ENOSPC after partial writes,

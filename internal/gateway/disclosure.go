@@ -104,7 +104,7 @@ func (c *disclosureCache) get(h [32]byte) ([]byte, bool) {
 const disclosureCost = 2
 
 func (g *Gateway) handleDisclosureRequest(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r, 0)
+	body, err := readBody(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrorBody{Error: CodeBadRequest, Detail: err.Error()})
 		return

@@ -546,7 +546,7 @@ func TestGatewayAdmissionShedding(t *testing.T) {
 func TestGatewayOversizedRejected(t *testing.T) {
 	cluster, err := node.NewCluster(node.ClusterOptions{
 		Nodes: 4,
-		Node:  node.Config{EngineOpts: core.AllOptimizations(), MaxTxBytes: 512},
+		Node:  node.Config{EngineOpts: core.AllOptimizations()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -558,7 +558,7 @@ func TestGatewayOversizedRejected(t *testing.T) {
 	}
 	t.Cleanup(gw.Kill)
 
-	big := &chain.Tx{Type: chain.TxTypePublic, Payload: bytes.Repeat([]byte{0x55}, 2048)}
+	big := &chain.Tx{Type: chain.TxTypePublic, Payload: bytes.Repeat([]byte{0x55}, node.MaxTxBytes)}
 	raw, _ := json.Marshal(gateway.SubmitRequest{Tx: big.Encode()})
 	resp, err := http.Post(gw.URL()+"/v1/submit", "application/json", bytes.NewReader(raw))
 	if err != nil {

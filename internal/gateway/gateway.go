@@ -392,15 +392,14 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !g.admit(w, r, 1) {
 		return
 	}
-	// The node's own submission bound: the edge rejects before decode what
-	// the node would reject after.
-	maxTx := g.cfg.Node.MaxTxBytes()
-	body, err := readBody(r, maxTx)
+	body, err := readBody(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrorBody{Error: CodeBadRequest, Detail: err.Error()})
 		return
 	}
-	tx, err := decodeSubmit(body, maxTx)
+	// The node's own submission bound: the edge rejects before decode what
+	// the node would reject after.
+	tx, err := decodeSubmit(body, node.MaxTxBytes)
 	if err != nil {
 		writeDecodeError(w, err)
 		return
@@ -414,12 +413,12 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r, 0)
+	body, err := readBody(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrorBody{Error: CodeBadRequest, Detail: err.Error()})
 		return
 	}
-	txs, err := decodeBatch(body, batchTxsCap, g.cfg.Node.MaxTxBytes())
+	txs, err := decodeBatch(body, batchTxsCap, node.MaxTxBytes)
 	if err != nil {
 		writeDecodeError(w, err)
 		return
@@ -578,21 +577,18 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// readBody reads a bounded request body. maxTx of 0 still applies a sane
-// global ceiling so a hostile client cannot stream unbounded bytes.
-func readBody(r *http.Request, maxTx int) ([]byte, error) {
-	limit := int64(4 << 20)
-	if maxTx > 0 {
-		// JSON + base64 inflate the wire tx ~4/3; double it for headroom.
-		if l := int64(maxTx)*2 + 4096; l > limit {
-			limit = l
-		}
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
+// maxBodyBytes bounds a request body, so a hostile client cannot stream
+// unbounded bytes. It leaves room for a batch, and for a single transaction
+// of node.MaxTxBytes after JSON and base64 inflate it by ~4/3.
+const maxBodyBytes = 4 << 20
+
+// readBody reads a body of at most maxBodyBytes.
+func readBody(r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(body)) > limit {
+	if len(body) > maxBodyBytes {
 		return nil, errors.New("request body too large")
 	}
 	return body, nil

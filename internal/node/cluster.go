@@ -52,10 +52,9 @@ type ClusterOptions struct {
 	// filesystem (faultfs) plus a crash-point registry, enabling the
 	// ArmCrash / CrashNode / ReviveNode drill primitives. The stores are
 	// durable LSM stores over the virtual filesystem (no real disk I/O);
-	// StoreDir names the virtual root and defaults to "faultfs". WALs are
-	// synced on every commit (the durability under test is the synced WAL's)
-	// and memtables are kept small so flush and publish crash points fire
-	// under test-sized workloads.
+	// StoreDir names the virtual root and defaults to "faultfs". Memtables
+	// are kept small so flush and publish crash points fire under test-sized
+	// workloads.
 	DiskFaults bool
 	// FaultSeed seeds node i's fault filesystem with FaultSeed+i, so one
 	// drill seed reproduces every node's fault schedule.
@@ -197,7 +196,6 @@ func (c *Cluster) storeOptions(i int) storage.LSMOptions {
 	if c.opts.DiskFaults {
 		opts.FS = c.faults[i]
 		opts.Crash = c.crashes[i]
-		opts.SyncWAL = true
 		opts.MemtableBytes = 4 << 10
 	}
 	return opts

@@ -75,13 +75,6 @@ type Config struct {
 	// second. 0 selects the default rate; negative disables the loop (tests
 	// drive sweeps explicitly via ResealNow).
 	ResealRate int
-	// MaxTxBytes bounds the wire-encoded transaction size accepted at the
-	// submission boundary (SubmitTx) and re-checked on gossip receive, so one
-	// oversized envelope cannot be amplified cluster-wide before
-	// pre-verification would reject it. 0 selects DefaultMaxTxBytes; negative
-	// disables the bound.
-	MaxTxBytes int
-
 	// crash is the crash-point registry shared with this node's store; nil
 	// (the default) disables crash points. Set by the cluster's disk-fault
 	// harness.
@@ -101,20 +94,20 @@ func (c Config) withDefaults() Config {
 	if c.SnapshotChunkBytes == 0 {
 		c.SnapshotChunkBytes = snapshot.DefaultChunkBytes
 	}
-	if c.MaxTxBytes == 0 {
-		c.MaxTxBytes = DefaultMaxTxBytes
-	}
 	return c
 }
 
-// DefaultMaxTxBytes is the default wire-encoded transaction size cap at the
-// submission boundary: generous for the paper's workloads (the largest ABS
-// envelope is a few KiB) while keeping a single transaction from dominating
-// a block's gossip and storage budget.
-const DefaultMaxTxBytes = 128 << 10
+// MaxTxBytes bounds the wire-encoded transaction size accepted at the
+// submission boundary (SubmitTx, the gateway's submit handlers) and
+// re-checked on gossip receive, so one oversized envelope cannot be
+// amplified cluster-wide before pre-verification would reject it. It is
+// generous for the paper's workloads (the largest ABS envelope is a few
+// KiB) while keeping a single transaction from dominating a block's gossip
+// and storage budget.
+const MaxTxBytes = 128 << 10
 
-// ErrTxTooLarge reports a transaction whose wire encoding exceeds the
-// node's submission size bound (Config.MaxTxBytes).
+// ErrTxTooLarge reports a transaction whose wire encoding exceeds
+// MaxTxBytes.
 var ErrTxTooLarge = errors.New("node: transaction exceeds wire size limit")
 
 // Node is one platform participant.
@@ -395,7 +388,7 @@ func (n *Node) SubmitTx(tx *chain.Tx) error {
 // already-committed check, the pool add, the tracer span and the proposer's
 // doorbell. tx is nil when only the wire form is in hand (gossip).
 func (n *Node) admit(tx *chain.Tx, encoded []byte) error {
-	if n.cfg.MaxTxBytes > 0 && len(encoded) > n.cfg.MaxTxBytes {
+	if len(encoded) > MaxTxBytes {
 		mOversizedRejected.Inc()
 		return ErrTxTooLarge
 	}
@@ -427,15 +420,6 @@ func (n *Node) admit(tx *chain.Tx, encoded []byte) error {
 // the ordering pipeline is fullest. Admission control gates on this.
 func (n *Node) Backlog() int {
 	return n.unverified.Len() + n.verified.Len() + n.sched.InFlightTxs() + n.executor.QueuedTxs()
-}
-
-// MaxTxBytes reports the wire-encoded transaction size bound this node
-// enforces at its submission boundary (0 = unbounded).
-func (n *Node) MaxTxBytes() int {
-	if n.cfg.MaxTxBytes < 0 {
-		return 0
-	}
-	return n.cfg.MaxTxBytes
 }
 
 // OnCommit registers a receipt-notification hook invoked after every block

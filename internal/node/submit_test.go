@@ -11,19 +11,19 @@ import (
 
 // TestSubmitTxSizeBound exercises the two refusals at the door into the
 // un-verified pool (Node.admit), by both roads to it: an encoded transaction
-// over Config.MaxTxBytes gets the distinct ErrTxTooLarge before touching the
-// pool (and the bound is discoverable) whether a client submits it or a peer
-// gossips it, counted once per refusing node either way; and one that already
-// committed gets ErrAlreadyCommitted.
+// just over MaxTxBytes gets the distinct ErrTxTooLarge before touching the
+// pool whether a client submits it or a peer gossips it, counted once per
+// refusing node either way; and one that already committed gets
+// ErrAlreadyCommitted.
 func TestSubmitTxSizeBound(t *testing.T) {
-	c := newTestCluster(t, ClusterOptions{Node: Config{MaxTxBytes: 2048}})
+	c := newTestCluster(t, ClusterOptions{})
 	client := newClusterClient(t, c)
 	n := c.Nodes[0]
 
-	if got := n.MaxTxBytes(); got != 2048 {
-		t.Fatalf("MaxTxBytes() = %d, want 2048", got)
+	big := &chain.Tx{Type: chain.TxTypePublic, Payload: make([]byte, MaxTxBytes)}
+	if size := len(big.Encode()); size <= MaxTxBytes || size > MaxTxBytes+64 {
+		t.Fatalf("test transaction encodes to %d bytes, want just over %d", size, MaxTxBytes)
 	}
-	big := &chain.Tx{Type: chain.TxTypePublic, Payload: make([]byte, 4096)}
 	rejected := mOversizedRejected.Value()
 	if err := n.SubmitTx(big); !errors.Is(err, ErrTxTooLarge) {
 		t.Fatalf("oversized SubmitTx: %v, want ErrTxTooLarge", err)
@@ -58,20 +58,6 @@ func TestSubmitTxSizeBound(t *testing.T) {
 	}
 	if err := n.SubmitTx(small); !errors.Is(err, ErrAlreadyCommitted) {
 		t.Fatalf("re-submit after commit: %v, want ErrAlreadyCommitted", err)
-	}
-}
-
-// TestSubmitTxUnbounded checks that a negative MaxTxBytes disables the
-// boundary (and reports 0 = unbounded).
-func TestSubmitTxUnbounded(t *testing.T) {
-	c := newTestCluster(t, ClusterOptions{Node: Config{MaxTxBytes: -1}})
-	n := c.Nodes[0]
-	if got := n.MaxTxBytes(); got != 0 {
-		t.Fatalf("MaxTxBytes() = %d, want 0 (unbounded)", got)
-	}
-	big := &chain.Tx{Type: chain.TxTypePublic, Payload: make([]byte, DefaultMaxTxBytes+1)}
-	if err := n.SubmitTx(big); err != nil {
-		t.Fatalf("unbounded SubmitTx rejected: %v", err)
 	}
 }
 

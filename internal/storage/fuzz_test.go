@@ -19,7 +19,7 @@ func FuzzWALReplay(f *testing.F) {
 	wellFormed := func() []byte {
 		fsys := faultfs.New(1)
 		fsys.MkdirAll("d", 0o755)
-		w, err := openWAL(fsys, "d/wal.log", true, nil)
+		w, err := openWAL(fsys, "d/wal.log", nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -27,6 +27,7 @@ func FuzzWALReplay(f *testing.F) {
 		w.appendCommit()
 		w.append([]byte("key-b"), nil, true)
 		w.appendCommit()
+		w.flush()
 		w.close()
 		h, _ := vfs.Open(fsys, "d/wal.log")
 		defer h.Close()

@@ -54,10 +54,6 @@ type LSMOptions struct {
 	// MemtableBytes triggers a flush when the memtable exceeds it.
 	// Default 4 MiB.
 	MemtableBytes int
-	// MaxTables triggers a full compaction when exceeded. Default 8.
-	MaxTables int
-	// SyncWAL fsyncs the WAL on every commit. Default false (tests/bench).
-	SyncWAL bool
 	// FS is the filesystem seam; nil means the real OS filesystem. Fault
 	// and crash tests substitute faultfs here.
 	FS vfs.FS
@@ -75,9 +71,6 @@ func (o *LSMOptions) withDefaults() LSMOptions {
 	if out.MemtableBytes == 0 {
 		out.MemtableBytes = 4 << 20
 	}
-	if out.MaxTables == 0 {
-		out.MaxTables = 8
-	}
 	if out.FS == nil {
 		out.FS = vfs.Default()
 	}
@@ -94,6 +87,10 @@ var ErrStoreFailed = errors.New("storage: store failed")
 // Callers with a replication layer should quarantine the directory and
 // rebuild from a snapshot rather than fail boot permanently.
 var ErrCorrupt = errors.New("storage: corrupt store")
+
+// maxTables is the table count past which a memtable flush triggers a full
+// compaction.
+const maxTables = 8
 
 // readRetries is how many times a failed sstable read is retried before the
 // store is declared failed. Transient controller errors (and faultfs's
@@ -156,7 +153,7 @@ func OpenLSM(dir string, opts LSMOptions) (*LSMStore, error) {
 		s.closeTables()
 		return nil, err
 	}
-	s.log, err = openWAL(fsys, s.walPath(), o.SyncWAL, o.Crash)
+	s.log, err = openWAL(fsys, s.walPath(), o.Crash)
 	if err != nil {
 		s.closeTables()
 		return nil, err
@@ -250,7 +247,9 @@ func (s *LSMStore) Delete(key []byte) error {
 	return s.WriteBatch(&b)
 }
 
-// WriteBatch implements KVStore; this is the block-commit path.
+// WriteBatch implements KVStore; this is the block-commit path. It returns
+// only once the whole batch is in the WAL and the WAL is fsynced: one sync
+// per batch, however many records it holds.
 func (s *LSMStore) WriteBatch(b *Batch) error {
 	mBatchWrites.Inc()
 	s.mu.Lock()
@@ -337,11 +336,11 @@ func (s *LSMStore) flushLocked() error {
 	if err := s.fsys.Remove(s.walPath()); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
-	s.log, err = openWAL(s.fsys, s.walPath(), s.opts.SyncWAL, s.opts.Crash)
+	s.log, err = openWAL(s.fsys, s.walPath(), s.opts.Crash)
 	if err != nil {
 		return err
 	}
-	if len(s.tables) > s.opts.MaxTables {
+	if len(s.tables) > maxTables {
 		return s.compactLocked()
 	}
 	return nil
@@ -495,7 +494,7 @@ func (s *sliceSource) error() error { return nil }
 // mergeIterate streams the union of the sources in ascending key order,
 // resolving duplicate keys in favour of the earliest (highest-priority)
 // source and suppressing tombstoned keys. Source counts are small (memtable
-// + at most MaxTables SSTables), so a linear min-scan per step beats heap
+// + at most maxTables SSTables), so a linear min-scan per step beats heap
 // bookkeeping.
 func mergeIterate(srcs []kvSource, fn func(key, value []byte) bool) error {
 	live := make([]bool, len(srcs))
@@ -549,7 +548,8 @@ func (s *LSMStore) TableCount() int {
 	return len(s.tables)
 }
 
-// Close flushes and releases the store.
+// Close releases the store. It has nothing to flush: every acknowledged
+// batch is already synced, and the memtable replays from the WAL.
 func (s *LSMStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

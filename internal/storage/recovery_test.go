@@ -18,7 +18,6 @@ func crashStoreOptions(f *faultfs.FS, crash *vfs.CrashPoints) LSMOptions {
 	return LSMOptions{
 		FS:            f,
 		Crash:         crash,
-		SyncWAL:       true,
 		MemtableBytes: 256, // flush every few writes so flush/publish points fire
 	}
 }
@@ -94,47 +93,52 @@ func TestCrashAtStoragePointsRecoversAckedWrites(t *testing.T) {
 	}
 }
 
-// TestUnsyncedCrashKeepsPrefixOrder power-cuts a store running without WAL
-// sync (the fast path) and requires the survivors to be a strict prefix of
-// the write order: torn tails may lose acknowledged-but-unsynced writes, but
-// must never reorder them or resurrect half a batch.
-func TestUnsyncedCrashKeepsPrefixOrder(t *testing.T) {
-	f := faultfs.New(600)
-	dir := "store"
-	s, err := OpenLSM(dir, LSMOptions{FS: f})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestAckedWritesSurvivePowerCut power-cuts a default-options store after a
+// run of acknowledged writes and requires every one of them back: a durable
+// store syncs its WAL before WriteBatch returns, so no acknowledged write is
+// left in the unsynced tail a crash tears. The survivors must also be a
+// strict prefix of the write order. Each seed tears the tail differently.
+func TestAckedWritesSurvivePowerCut(t *testing.T) {
 	const n = 50
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
-	for i := 0; i < n; i++ {
-		if err := s.Put(key(i), []byte{byte(i)}); err != nil {
+	for seed := int64(600); seed < 605; seed++ {
+		f := faultfs.New(seed)
+		dir := "store"
+		s, err := OpenLSM(dir, LSMOptions{FS: f})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	f.Crash() // power cable, mid-stream, nothing synced
+		for i := 0; i < n; i++ {
+			if err := s.Put(key(i), []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.Crash() // power cable, mid-stream, no clean shutdown
 
-	f.Reopen()
-	s2, err := OpenLSM(dir, LSMOptions{FS: f, VerifyOnOpen: true})
-	if err != nil {
-		t.Fatalf("reopen after unsynced crash: %v", err)
-	}
-	defer s2.Close()
-	surviving := 0
-	for i := 0; i < n; i++ {
-		if _, found, _ := s2.Get(key(i)); found {
-			surviving++
-		} else {
-			break
+		f.Reopen()
+		s2, err := OpenLSM(dir, LSMOptions{FS: f, VerifyOnOpen: true})
+		if err != nil {
+			t.Fatalf("seed %d: reopen after power cut: %v", seed, err)
+		}
+		surviving := 0
+		for i := 0; i < n; i++ {
+			if _, found, _ := s2.Get(key(i)); found {
+				surviving++
+			} else {
+				break
+			}
+		}
+		// Everything after the first gap must be gone, or order was broken.
+		for i := surviving; i < n; i++ {
+			if _, found, _ := s2.Get(key(i)); found {
+				t.Fatalf("seed %d: key %d survived but key %d did not — non-prefix recovery", seed, i, surviving)
+			}
+		}
+		s2.Close()
+		if surviving != n {
+			t.Fatalf("seed %d: power cut kept %d/%d acknowledged writes", seed, surviving, n)
 		}
 	}
-	// Everything after the first gap must be gone, or order was broken.
-	for i := surviving; i < n; i++ {
-		if _, found, _ := s2.Get(key(i)); found {
-			t.Fatalf("key %d survived but key %d did not — non-prefix recovery", i, surviving)
-		}
-	}
-	t.Logf("unsynced crash kept %d/%d writes as a clean prefix", surviving, n)
 }
 
 // TestSyncLieLosesOnlyUnsyncedSuffix models firmware that acknowledges fsync
@@ -144,7 +148,7 @@ func TestUnsyncedCrashKeepsPrefixOrder(t *testing.T) {
 func TestSyncLieLosesOnlyUnsyncedSuffix(t *testing.T) {
 	f := faultfs.New(700)
 	dir := "store"
-	s, err := OpenLSM(dir, LSMOptions{FS: f, SyncWAL: true})
+	s, err := OpenLSM(dir, LSMOptions{FS: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +196,7 @@ func TestSyncLieLosesOnlyUnsyncedSuffix(t *testing.T) {
 // no-space errors and requires a loud sticky failure, never a silent drop.
 func TestENOSPCFailsStoreLoudly(t *testing.T) {
 	f := faultfs.New(800)
-	s, err := OpenLSM("store", LSMOptions{FS: f, SyncWAL: true})
+	s, err := OpenLSM("store", LSMOptions{FS: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +222,7 @@ func TestENOSPCFailsStoreLoudly(t *testing.T) {
 // unknowable), and metrics record the sticky failure.
 func TestFsyncErrorIsSticky(t *testing.T) {
 	f := faultfs.New(900)
-	s, err := OpenLSM("store", LSMOptions{FS: f, SyncWAL: true})
+	s, err := OpenLSM("store", LSMOptions{FS: f})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,20 +291,63 @@ func TestLSMCompaction(t *testing.T) {
 }
 
 func TestLSMAutoFlushAndAutoCompact(t *testing.T) {
-	s, _ := OpenLSM(t.TempDir(), LSMOptions{MemtableBytes: 1 << 10, MaxTables: 2})
+	s, _ := OpenLSM(t.TempDir(), LSMOptions{MemtableBytes: 1 << 10})
 	defer s.Close()
+	flushes, compactions := mMemtableFlush.Value(), mCompactions.Value()
 	val := bytes.Repeat([]byte{0xab}, 128)
 	for i := 0; i < 200; i++ {
 		if err := s.Put([]byte(fmt.Sprintf("key-%04d", i)), val); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.TableCount() > 3 {
+	if got := mMemtableFlush.Value() - flushes; got <= 2*maxTables {
+		t.Fatalf("%d memtable flushes, want more than %d to cross the table bound twice", got, 2*maxTables)
+	}
+	if mCompactions.Value() == compactions {
+		t.Error("no auto-compaction")
+	}
+	if s.TableCount() > maxTables {
 		t.Errorf("auto-compaction did not bound tables: %d", s.TableCount())
 	}
 	for _, i := range []int{0, 100, 199} {
 		if _, found, _ := s.Get([]byte(fmt.Sprintf("key-%04d", i))); !found {
 			t.Errorf("key %d lost across flush/compact", i)
+		}
+	}
+}
+
+// TestWriteBatchSyncsOnce pins the durable store's cost: every WriteBatch
+// — a one-record Put or Delete, or a block-sized batch — fsyncs the WAL
+// exactly once before it returns, and the sync is timed once.
+func TestWriteBatchSyncsOnce(t *testing.T) {
+	s, err := OpenLSM(t.TempDir(), LSMOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	writes := []func() error{
+		func() error { return s.Put([]byte("k"), []byte("v")) },
+		func() error { return s.Delete([]byte("k")) },
+	}
+	for _, records := range []int{1, 64, 1000} {
+		writes = append(writes, func() error {
+			var b Batch
+			for i := 0; i < records; i++ {
+				b.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v"))
+			}
+			return s.WriteBatch(&b)
+		})
+	}
+	for i, write := range writes {
+		syncs, timed := mWALSyncs.Value(), mWALSyncSeconds.Count()
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		if got := mWALSyncs.Value() - syncs; got != 1 {
+			t.Errorf("write %d: %d WAL syncs, want 1", i, got)
+		}
+		if got := mWALSyncSeconds.Count() - timed; got != 1 {
+			t.Errorf("write %d: %d sync-time observations, want 1", i, got)
 		}
 	}
 }

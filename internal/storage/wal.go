@@ -10,13 +10,15 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"time"
 
 	"confide/internal/storage/vfs"
 )
 
-// wal is the LSM store's write-ahead log. Every mutation is appended (and
-// optionally synced) before it is applied to the memtable, so a crash can
-// lose no acknowledged write. Record layout:
+// wal is the LSM store's write-ahead log. Every batch is appended and
+// fsynced before it is applied to the memtable and before WriteBatch
+// returns, so with an honest fsync a crash can lose no acknowledged write.
+// Record layout:
 //
 //	crc32(le, over rest) | flags(1) | keyLen(varint) | valLen(varint) | key | val
 //
@@ -25,11 +27,9 @@ import (
 // applies only sealed batches, so a torn tail can never surface half of an
 // atomic WriteBatch.
 type wal struct {
-	fsys   vfs.FS
-	f      vfs.File
-	w      *bufio.Writer
-	synced bool
-	crash  *vfs.CrashPoints
+	f     vfs.File
+	w     *bufio.Writer
+	crash *vfs.CrashPoints
 }
 
 const (
@@ -41,7 +41,7 @@ const (
 // directory, so the file's existence survives a crash that follows
 // immediately — a freshly created-but-unlinked WAL would otherwise silently
 // lose the first synced batch.
-func openWAL(fsys vfs.FS, path string, synced bool, crash *vfs.CrashPoints) (*wal, error) {
+func openWAL(fsys vfs.FS, path string, crash *vfs.CrashPoints) (*wal, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
@@ -50,7 +50,7 @@ func openWAL(fsys vfs.FS, path string, synced bool, crash *vfs.CrashPoints) (*wa
 		f.Close()
 		return nil, fmt.Errorf("storage: sync wal dir: %w", err)
 	}
-	return &wal{fsys: fsys, f: f, w: bufio.NewWriterSize(f, 64<<10), synced: synced, crash: crash}, nil
+	return &wal{f: f, w: bufio.NewWriterSize(f, 64<<10), crash: crash}, nil
 }
 
 func (w *wal) append(key, value []byte, tombstone bool) error {
@@ -93,6 +93,8 @@ func (w *wal) appendRecord(flags byte, key, value []byte) error {
 	return nil
 }
 
+// flush writes the buffered records out and fsyncs the log: the one sync
+// of a WriteBatch, however many records the batch holds.
 func (w *wal) flush() error {
 	if err := w.w.Flush(); err != nil {
 		return err
@@ -100,18 +102,17 @@ func (w *wal) flush() error {
 	if err := w.crash.Hit(vfs.CrashWALAppend); err != nil {
 		return err
 	}
-	if w.synced {
-		mWALSyncs.Inc()
-		return w.f.Sync()
-	}
-	return nil
+	mWALSyncs.Inc()
+	start := time.Now()
+	err := w.f.Sync()
+	mWALSyncSeconds.ObserveSince(start)
+	return err
 }
 
+// close releases the log file. It writes nothing: every acknowledged batch
+// was flushed and synced by its WriteBatch, and whatever a failed one left
+// in the buffer was never sealed, so replay would discard it anyway.
 func (w *wal) close() error {
-	if err := w.flush(); err != nil {
-		w.f.Close()
-		return err
-	}
 	return w.f.Close()
 }
 
