@@ -1,6 +1,6 @@
-// Repository-level benchmarks: one family per table/figure of the paper's
-// evaluation (run cmd/benchrunner for the full-size grids and formatted
-// tables), plus microbenchmarks of the performance-critical substrates.
+// Repository-level microbenchmarks of the performance-critical substrates.
+// The paper's tables and figures run through one harness, cmd/benchrunner
+// -exp (internal/bench), whose smoke tests cover every experiment.
 package confide_test
 
 import (
@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"confide/internal/bench"
 	"confide/internal/ccl"
 	"confide/internal/chain"
 	"confide/internal/core"
@@ -20,121 +19,6 @@ import (
 	"confide/internal/tee"
 	"confide/internal/workload"
 )
-
-// ---------------------------------------------------------------------------
-// Figure 10: four synthetic workloads × {EVM, CONFIDE-VM} × {public, TEE}.
-// ---------------------------------------------------------------------------
-
-func BenchmarkFigure10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure10(bench.Fig10Config{Nodes: 4, TxsPerCell: 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, r := range rows {
-				mode := "public"
-				if r.TEE {
-					mode = "tee"
-				}
-				b.ReportMetric(r.TPS, shortName(r.Workload)+"/"+r.Engine+"/"+mode+"_tps")
-			}
-		}
-	}
-}
-
-func shortName(workload string) string {
-	switch workload {
-	case "String Concatenation":
-		return "concat"
-	case "E-notes Depository (4KB)":
-		return "enotes"
-	case "Crypto Hash":
-		return "hash"
-	case "JSON Parsing":
-		return "json"
-	}
-	return workload
-}
-
-// ---------------------------------------------------------------------------
-// Figure 11: ABS scalability over nodes × parallelism × zones.
-// ---------------------------------------------------------------------------
-
-func BenchmarkFigure11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure11(bench.Fig11Config{
-			NodeCounts:     []int{4, 12, 20},
-			Parallel:       []int{1, 4, 6},
-			TxsPerCell:     16,
-			IncludeTwoZone: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, r := range rows {
-				b.ReportMetric(r.TPS, fmt.Sprintf("n%d_p%d_z%d_tps", r.Nodes, r.Parallel, r.Zones))
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Table 1: SCF-AR operation profile.
-// ---------------------------------------------------------------------------
-
-func BenchmarkTable1_SCFAR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(float64(res.Profile[core.OpContractCall].Count), "contract_calls")
-			b.ReportMetric(float64(res.Profile[core.OpGetStorage].Count), "get_storage")
-			b.ReportMetric(float64(res.Profile[core.OpSetStorage].Count), "set_storage")
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 12: ABS optimization ablation (cumulative OPT1→OPT4).
-// ---------------------------------------------------------------------------
-
-func BenchmarkFigure12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure12(bench.Fig12Config{Txs: 24})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			names := []string{"base", "opt1", "opt2", "opt3", "opt4"}
-			for j, r := range rows {
-				b.ReportMetric(r.TPS, names[j]+"_tps")
-				b.ReportMetric(r.Speedup, names[j]+"_speedup")
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// §6.4 production metrics.
-// ---------------------------------------------------------------------------
-
-func BenchmarkProductionMetrics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m, err := bench.ProductionMetrics()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(float64(m.AvgBlockExecution.Microseconds())/1000, "block_exec_ms")
-			b.ReportMetric(float64(m.AvgEmptyBlock.Microseconds())/1000, "empty_block_ms")
-			b.ReportMetric(float64(m.AvgBlockWrite.Microseconds())/1000, "block_write_ms")
-		}
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Microbenchmarks: the substrates the experiments stand on.

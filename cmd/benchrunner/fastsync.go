@@ -95,6 +95,7 @@ func fastSyncCell(mode string, blocks, interval, retention uint64) (fastSyncRow,
 		return row, err
 	}
 	defer cluster.Close()
+	defer cluster.StartDriver(0)()
 
 	addr := chain.AddressFromBytes([]byte("fastsync-contract"))
 	owner := chain.AddressFromBytes([]byte("fastsync-owner"))
@@ -110,7 +111,8 @@ func fastSyncCell(mode string, blocks, interval, retention uint64) (fastSyncRow,
 		return row, err
 	}
 
-	// One transaction per round so the chain reaches a known height.
+	// One transaction at a time into an idle cluster, so each is cut alone
+	// and the chain reaches a known height.
 	rng := rand.New(rand.NewSource(7))
 	for i := uint64(0); i < blocks; i++ {
 		method, args := workload.ABSFlatInput(rng)
@@ -121,7 +123,7 @@ func fastSyncCell(mode string, blocks, interval, retention uint64) (fastSyncRow,
 		if err := cluster.Submit(tx); err != nil {
 			return row, err
 		}
-		if _, err := cluster.ProcessRound(10 * time.Second); err != nil {
+		if err := cluster.WaitIdle(10 * time.Second); err != nil {
 			return row, err
 		}
 	}

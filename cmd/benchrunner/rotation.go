@@ -65,6 +65,7 @@ func runRotation(txs int) (any, error) {
 		return nil, err
 	}
 	defer cluster.Close()
+	defer cluster.StartDriver(0)()
 
 	addr := chain.AddressFromBytes([]byte("rotation-contract"))
 	owner := chain.AddressFromBytes([]byte("rotation-owner"))
@@ -92,7 +93,8 @@ func runRotation(txs int) (any, error) {
 	rng := rand.New(rand.NewSource(11))
 	var submitted []*chain.Tx
 	var keys [][]byte // submitted[i]'s k_tx: its receipt opens with nothing else
-	// drive commits one transaction per synchronous round through client.
+	// drive commits n transactions through client, one at a time into an
+	// idle cluster.
 	drive := func(client *core.Client, n int) error {
 		for i := 0; i < n; i++ {
 			method, args := workload.ABSFlatInput(rng)
@@ -103,7 +105,7 @@ func runRotation(txs int) (any, error) {
 			if err := cluster.Submit(tx); err != nil {
 				return err
 			}
-			if _, err := cluster.ProcessRound(10 * time.Second); err != nil {
+			if err := cluster.WaitIdle(10 * time.Second); err != nil {
 				return err
 			}
 			submitted, keys = append(submitted, tx), append(keys, ktx)

@@ -100,6 +100,8 @@ func main() {
 	defer cluster.Close()
 	// Nodes cut their own blocks, for the workload below and gateway clients alike.
 	defer cluster.StartDriver(0)()
+	// Block timings are registry deltas from here: every node's blocks count.
+	before := metrics.Default().Snapshot()
 
 	if *gatewayAddr != "" {
 		gateways, err := serveGateways(cluster, *gatewayAddr, *gatewayRate, *drainTimeout)
@@ -167,7 +169,7 @@ func main() {
 			}
 			hashes, keys = append(hashes, tx.Hash()), append(keys, ktx)
 		}
-		if _, err := cluster.DrainAll(256, time.Minute); err != nil {
+		if err := cluster.WaitIdle(time.Minute); err != nil {
 			fatal(err)
 		}
 		if p < phases-1 {
@@ -178,16 +180,13 @@ func main() {
 			fmt.Printf("rotation: epoch %d ordered, activation at height %d\n", rot.NewEpoch, rot.ActivationHeight)
 			// Commit the governance transaction; the next phase's traffic
 			// carries the chain past the activation height.
-			if _, err := cluster.DrainAll(16, time.Minute); err != nil {
+			if err := cluster.WaitIdle(time.Minute); err != nil {
 				fatal(err)
 			}
 		}
 	}
 	elapsed := time.Since(start)
 
-	// Count commits from receipts, not from DrainAll's return: the nodes'
-	// proposers cut blocks concurrently, so transactions commit through
-	// their blocks and the synchronous loop's own tally undercounts.
 	committed, ok, failed := 0, 0, 0
 	for i, h := range hashes {
 		rpt, err := cluster.Leader().Receipt(h, keys[i])
@@ -204,9 +203,11 @@ func main() {
 		committed, elapsed.Round(time.Millisecond), float64(committed)/elapsed.Seconds(), ok, failed)
 
 	leader := cluster.Leader()
-	st := leader.Stats()
-	fmt.Printf("blocks: %d   exec time: %v   commit time: %v\n",
-		st.BlocksClosed, st.ExecTime.Round(time.Millisecond), st.CommitTime.Round(time.Millisecond))
+	after := metrics.Default().Snapshot()
+	fmt.Printf("blocks: %d per node   mean block exec: %.2f ms   mean block commit: %.3f ms\n",
+		(after.CounterSum("confide_node_blocks_committed_total")-before.CounterSum("confide_node_blocks_committed_total"))/uint64(*nodes),
+		1e3*after.MeanSince(before, "confide_node_block_execute_seconds"),
+		1e3*after.MeanSince(before, "confide_node_block_commit_seconds"))
 	if *ckptInterval > 0 {
 		fmt.Printf("checkpoints: every %d blocks, retained payload floor at height %d\n",
 			*ckptInterval, leader.PrunedTo())
@@ -339,7 +340,7 @@ func deploySCF(cluster *node.Cluster, client *core.Client) (chain.Address, error
 		if err := cluster.Leader().SubmitTx(tx); err != nil {
 			return gateway, err
 		}
-		if _, err := cluster.DrainAll(8, 30*time.Second); err != nil {
+		if err := cluster.WaitIdle(30 * time.Second); err != nil {
 			return gateway, err
 		}
 	}

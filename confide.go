@@ -18,12 +18,13 @@
 //
 //	net, _ := confide.NewNetwork(confide.NetworkOptions{Nodes: 4})
 //	defer net.Close()
+//	defer net.StartDriver(0)() // the nodes cut their own blocks
 //	code, _ := confide.CompileContract(src, confide.VMCVM)
 //	net.DeployEverywhere(addr, owner, confide.VMCVM, code, true, 1)
 //	client, _ := confide.NewClient(net.EnvelopePublicKey())
 //	tx, ktx, _ := client.NewConfidentialTx(addr, "set", []byte("secret"))
 //	net.Submit(tx)
-//	net.ProcessRound(5 * time.Second)
+//	net.WaitIdle(5 * time.Second) // until it has committed everywhere
 //
 // See examples/ for complete programs and DESIGN.md for the architecture.
 package confide

@@ -15,6 +15,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net.Close()
+	defer net.StartDriver(0)()
 
 	const src = `
 fn invoke() {
@@ -47,8 +48,7 @@ fn invoke() {
 	if err := net.Submit(tx); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
-	if _, err := net.ProcessRound(10 * time.Second); err != nil {
+	if err := net.WaitIdle(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	sealed, found, err := net.Nodes[1].StoredReceipt(tx.Hash())

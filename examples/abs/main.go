@@ -79,6 +79,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer net.Close()
+	defer net.StartDriver(0)() // the nodes' proposer loops cut every block
 
 	depot := confide.AddressFromBytes([]byte("abs-depot"))
 	owner := confide.AddressFromBytes([]byte("abs-issuer"))
@@ -122,8 +123,7 @@ func main() {
 	if err := net.Submit(tx); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
-	if _, err := net.DrainAll(8, 10*time.Second); err != nil {
+	if err := net.WaitIdle(10 * time.Second); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("pool snapshot committed")

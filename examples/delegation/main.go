@@ -64,6 +64,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer net.Close()
+	defer net.StartDriver(0)() // the nodes' proposer loops cut every block
 
 	addr := confide.AddressFromBytes([]byte("deal-registry"))
 	ownerAddr := confide.AddressFromBytes([]byte("desk-owner"))
@@ -87,8 +88,7 @@ func main() {
 		if err := net.Submit(tx); err != nil {
 			log.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
-		if _, err := net.DrainAll(8, 10*time.Second); err != nil {
+		if err := net.WaitIdle(10 * time.Second); err != nil {
 			log.Fatal(err)
 		}
 		return tx

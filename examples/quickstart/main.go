@@ -52,6 +52,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer net.Close()
+	defer net.StartDriver(0)() // the nodes' proposer loops cut every block
 	fmt.Println("4-node network up; engine secrets agreed via decentralized MAP")
 
 	// 2. Compile and deploy the contract confidentially: its code is
@@ -80,8 +81,7 @@ func main() {
 	if err := net.Submit(tx); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond) // let gossip fan out
-	if _, err := net.ProcessRound(10 * time.Second); err != nil {
+	if err := net.WaitIdle(10 * time.Second); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("confidential transaction committed by consensus")

@@ -116,6 +116,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer net.Close()
+	defer net.StartDriver(0)() // the nodes' proposer loops cut every block
 
 	ledger := confide.AddressFromBytes([]byte("ar-ledger"))
 	owner := confide.AddressFromBytes([]byte("core-enterprise"))
@@ -145,8 +146,7 @@ func main() {
 		return tx.Hash(), ktx
 	}
 	drain := func() {
-		time.Sleep(5 * time.Millisecond)
-		if _, err := net.DrainAll(16, 10*time.Second); err != nil {
+		if err := net.WaitIdle(10 * time.Second); err != nil {
 			log.Fatal(err)
 		}
 	}

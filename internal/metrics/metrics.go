@@ -324,6 +324,16 @@ func (s Snapshot) HistogramCount(name string) uint64 {
 	return total
 }
 
+// MeanSince is the mean of the observations histogram series name took
+// between the earlier snapshot before and s (0 when it took none).
+func (s Snapshot) MeanSince(before Snapshot, name string) float64 {
+	h, b := s.Histograms[name], before.Histograms[name]
+	if h.Count == b.Count {
+		return 0
+	}
+	return (h.Sum - b.Sum) / float64(h.Count-b.Count)
+}
+
 // seriesFamily strips the label block from a series name.
 func seriesFamily(series string) string {
 	if i := strings.IndexByte(series, '{'); i >= 0 {

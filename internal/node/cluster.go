@@ -464,8 +464,9 @@ func (c *Cluster) Submit(tx *chain.Tx) error {
 // ProcessRound drives one synchronous round by the proposer loop's rule: the
 // leader pre-verifies its backlog and proposes one block, and the call
 // returns once every node has committed it. Returns the number of
-// transactions in the block — exactly what was pooled when no proposer runs,
-// which makes this the reference the tests and experiments compare against.
+// transactions in the block: exactly what was pooled when no proposer runs.
+// It is the exact-block primitive for tests and the benchmark's replay;
+// everything else makes blocks with StartDriver and waits with WaitIdle.
 func (c *Cluster) ProcessRound(timeout time.Duration) (int, error) {
 	leader := c.Leader()
 	leader.PreVerifyPending()
@@ -483,11 +484,12 @@ func (c *Cluster) ProcessRound(timeout time.Duration) (int, error) {
 }
 
 // StartDriver starts every node's proposer (Node.StartProposer): from here
-// the cluster produces blocks by itself, as an over-the-wire workload needs,
-// and a node replaced by RestartNode or ReviveNode gets its proposer too. stop
-// halts every proposer and waits. Both belong, like RestartNode, to the
-// goroutine that owns the cluster. The duration is ignored; the parameter
-// stays only because the benchmark harness calls StartDriver(0).
+// the cluster produces blocks by itself (WaitIdle waits until it has drained
+// everything submitted), and a node replaced by RestartNode or ReviveNode
+// gets its proposer too. stop halts every proposer and waits. Both belong,
+// like RestartNode, to the goroutine that owns the cluster. The duration is
+// ignored; the parameter stays only because the benchmark harness calls
+// StartDriver(0).
 func (c *Cluster) StartDriver(time.Duration) (stop func()) {
 	c.proposers = make([]func(), len(c.Nodes))
 	for i, n := range c.Nodes {
@@ -501,36 +503,39 @@ func (c *Cluster) StartDriver(time.Duration) (stop func()) {
 	}
 }
 
-// DrainAll processes rounds until no node has a transaction left anywhere
-// between submission and application, or maxRounds is hit.
-func (c *Cluster) DrainAll(maxRounds int, timeout time.Duration) (int, error) {
-	total := 0
-	for r := 0; r < maxRounds; r++ {
-		n, err := c.ProcessRound(timeout)
-		if err != nil {
-			return total, err
+// WaitIdle returns once the cluster has nothing left to do: every node's
+// Backlog is 0 and every node stands at the same height, so each submitted
+// transaction has committed everywhere. It re-reads the nodes every half
+// millisecond until then or until timeout. Something must be producing blocks
+// meanwhile (StartDriver); with nothing running, a pooled transaction never
+// drains and WaitIdle returns an error at the timeout. So does a transaction
+// that fails pre-verification while followers hold gossiped copies: only a
+// leader pre-verifies and drops it, and a follower's copy keeps the cluster
+// from going idle.
+func (c *Cluster) WaitIdle(timeout time.Duration) error {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	poll := time.NewTicker(500 * time.Microsecond)
+	defer poll.Stop()
+	for {
+		backlog, heights, idle := make([]int, len(c.Nodes)), make([]uint64, len(c.Nodes)), true
+		for i, n := range c.Nodes {
+			backlog[i], heights[i] = n.Backlog(), n.Height()
+			idle = idle && backlog[i] == 0 && heights[i] == heights[0]
 		}
-		total += n
-		if n == 0 && c.pending() == 0 {
-			return total, nil
+		if idle {
+			return nil
+		}
+		select {
+		case <-deadline.C:
+			hint := ""
+			if c.proposers == nil {
+				hint = "; no driver is running (StartDriver)"
+			}
+			return fmt.Errorf("node: cluster not idle after %v: backlog %v, heights %v%s", timeout, backlog, heights, hint)
+		case <-poll.C:
 		}
 	}
-	if c.pending() > 0 {
-		return total, fmt.Errorf("node: %d transactions still pending after %d rounds", c.pending(), maxRounds)
-	}
-	return total, nil
-}
-
-// pending counts uncommitted transactions cluster-wide by Node.Backlog, the
-// figure admission control trusts: the pools alone read zero while a
-// background driver's proposals are in flight or delivered blocks wait on an
-// executor queue.
-func (c *Cluster) pending() int {
-	total := 0
-	for _, n := range c.Nodes {
-		total += n.Backlog()
-	}
-	return total
 }
 
 // Net exposes the simulated network for fault injection (partitions, drop

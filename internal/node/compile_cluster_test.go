@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"math/rand"
 	"testing"
-	"time"
 
 	"confide/internal/chain"
 	"confide/internal/core"
@@ -65,10 +64,7 @@ func TestMixedCompiledInterpretedCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(10 * time.Millisecond)
-	if _, err := c.DrainAll(32, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, c)
 
 	// Receipts byte-identical (status + output) on compiled and
 	// interpreted replicas alike.

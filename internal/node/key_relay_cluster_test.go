@@ -444,9 +444,7 @@ func TestLatePreVerifyLeavesNoKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.DrainAll(10, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, c)
 	// The in-transit copy: back in the un-verified pool after the commit.
 	for _, tx := range txs {
 		if err := n.unverified.Add(tx); err != nil {

@@ -1,11 +1,6 @@
 package node
 
-import (
-	"encoding/binary"
-
-	"confide/internal/chain"
-	"confide/internal/metrics"
-)
+import "confide/internal/metrics"
 
 // Pipeline instrumentation. The stage tracer follows each transaction
 // through the Figure 7 pipeline on this node:
@@ -19,10 +14,11 @@ import (
 // that never pre-verified a gossiped transaction skip straight to "order" —
 // the tracer allows forward skips by design.
 //
-// Every node in an in-process cluster executes every transaction, so tracer
-// keys are node-scoped (node id + tx hash). Per-node Tracer instances all
-// bind to the same underlying registry histograms; the per-stage series
-// aggregate across nodes exactly like the other process-wide counters.
+// Every node in an in-process cluster traces every transaction, each in its
+// own Tracer (newPipelineTracer), so a span is keyed by the transaction hash
+// alone. The per-node Tracers all bind to the same registry histograms; the
+// per-stage series aggregate across nodes exactly like the other
+// process-wide counters.
 var (
 	pipelineStages = []string{"preverify", "order", "execute", "commit"}
 
@@ -101,13 +97,4 @@ var (
 // instruments.
 func newPipelineTracer() *metrics.Tracer {
 	return metrics.NewTracer(metrics.Default(), "confide_pipeline", pipelineStages...)
-}
-
-// traceKey scopes a transaction hash to this node, since every node in an
-// in-process cluster traces the same transactions.
-func (n *Node) traceKey(h chain.Hash) string {
-	var key [36]byte
-	binary.LittleEndian.PutUint32(key[:4], uint32(n.endpoint.ID()))
-	copy(key[4:], h[:])
-	return string(key[:])
 }

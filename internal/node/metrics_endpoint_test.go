@@ -111,10 +111,7 @@ func TestMetricsEndpointDuringClusterRun(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		time.Sleep(5 * time.Millisecond)
-		if _, err := c.DrainAll(8, 10*time.Second); err != nil {
-			t.Fatal(err)
-		}
+		drain(t, c)
 	}
 
 	commitBatch(3)

@@ -6,7 +6,8 @@
 // A node cuts its own blocks once StartProposer runs: a leader pre-verifies
 // its pool and proposes a full block at once and a partial one when its
 // ordering window is empty, a follower verifies nothing.
-// Cluster.ProcessRound drives the same two steps synchronously (the reference).
+// Cluster.ProcessRound drives the same two steps synchronously: the
+// exact-block primitive for tests and the benchmark's replay.
 //
 // Every block a node applies arrives the same way: consensus delivers it, the
 // executor applies it. A node that fell behind is caught up by its replica's
@@ -122,6 +123,11 @@ type Node struct {
 
 	unverified *chain.TxPool
 	verified   *chain.TxPool
+	// verifying and cutting count the transactions a leader holds after
+	// taking them from a pool (take): a pre-verification batch, a block
+	// being cut.
+	verifying atomic.Int64
+	cutting   atomic.Int64
 
 	// applyMu serializes block application (the executor) against a snapshot
 	// install.
@@ -181,11 +187,6 @@ type Node struct {
 	badPeers  map[p2p.NodeID]int // bad-chunk / bad-manifest score per peer
 
 	tracer *metrics.Tracer
-
-	txsExecuted  atomic.Uint64
-	blocksClosed atomic.Uint64
-	execTimeNs   atomic.Int64
-	commitTimeNs atomic.Int64
 }
 
 const gossipTopic = "confide/tx"
@@ -398,28 +399,42 @@ func (n *Node) admit(tx *chain.Tx, encoded []byte) error {
 			return err
 		}
 	}
-	if err := n.uncommitted(tx.Hash()); err != nil {
+	h := tx.Hash()
+	if err := n.uncommitted(h); err != nil {
 		return err
 	}
 	if err := n.unverified.Add(tx); err != nil {
 		return err
 	}
-	n.tracer.Begin(n.traceKey(tx.Hash()))
+	n.tracer.Begin(string(h[:]))
 	n.kick()
 	return nil
 }
 
 // Backlog reports this node's total uncommitted submission backlog: both
-// transaction pools, the transactions riding in-flight proposals (counted
-// exactly from the block scheduler's predicted chain, not estimated as
-// instances × BlockMaxTxs as before — partially-full blocks no longer
-// overcount), and the transactions sitting in delivered-but-unexecuted
-// blocks on the executor queue. The in-flight terms matter on the leader,
-// whose verified pool is drained into proposals the moment they are cut —
-// pool depth alone would tell its gateway the node is idle exactly when
-// the ordering pipeline is fullest. Admission control gates on this.
+// transaction pools, the transactions a leader holds after each (take), the
+// transactions riding in-flight proposals (counted exactly from the block
+// scheduler's predicted chain) and those in delivered-but-unexecuted blocks
+// on the executor queue. The terms are read in the order a transaction moves
+// through them, so one moving meanwhile is still counted. The held and
+// in-flight terms matter on the leader, whose pools drain the moment it
+// pre-verifies and cuts — pool depth alone would tell its gateway the node is
+// idle exactly when the pipeline is fullest. Admission control and
+// Cluster.WaitIdle gate on this.
 func (n *Node) Backlog() int {
-	return n.unverified.Len() + n.verified.Len() + n.sched.InFlightTxs() + n.executor.QueuedTxs()
+	return n.unverified.Len() + int(n.verifying.Load()) + n.verified.Len() + int(n.cutting.Load()) +
+		n.sched.InFlightTxs() + n.executor.QueuedTxs()
+}
+
+// take pops up to max transactions from pool into held, the count Backlog
+// reads right after pool: held grows before the pool shrinks, so a
+// transaction is never outside both. The caller subtracts len(txs) from held
+// once it has placed them.
+func take(pool *chain.TxPool, held *atomic.Int64, max int) []*chain.Tx {
+	held.Add(int64(max))
+	txs := pool.PopBatch(max)
+	held.Add(int64(len(txs) - max))
+	return txs
 }
 
 // OnCommit registers a receipt-notification hook invoked after every block
@@ -480,7 +495,8 @@ func (n *Node) promoteVerified(tx *chain.Tx) error {
 // relay, so their own ECDH open and ECDSA check per transaction would only
 // warm a pool for after a view change — whose winner verifies it cold then.
 func (n *Node) PreVerifyPending() int {
-	batch := n.unverified.PopBatch(n.cfg.BlockMaxTxs * 2)
+	batch := take(n.unverified, &n.verifying, n.cfg.BlockMaxTxs*2)
+	defer n.verifying.Add(-int64(len(batch)))
 	if len(batch) == 0 {
 		return 0
 	}
@@ -489,7 +505,8 @@ func (n *Node) PreVerifyPending() int {
 	promote := func(tx *chain.Tx) error {
 		err := n.promoteVerified(tx)
 		if err == nil {
-			n.tracer.Mark(n.traceKey(tx.Hash()), "preverify")
+			h := tx.Hash()
+			n.tracer.Mark(string(h[:]), "preverify")
 			moved++
 		}
 		return err
@@ -552,7 +569,8 @@ func (n *Node) ProposeBlock() (int, error) {
 	if len(aborted) > 0 {
 		n.repoolUncommitted(aborted)
 	}
-	txs := n.verified.PopBatch(n.cfg.BlockMaxTxs)
+	txs := take(n.verified, &n.cutting, n.cfg.BlockMaxTxs)
+	defer n.cutting.Add(-int64(len(txs)))
 	block := &chain.Block{
 		Header: chain.Header{
 			Height:    height,
@@ -759,8 +777,10 @@ func (n *Node) applyDecoded(seq uint64, block *chain.Block, payload []byte) bool
 
 	// Ordering is complete for every transaction in the block: consensus has
 	// committed it at this height.
-	for _, tx := range block.Txs {
-		n.tracer.Mark(n.traceKey(tx.Hash()), "order")
+	hashes := make([]chain.Hash, len(block.Txs))
+	for i, tx := range block.Txs {
+		hashes[i] = tx.Hash()
+		n.tracer.Mark(string(hashes[i][:]), "order")
 	}
 
 	// A scheduled rotation whose activation height this block reaches takes
@@ -775,11 +795,9 @@ func (n *Node) applyDecoded(seq uint64, block *chain.Block, payload []byte) bool
 		n.finishEpochTransitions(false, activated)
 		return false
 	}
-	execElapsed := time.Since(start)
-	n.execTimeNs.Add(int64(execElapsed))
-	mBlockExecSeconds.ObserveDuration(execElapsed)
-	for _, tx := range block.Txs {
-		n.tracer.Mark(n.traceKey(tx.Hash()), "execute")
+	mBlockExecSeconds.ObserveSince(start)
+	for _, h := range hashes {
+		n.tracer.Mark(string(h[:]), "execute")
 	}
 
 	commitStart := time.Now()
@@ -807,9 +825,7 @@ func (n *Node) applyDecoded(seq uint64, block *chain.Block, payload []byte) bool
 		return false
 	}
 	n.finishEpochTransitions(true, activated)
-	commitElapsed := time.Since(commitStart)
-	n.commitTimeNs.Add(int64(commitElapsed))
-	mBlockCommitSeconds.ObserveDuration(commitElapsed)
+	mBlockCommitSeconds.ObserveSince(commitStart)
 
 	n.setTip(block.Header.Height+1, block.Hash())
 	// The committed tip advanced: consume the predicted chain's head if
@@ -823,22 +839,15 @@ func (n *Node) applyDecoded(seq uint64, block *chain.Block, payload []byte) bool
 	// Committed transactions leave this node's pools (followers hold their
 	// own gossiped copies), and their pre-verification metadata leaves the
 	// enclave.
-	hashes := make([]chain.Hash, 0, len(block.Txs))
-	for _, tx := range block.Txs {
-		h := tx.Hash()
-		hashes = append(hashes, h)
+	for _, h := range hashes {
 		n.unverified.Remove(h)
 		n.verified.Remove(h)
-	}
-	for _, h := range hashes {
-		key := n.traceKey(h)
+		key := string(h[:])
 		n.tracer.Mark(key, "commit")
 		n.tracer.End(key)
 	}
 	n.confEngine.DropPreVerified(hashes)
 	n.pubEngine.DropPreVerified(hashes)
-	n.txsExecuted.Add(uint64(len(block.Txs)))
-	n.blocksClosed.Add(1)
 	mBlocks.Inc()
 	mTxsCommitted.Add(uint64(len(block.Txs)))
 	// Receipt notification: serving layers (gateway long-polls) learn what
@@ -1055,24 +1064,6 @@ func (n *Node) WaitHeight(h uint64, timeout time.Duration) error {
 		case <-timer.C:
 			return fmt.Errorf("node %d: timeout waiting for height %d (at %d)", n.ID(), h, n.Height())
 		}
-	}
-}
-
-// Stats summarizes a node's execution counters.
-type Stats struct {
-	TxsExecuted  uint64
-	BlocksClosed uint64
-	ExecTime     time.Duration
-	CommitTime   time.Duration
-}
-
-// Stats returns execution counters.
-func (n *Node) Stats() Stats {
-	return Stats{
-		TxsExecuted:  n.txsExecuted.Load(),
-		BlocksClosed: n.blocksClosed.Load(),
-		ExecTime:     time.Duration(n.execTimeNs.Load()),
-		CommitTime:   time.Duration(n.commitTimeNs.Load()),
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"confide/internal/ccl"
 	"confide/internal/chain"
 	"confide/internal/core"
+	"confide/internal/metrics"
 	"confide/internal/p2p"
 )
 
@@ -90,6 +91,18 @@ func acct(name string) []byte {
 	b := make([]byte, 8)
 	copy(b, name)
 	return b
+}
+
+// drain runs the proposer loops until the cluster is idle and stops them
+// again: everything pooled before the call commits, a block's worth or less
+// in one block, and the pools stay still afterwards.
+func drain(t testing.TB, c *Cluster) {
+	t.Helper()
+	stop := c.StartDriver(0)
+	defer stop()
+	if err := c.WaitIdle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func newTestCluster(t testing.TB, opts ClusterOptions) *Cluster {
@@ -212,10 +225,7 @@ func TestClusterStateIdenticalAcrossNodes(t *testing.T) {
 		tx, _, _ := client.NewConfidentialTx(ledgerAddr, "credit", acct(fmt.Sprintf("a%d", i%3)), []byte{byte(i + 1)})
 		c.Submit(tx)
 	}
-	time.Sleep(10 * time.Millisecond)
-	if _, err := c.DrainAll(10, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, c)
 	// Compare committed state across nodes key by key (ciphertexts differ
 	// because GCM nonces are random, so compare through a read tx instead).
 	for _, a := range []string{"a0", "a1", "a2"} {
@@ -254,10 +264,7 @@ func TestConflictingTxsSerializeCorrectly(t *testing.T) {
 				tx, _, _ := client.NewConfidentialTx(ledgerAddr, "move", acct("src"), acct("dst"))
 				c.Submit(tx)
 			}
-			time.Sleep(10 * time.Millisecond)
-			if _, err := c.DrainAll(10, 5*time.Second); err != nil {
-				t.Fatal(err)
-			}
+			drain(t, c)
 
 			readSrc, _, _ := client.NewConfidentialTx(ledgerAddr, "read", acct("src"))
 			res, err := c.Nodes[0].ConfidentialEngine().Execute(readSrc)
@@ -289,10 +296,7 @@ func TestMixedPublicAndConfidentialBlock(t *testing.T) {
 	ptx, _ := pubClient.NewPublicTx(pubAddr, "credit", acct("p"), []byte{7})
 	c.Submit(ctx)
 	c.Submit(ptx)
-	time.Sleep(10 * time.Millisecond)
-	if _, err := c.DrainAll(5, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, c)
 	if !receiptOK(c.Nodes[1], ctx) || !receiptOK(c.Nodes[1], ptx) {
 		t.Fatal("mixed block execution failed")
 	}
@@ -405,20 +409,38 @@ func TestCentralKMSCluster(t *testing.T) {
 	}
 }
 
+// TestNodeStats: one exact block carrying one transaction shows in the
+// registry as one transaction and one block committed per node, with the
+// block's execution time observed.
 func TestNodeStats(t *testing.T) {
 	c := newTestCluster(t, ClusterOptions{Nodes: 4})
 	client := newClusterClient(t, c)
 	tx, _, _ := client.NewConfidentialTx(ledgerAddr, "credit", acct("s"), []byte{2})
+	before := metrics.Default().Snapshot()
 	c.Submit(tx)
 	time.Sleep(5 * time.Millisecond)
-	if _, err := c.ProcessRound(5 * time.Second); err != nil {
-		t.Fatal(err)
+	if n, err := c.ProcessRound(5 * time.Second); err != nil || n != 1 {
+		t.Fatalf("round: %d txs, %v", n, err)
 	}
-	st := c.Nodes[0].Stats()
-	if st.TxsExecuted != 1 || st.BlocksClosed != 1 {
-		t.Errorf("stats = %+v", st)
+	after := metrics.Default().Snapshot()
+	// The registry sums the nodes; every node at height 1 makes the sums one
+	// block and one transaction each.
+	for _, n := range c.Nodes {
+		if n.Height() != 1 {
+			t.Errorf("node %d at height %d, want 1", n.ID(), n.Height())
+		}
 	}
-	if st.ExecTime == 0 {
+	nodes := uint64(len(c.Nodes))
+	delta := func(counter string) uint64 { return after.Counters[counter] - before.Counters[counter] }
+	if txs, blocks := delta("confide_node_txs_committed_total"), delta("confide_node_blocks_committed_total"); txs != nodes || blocks != nodes {
+		t.Errorf("committed %d txs in %d blocks across %d nodes, want one of each per node", txs, blocks, nodes)
+	}
+	exec := after.Histograms["confide_node_block_execute_seconds"]
+	execBefore := before.Histograms["confide_node_block_execute_seconds"]
+	if n := exec.Count - execBefore.Count; n != nodes {
+		t.Errorf("%d block executions observed, want %d", n, nodes)
+	}
+	if exec.Sum-execBefore.Sum <= 0 {
 		t.Error("exec time not recorded")
 	}
 }

@@ -3,7 +3,6 @@ package node
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"confide/internal/chain"
 	"confide/internal/core"
@@ -26,10 +25,7 @@ func spvCluster(t *testing.T) (*Cluster, []chain.Hash) {
 		}
 		hashes = append(hashes, tx.Hash())
 	}
-	time.Sleep(10 * time.Millisecond)
-	if _, err := c.DrainAll(10, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, c)
 	return c, hashes
 }
 
@@ -196,10 +192,7 @@ func TestStoredReceiptWrongKeyFails(t *testing.T) {
 	client := newClusterClient(t, c)
 	tx, _, _ := client.NewConfidentialTx(ledgerAddr, "credit", acct("w"), []byte{9})
 	c.Submit(tx)
-	time.Sleep(5 * time.Millisecond)
-	if _, err := c.DrainAll(5, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, c)
 	sealed, found, err := c.Nodes[0].StoredReceipt(tx.Hash())
 	if err != nil || !found {
 		t.Fatal("receipt missing")

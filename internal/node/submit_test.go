@@ -53,9 +53,7 @@ func TestSubmitTxSizeBound(t *testing.T) {
 	if err := n.SubmitTx(small); err != nil {
 		t.Fatalf("in-bound SubmitTx: %v", err)
 	}
-	if _, err := c.DrainAll(10, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, c)
 	if err := n.SubmitTx(small); !errors.Is(err, ErrAlreadyCommitted) {
 		t.Fatalf("re-submit after commit: %v, want ErrAlreadyCommitted", err)
 	}
@@ -84,9 +82,7 @@ func TestOnCommit(t *testing.T) {
 	if err := n.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.DrainAll(10, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, c)
 	mu.Lock()
 	found := false
 	for _, h := range seen {
@@ -108,9 +104,7 @@ func TestOnCommit(t *testing.T) {
 	if err := n.SubmitTx(tx2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.DrainAll(10, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, c)
 	mu.Lock()
 	after := len(seen)
 	mu.Unlock()
