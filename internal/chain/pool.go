@@ -9,10 +9,16 @@ import (
 // pre-verification pipeline (Figure 7) uses two of them: transactions arrive
 // in the un-verified pool, and pre-verification moves valid ones into the
 // verified pool that consensus drains.
+//
+// Every operation is O(1), amortized. Remove leaves a hole (nil) in the queue
+// rather than shifting its tail; pops skip holes, and the queue is compacted
+// once holes and popped slots make up half of it.
 type TxPool struct {
 	mu    sync.Mutex
-	queue []*Tx
-	seen  map[Hash]struct{}
+	queue []*Tx        // arrival order from head on; nil = removed
+	head  int          // queue[:head] is popped
+	holes int          // removed entries in queue[head:]
+	index map[Hash]int // pooled transaction → its slot in queue
 	cap   int
 }
 
@@ -24,7 +30,7 @@ var ErrDuplicateTx = errors.New("chain: duplicate transaction")
 
 // NewTxPool creates a pool bounded at capacity transactions.
 func NewTxPool(capacity int) *TxPool {
-	return &TxPool{seen: make(map[Hash]struct{}), cap: capacity}
+	return &TxPool{index: make(map[Hash]int), cap: capacity}
 }
 
 // Add enqueues tx, rejecting duplicates and overflow.
@@ -32,13 +38,13 @@ func (p *TxPool) Add(tx *Tx) error {
 	h := tx.Hash()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.queue) >= p.cap {
+	if len(p.index) >= p.cap {
 		return ErrPoolFull
 	}
-	if _, dup := p.seen[h]; dup {
+	if _, dup := p.index[h]; dup {
 		return ErrDuplicateTx
 	}
-	p.seen[h] = struct{}{}
+	p.index[h] = len(p.queue)
 	p.queue = append(p.queue, tx)
 	return nil
 }
@@ -47,15 +53,23 @@ func (p *TxPool) Add(tx *Tx) error {
 func (p *TxPool) PopBatch(max int) []*Tx {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := max
-	if n > len(p.queue) {
-		n = len(p.queue)
+	n := min(max, len(p.index))
+	if n <= 0 {
+		return nil
 	}
-	batch := p.queue[:n]
-	p.queue = append([]*Tx(nil), p.queue[n:]...)
-	for _, tx := range batch {
-		delete(p.seen, tx.Hash())
+	batch := make([]*Tx, 0, n)
+	for len(batch) < n {
+		tx := p.queue[p.head]
+		p.queue[p.head] = nil
+		p.head++
+		if tx == nil {
+			p.holes--
+			continue
+		}
+		delete(p.index, tx.Hash())
+		batch = append(batch, tx)
 	}
+	p.tidy()
 	return batch
 }
 
@@ -65,22 +79,42 @@ func (p *TxPool) PopBatch(max int) []*Tx {
 func (p *TxPool) Remove(h Hash) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.seen[h]; !ok {
+	i, ok := p.index[h]
+	if !ok {
 		return false
 	}
-	delete(p.seen, h)
-	for i, tx := range p.queue {
-		if tx.Hash() == h {
-			p.queue = append(p.queue[:i], p.queue[i+1:]...)
-			return true
+	delete(p.index, h)
+	p.queue[i] = nil
+	p.holes++
+	p.tidy()
+	return true
+}
+
+// tidy steps the head over leading holes, and compacts the queue once dead
+// slots (popped or removed) are at least half of it, so each slot is moved
+// at most once per slot that died. The caller holds p.mu.
+func (p *TxPool) tidy() {
+	for p.head < len(p.queue) && p.queue[p.head] == nil {
+		p.head++
+		p.holes--
+	}
+	if len(p.index) > 0 && (p.head+p.holes)*2 < len(p.queue) {
+		return
+	}
+	live := p.queue[:0]
+	for _, tx := range p.queue[p.head:] {
+		if tx != nil {
+			p.index[tx.Hash()] = len(live)
+			live = append(live, tx)
 		}
 	}
-	return false
+	clear(p.queue[len(live):])
+	p.queue, p.head, p.holes = live, 0, 0
 }
 
 // Len reports the number of pooled transactions.
 func (p *TxPool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.queue)
+	return len(p.index)
 }

@@ -3,6 +3,7 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -78,5 +79,71 @@ func TestTxPoolConcurrent(t *testing.T) {
 	}
 	if total != 800 {
 		t.Errorf("drained %d, want 800", total)
+	}
+}
+
+// TestTxPoolMatchesReference drives random Add/Remove/PopBatch sequences
+// against a plain slice that keeps arrival order, and checks every result.
+func TestTxPoolMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const capacity, distinct = 48, 96
+		p := NewTxPool(capacity)
+		var ref []*Tx
+		txs := make([]*Tx, distinct)
+		for i := range txs {
+			txs[i] = poolTx(i)
+		}
+		find := func(tx *Tx) int {
+			for i, r := range ref {
+				if r == tx {
+					return i
+				}
+			}
+			return -1
+		}
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5:
+				tx := txs[rng.Intn(distinct)]
+				var want error
+				switch {
+				case len(ref) >= capacity:
+					want = ErrPoolFull
+				case find(tx) >= 0:
+					want = ErrDuplicateTx
+				default:
+					ref = append(ref, tx)
+				}
+				if err := p.Add(tx); err != want {
+					t.Fatalf("seed %d step %d: Add = %v, want %v", seed, step, err, want)
+				}
+			case op < 8:
+				tx := txs[rng.Intn(distinct)]
+				i := find(tx)
+				if i >= 0 {
+					ref = append(ref[:i], ref[i+1:]...)
+				}
+				if got := p.Remove(tx.Hash()); got != (i >= 0) {
+					t.Fatalf("seed %d step %d: Remove = %v, want %v", seed, step, got, i >= 0)
+				}
+			default:
+				n := rng.Intn(capacity/2) - 2 // a few non-positive sizes too
+				want := ref[:min(max(n, 0), len(ref))]
+				got := p.PopBatch(n)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d step %d: PopBatch(%d) = %d txs, want %d", seed, step, n, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d step %d: PopBatch(%d)[%d] = %s, want %s", seed, step, n, i, got[i].Payload, want[i].Payload)
+					}
+				}
+				ref = append([]*Tx(nil), ref[len(want):]...)
+			}
+			if p.Len() != len(ref) {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, p.Len(), len(ref))
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"confide/internal/chain"
+	"confide/internal/core"
 	"confide/internal/metrics"
 	"confide/internal/storage"
 )
@@ -54,7 +55,7 @@ func TestSnapshotJoinedNodeRefusesCommittedTx(t *testing.T) {
 	if err := joined.admit(nil, old.Encode()); err != ErrAlreadyCommitted {
 		t.Errorf("re-gossip to the joined node: err = %v, want ErrAlreadyCommitted", err)
 	}
-	if err := joined.promoteVerified(old); err != ErrAlreadyCommitted {
+	if err := joined.promoteVerified([]*chain.Tx{old})[0]; err != ErrAlreadyCommitted {
 		t.Errorf("late promotion on the joined node: err = %v, want ErrAlreadyCommitted", err)
 	}
 	if u, v := joined.UnverifiedPoolLen(), joined.VerifiedPoolLen(); u+v != 0 {
@@ -193,5 +194,46 @@ func TestKillWaitsForEveryGoroutine(t *testing.T) {
 	c.Close()
 	if after, stacks := goroutinesInside(); after > before {
 		t.Fatalf("%d goroutines inside the module before NewCluster, %d after Close:\n%s", before, after, stacks)
+	}
+}
+
+// staleReceiptStore answers the first read of one receipt key "not found",
+// as a read that ran just before its block's batch landed would, and calls
+// landed right after it.
+type staleReceiptStore struct {
+	storage.KVStore
+	key    []byte
+	landed func()
+}
+
+func (s *staleReceiptStore) Get(key []byte) ([]byte, bool, error) {
+	if s.landed != nil && bytes.Equal(key, s.key) {
+		landed := s.landed
+		s.landed = nil
+		landed()
+		return nil, false, nil
+	}
+	return s.KVStore.Get(key)
+}
+
+// TestPromotionRechecksWhenTheTipMoves: promoteVerified reads the receipt
+// without the state lock, so a block can commit between that read and the
+// pool insert. The tip moving in between makes it read again, and the
+// committed transaction stays out of the verified pool.
+func TestPromotionRechecksWhenTheTipMoves(t *testing.T) {
+	c := newTestCluster(t, ClusterOptions{Nodes: 4})
+	tx := driveBlocks(t, c, 1, "recheck")[0]
+	n := c.Leader()
+	height := n.Height()
+	// The cluster is idle: nothing else reads the field, and the tip moves
+	// as applyDecoded moves it, after the receipt is in the store.
+	n.store = &staleReceiptStore{KVStore: n.store, key: core.ReceiptKey(tx.Hash()), landed: func() {
+		n.setTip(height+1, chain.Hash{1})
+	}}
+	if err := n.promoteVerified([]*chain.Tx{tx})[0]; err != ErrAlreadyCommitted {
+		t.Errorf("promotion across a tip move: err = %v, want ErrAlreadyCommitted", err)
+	}
+	if v := n.VerifiedPoolLen(); v != 0 {
+		t.Errorf("the verified pool holds %d committed transactions", v)
 	}
 }

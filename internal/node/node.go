@@ -470,22 +470,66 @@ func (n *Node) repoolUncommitted(txs []*chain.Tx) {
 	n.kick()
 }
 
-// promoteVerified moves a pre-verified transaction into the verified pool
-// unless it already committed (ErrAlreadyCommitted) or the pool refuses it.
-// The check and the Add hold the state lock, making them atomic against
-// applyDecoded, which takes the same lock between writing the block's receipts
-// and sweeping the pools — whichever side runs second sees the other's
-// effect. Without this, a transaction in transit through pre-verification
-// while its block commits would be re-added after the sweep and sit in a
-// follower's verified pool forever (followers never propose, so nothing else
-// clears it).
-func (n *Node) promoteVerified(tx *chain.Tx) error {
+// promoteVerified moves pre-verified transactions into the verified pool, in
+// order, and returns each one's outcome: nil once pooled, ErrAlreadyCommitted,
+// or the pool's refusal. The committed checks are store reads, made side by
+// side (commitLookups) and without the state lock; the Adds take the lock,
+// and check again only if the tip moved since the reads. That is atomic
+// against applyDecoded, which writes a block's receipts before setTip takes
+// the lock and sweeps the pools after: a commit the reads may have missed
+// either moved the tip first, and the second check sees its receipt, or
+// sweeps the pools after the Adds. Without this, a transaction in transit
+// through pre-verification while its block commits would be re-added after
+// the sweep and sit in a follower's verified pool forever (followers never
+// propose, so nothing else clears it).
+func (n *Node) promoteVerified(txs []*chain.Tx) []error {
+	n.mu.Lock()
+	height := n.height
+	n.mu.Unlock()
+	errs := n.commitLookups(txs)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if err := n.uncommitted(tx.Hash()); err != nil {
-		return err
+	tipMoved := n.height != height
+	for i, tx := range txs {
+		if errs[i] == nil && tipMoved {
+			errs[i] = n.uncommitted(tx.Hash())
+		}
+		if errs[i] == nil {
+			errs[i] = n.verified.Add(tx)
+		}
 	}
-	return n.verified.Add(tx)
+	return errs
+}
+
+// lookupHelpers bounds the goroutines that join a promotion's committed
+// lookups: a store with per-read latency (Figure 11's models a cloud KV
+// store's 2 ms) would otherwise hold a pre-verified batch for a read per
+// transaction in a row.
+const lookupHelpers = 15
+
+// commitLookups runs uncommitted for each transaction and returns the results
+// in order. The caller works through the list itself, and up to lookupHelpers
+// goroutines take items from the same counter, so a slow store's reads
+// overlap. The caller waits only for items taken: on a fast store it finishes
+// the list alone, and a helper that starts after that finds nothing to do,
+// instead of the batch waiting behind a busy run queue for helpers to start.
+func (n *Node) commitLookups(txs []*chain.Tx) []error {
+	errs := make([]error, len(txs))
+	var next atomic.Int64
+	var taken sync.WaitGroup
+	taken.Add(len(txs))
+	lookup := func() {
+		for i := int(next.Add(1)) - 1; i < len(txs); i = int(next.Add(1)) - 1 {
+			errs[i] = n.uncommitted(txs[i].Hash())
+			taken.Done()
+		}
+	}
+	for range min(len(txs)-1, lookupHelpers) {
+		go lookup()
+	}
+	lookup()
+	taken.Wait()
+	return errs
 }
 
 // PreVerifyPending moves valid transactions from the un-verified to the
@@ -500,43 +544,38 @@ func (n *Node) PreVerifyPending() int {
 	if len(batch) == 0 {
 		return 0
 	}
-	var contract []*chain.Tx
-	moved := 0
-	promote := func(tx *chain.Tx) error {
-		err := n.promoteVerified(tx)
-		if err == nil {
-			h := tx.Hash()
-			n.tracer.Mark(string(h[:]), "preverify")
-			moved++
-		}
-		return err
-	}
+	// Structural check only for a rotation here; the semantic checks
+	// (successor epoch, future height) run against chain state at execution.
+	var rotations, contract []*chain.Tx
 	for _, tx := range batch {
 		if tx.Type != chain.TxTypeGovernance {
 			contract = append(contract, tx)
-			continue
-		}
-		// Structural check only here; the semantic checks (successor
-		// epoch, future height) run against chain state at execution.
-		if _, err := keyepoch.DecodeRotation(tx.Payload); err == nil {
-			_ = promote(tx) // a refused rotation holds no enclave entry to release
+		} else if _, err := keyepoch.DecodeRotation(tx.Payload); err == nil {
+			rotations = append(rotations, tx)
 		}
 	}
 	// Public transactions pre-verify through the CS enclave too
 	// (PreVerifyBatch handles both classes): the block attestation tag only
 	// vouches for signatures checked inside the enclave, so host-side
 	// verification could never be covered by it.
-	//
-	// A transaction refused here has left the pools for good: its block
-	// committed while it was in transit, after that commit's DropPreVerified
-	// ran (or the verified pool is full). The metadata PreVerifyBatch just
-	// cached for it, k_tx included, must leave the enclave now. A duplicate
-	// keeps its entry: the copy already in the verified pool still needs it
-	// at proposal time.
+	promote := append(rotations, n.confEngine.PreVerifyBatch(contract)...)
+	// A contract transaction refused here has left the pools for good: its
+	// block committed while it was in transit, after that commit's
+	// DropPreVerified ran (or the verified pool is full). The metadata
+	// PreVerifyBatch just cached for it, k_tx included, must leave the
+	// enclave now. A duplicate keeps its entry: the copy already in the
+	// verified pool still needs it at proposal time. A refused rotation holds
+	// no enclave entry to release.
 	var refused []chain.Hash
-	for _, tx := range n.confEngine.PreVerifyBatch(contract) {
-		if err := promote(tx); err != nil && !errors.Is(err, chain.ErrDuplicateTx) {
-			refused = append(refused, tx.Hash())
+	moved := 0
+	for i, err := range n.promoteVerified(promote) {
+		h := promote[i].Hash()
+		switch {
+		case err == nil:
+			n.tracer.Mark(string(h[:]), "preverify")
+			moved++
+		case i >= len(rotations) && !errors.Is(err, chain.ErrDuplicateTx):
+			refused = append(refused, h)
 		}
 	}
 	n.confEngine.DropPreVerified(refused)

@@ -18,19 +18,19 @@ import (
 //   - the pacer, one goroutine per non-empty queue, on time while the process
 //     idles. An idle Go process waits for its timers in the netpoller, which
 //     rounds any wait below a millisecond up to a whole one; the pacer instead
-//     sleeps in the kernel through the last millisecond before the earliest
-//     deadline. It exits when the queue drains.
+//     waits on an alarm armed at the earliest deadline, a timerfd that the
+//     netpoller reports to the microsecond, and holds no processor or thread
+//     while it waits. It exits when the queue drains.
 //
-// The pacer alone would do on an idle process, but under saturation a
-// goroutine returning from a kernel sleep queues for a scheduler slot, and
-// the runtime timer does not.
+// The pacer alone would do on an idle process, but under saturation the
+// runtime polls the netpoller only when a processor runs dry (or every 10 ms),
+// while it checks its timers on every scheduling pass.
 type deliveryQueue struct {
 	mu      sync.Mutex
 	pending deliveryHeap
-	seq     uint64        // send order, the tie-break
-	pacing  bool          // a pacer goroutine is running
-	kick    chan struct{} // wakes a pacer waiting on a later head
-	fire    func()        // the runtime timers' callback, allocated once
+	seq     uint64 // send order, the tie-break
+	alarm   *alarm // the running pacer's wait; nil while no pacer runs
+	fire    func() // the runtime timers' callback, allocated once
 }
 
 // delivery is one scheduled message.
@@ -43,7 +43,7 @@ type delivery struct {
 }
 
 func newDeliveryQueue() *deliveryQueue {
-	q := &deliveryQueue{kick: make(chan struct{}, 1)}
+	q := &deliveryQueue{}
 	q.fire = func() {
 		q.mu.Lock()
 		q.deliverDue()
@@ -52,7 +52,12 @@ func newDeliveryQueue() *deliveryQueue {
 	return q
 }
 
-// now is the network's clock.
+// now is the network's clock. With the per-message timers and the pacer's
+// alarm, it is all the queue knows of time, so a virtual clock (ROADMAP item
+// 4(b)) replaces the three. An alarm (alarm_linux.go, alarm_other.go) comes
+// from openAlarm; set arms it to go off d from now, replacing the last
+// setting; wait returns once it has gone off, or early, and the pacer then
+// re-reads the clock; close releases it.
 func (q *deliveryQueue) now() time.Time { return time.Now() }
 
 // schedule queues msg for delivery to dst at the given instant. A delivery
@@ -64,20 +69,41 @@ func (q *deliveryQueue) schedule(dst *Endpoint, msg Message, at time.Time) {
 	d := &delivery{at: at, seq: q.seq, dst: dst, msg: msg}
 	heap.Push(&q.pending, d)
 	delay := at.Sub(q.now())
-	switch {
-	case delay <= 0:
+	if delay <= 0 {
 		q.deliverDue()
 		return
-	case !q.pacing:
-		q.pacing = true
-		go q.pace()
+	}
+	switch {
+	case q.alarm == nil:
+		q.startPacer()
 	case q.pending[0] == d:
-		select {
-		case q.kick <- struct{}{}:
-		default:
-		}
+		q.alarm.set(delay)
 	}
 	d.timer = time.AfterFunc(delay, q.fire)
+}
+
+// spareAlarms holds a few alarms of ended pacing episodes, process-wide, for
+// the next episodes to reuse: opening and closing a timerfd costs five
+// syscalls, and a network under load starts thousands of episodes a second.
+// The capacity bounds the descriptors kept while every queue is idle; a
+// process runs one network at a time, or a few in tests.
+var spareAlarms = make(chan *alarm, 4)
+
+// startPacer starts a pacing episode on a spare or a new alarm; the pacer
+// arms it. Without an alarm (no descriptor left) the runtime timers deliver
+// alone, and the next schedule tries again. The caller holds q.mu.
+func (q *deliveryQueue) startPacer() {
+	var a *alarm
+	select {
+	case a = <-spareAlarms:
+	default:
+		var err error
+		if a, err = openAlarm(); err != nil {
+			return
+		}
+	}
+	q.alarm = a
+	go q.pace(a)
 }
 
 // deliverDue hands every due delivery to its endpoint's inbox, in queue
@@ -95,32 +121,28 @@ func (q *deliveryQueue) deliverDue() {
 	}
 }
 
-// pace is the idle-process waker. It waits on a runtime timer while the
-// earliest deadline is more than a millisecond away (a new, earlier head
-// kicks it), sleeps in the kernel through the rest, and delivers what is
-// due. It exits, clearing pacing, once the queue is empty.
-func (q *deliveryQueue) pace() {
+// pace is the idle-process waker. It delivers what is due, arms its alarm at
+// the earliest remaining deadline (schedule re-arms it for a new, earlier
+// head) and waits on it. Once the queue is empty it ends the episode: it
+// clears q.alarm and hands the alarm on to a later episode, or releases it.
+// A spare may still be armed; the next episode re-arms it before its wait.
+func (q *deliveryQueue) pace(a *alarm) {
 	for {
 		q.mu.Lock()
 		q.deliverDue()
 		if len(q.pending) == 0 {
-			q.pacing = false
+			q.alarm = nil
 			q.mu.Unlock()
+			select {
+			case spareAlarms <- a:
+			default:
+				a.close()
+			}
 			return
 		}
-		wait := q.pending[0].at.Sub(q.now())
+		a.set(q.pending[0].at.Sub(q.now()))
 		q.mu.Unlock()
-		switch {
-		case wait > time.Millisecond:
-			t := time.NewTimer(wait - time.Millisecond)
-			select {
-			case <-t.C:
-			case <-q.kick:
-			}
-			t.Stop()
-		case wait > 0:
-			sleepPrecise(wait)
-		}
+		a.wait()
 	}
 }
 
