@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"time"
 
+	"confide/internal/bench"
 	"confide/internal/chain"
 	"confide/internal/core"
 	"confide/internal/gateway"
@@ -100,7 +101,8 @@ func main() {
 	defer cluster.Close()
 	// Nodes cut their own blocks, for the workload below and gateway clients alike.
 	defer cluster.StartDriver(0)()
-	// Block timings are registry deltas from here: every node's blocks count.
+	// Block timings and the engine operation profile are registry deltas from
+	// here: every node's blocks and every replica's engines count.
 	before := metrics.Default().Snapshot()
 
 	if *gatewayAddr != "" {
@@ -223,7 +225,8 @@ func main() {
 			snap.CounterSum("confide_keyepoch_resealed_records_total"),
 			snap.CounterSum("confide_keyepoch_stale_envelope_rejections_total"))
 	}
-	fmt.Printf("\nengine operation profile (leader):\n%s", leader.ConfidentialEngine().Profile().Table())
+	fmt.Printf("\nengine operation profile (every replica in this process):\n%s",
+		bench.RenderOpProfile(bench.OpProfile(before, after)))
 
 	if *metricsAddr != "" {
 		fmt.Printf("\nmetrics registry snapshot:\n%s", metrics.Default().Summary())
@@ -310,41 +313,19 @@ func pickWorkload(name string) (string, func(*rand.Rand) (string, [][]byte), err
 // deploySCF wires the gateway→manager→service suite across the cluster and
 // returns the gateway address transactions should target.
 func deploySCF(cluster *node.Cluster, client *core.Client) (chain.Address, error) {
-	gateway := chain.AddressFromBytes([]byte("scf-gateway"))
-	manager := chain.AddressFromBytes([]byte("scf-manager"))
-	service := chain.AddressFromBytes([]byte("scf-service"))
 	owner := chain.AddressFromBytes([]byte("demo-owner"))
-	for _, c := range []struct {
-		addr chain.Address
-		src  string
-	}{
-		{gateway, workload.SCFGatewaySrc},
-		{manager, workload.SCFManagerSrc},
-		{service, workload.SCFServiceSrc},
-	} {
-		code, err := workload.CompileCVM(c.src)
-		if err != nil {
-			return gateway, err
-		}
-		if err := cluster.DeployEverywhere(c.addr, owner, core.VMCVM, code, true, 1); err != nil {
-			return gateway, err
-		}
+	wires, err := bench.DeploySCF(client, func(addr chain.Address, code []byte) error {
+		return cluster.DeployEverywhere(addr, owner, core.VMCVM, code, true, 1)
+	})
+	if err != nil {
+		return bench.SCFGateway, err
 	}
-	for _, wire := range []struct{ to, val chain.Address }{
-		{gateway, manager}, {manager, service},
-	} {
-		tx, _, err := client.NewConfidentialTx(wire.to, "init", wire.val[:])
-		if err != nil {
-			return gateway, err
-		}
+	for _, tx := range wires {
 		if err := cluster.Leader().SubmitTx(tx); err != nil {
-			return gateway, err
-		}
-		if err := cluster.WaitIdle(30 * time.Second); err != nil {
-			return gateway, err
+			return bench.SCFGateway, err
 		}
 	}
-	return gateway, nil
+	return bench.SCFGateway, cluster.WaitIdle(30 * time.Second)
 }
 
 func fatal(err error) {

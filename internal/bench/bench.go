@@ -140,6 +140,9 @@ type clusterParams struct {
 	vm           core.VMKind
 	confidential bool
 	source       string
+	// scf runs the three-contract SCF-AR suite instead of source, with gen
+	// building transfers to its gateway.
+	scf          bool
 	gen          func(*rand.Rand) (string, [][]byte)
 	txs          int
 	parallel     int
@@ -166,13 +169,6 @@ func clusterThroughput(p clusterParams) (float64, error) {
 	}
 	defer cluster.Close()
 
-	code, err := workload.Compile(p.source, p.vm)
-	if err != nil {
-		return 0, err
-	}
-	if err := cluster.DeployEverywhere(contractAddr, ownerAddr, p.vm, code, p.confidential, 1); err != nil {
-		return 0, err
-	}
 	var client *core.Client
 	if p.confidential {
 		client, err = core.NewClient(cluster.EnvelopePublicKey())
@@ -183,6 +179,10 @@ func clusterThroughput(p clusterParams) (float64, error) {
 		return 0, err
 	}
 
+	target := contractAddr
+	if p.scf {
+		target = SCFGateway
+	}
 	rng := rand.New(rand.NewSource(11))
 	// build seals n transactions and keeps each one's k_tx (nil for a public
 	// one): the run's receipts are read back with them.
@@ -191,9 +191,9 @@ func clusterThroughput(p clusterParams) (float64, error) {
 		for i := range txs {
 			method, args := p.gen(rng)
 			if p.confidential {
-				txs[i], keys[i], err = client.NewConfidentialTx(contractAddr, method, args...)
+				txs[i], keys[i], err = client.NewConfidentialTx(target, method, args...)
 			} else {
-				txs[i], err = client.NewPublicTx(contractAddr, method, args...)
+				txs[i], err = client.NewPublicTx(target, method, args...)
 			}
 			if err != nil {
 				return nil, nil, err
@@ -218,6 +218,26 @@ func clusterThroughput(p clusterParams) (float64, error) {
 		defer stop()
 		err := cluster.WaitIdle(30 * time.Second)
 		return time.Since(start), err
+	}
+
+	if p.scf {
+		wires, err := DeploySCF(client, func(addr chain.Address, code []byte) error {
+			return cluster.DeployEverywhere(addr, ownerAddr, core.VMCVM, code, true, 1)
+		})
+		if err != nil {
+			return 0, err
+		}
+		if _, err := run(wires); err != nil {
+			return 0, err
+		}
+	} else {
+		code, err := workload.Compile(p.source, p.vm)
+		if err != nil {
+			return 0, err
+		}
+		if err := cluster.DeployEverywhere(contractAddr, ownerAddr, p.vm, code, p.confidential, 1); err != nil {
+			return 0, err
+		}
 	}
 
 	// Warm-up block: populates code caches and JIT-warms the Go runtime so
@@ -339,95 +359,6 @@ func Figure11(cfg Fig11Config) ([]Fig11Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-// ---------------------------------------------------------------------------
-// Table 1: operation profile of one SCF-AR asset transfer.
-// ---------------------------------------------------------------------------
-
-// Table1Result carries the profile snapshot and its rendered table.
-type Table1Result struct {
-	Rendered string
-	Profile  map[string]core.ProfileEntry
-}
-
-// Table1 runs one production-shaped SCF-AR transfer through the
-// hierarchical contract suite and reports the engine's operation profile.
-func Table1() (*Table1Result, error) {
-	store := storage.NewMemStore()
-	store.SetReadLatency(50 * time.Microsecond) // cloud KV store
-	engine, err := newEngine(core.AllOptimizations(), store)
-	if err != nil {
-		return nil, err
-	}
-	gateway := chain.AddressFromBytes([]byte("scf-gateway"))
-	manager := chain.AddressFromBytes([]byte("scf-manager"))
-	service := chain.AddressFromBytes([]byte("scf-service"))
-	for _, c := range []struct {
-		addr chain.Address
-		src  string
-	}{
-		{gateway, workload.SCFGatewaySrc},
-		{manager, workload.SCFManagerSrc},
-		{service, workload.SCFServiceSrc},
-	} {
-		code, err := workload.CompileCVM(c.src)
-		if err != nil {
-			return nil, err
-		}
-		if err := engine.DeployContract(c.addr, ownerAddr, core.VMCVM, code, true, 1); err != nil {
-			return nil, err
-		}
-	}
-	client, err := core.NewClient(engine.EnvelopePublicKey())
-	if err != nil {
-		return nil, err
-	}
-	commit := func(res *core.ExecResult) error {
-		var batch storage.Batch
-		err := res.AppendWrites(&batch)
-		if err == nil {
-			err = store.WriteBatch(&batch)
-		}
-		engine.SettleWrites(err == nil)
-		return err
-	}
-	for _, wire := range []struct{ to, val chain.Address }{
-		{gateway, manager}, {manager, service},
-	} {
-		tx, _, err := client.NewConfidentialTx(wire.to, "init", wire.val[:])
-		if err != nil {
-			return nil, err
-		}
-		res, err := engine.Execute(tx)
-		if err != nil {
-			return nil, err
-		}
-		if err := commit(res); err != nil {
-			return nil, err
-		}
-	}
-
-	engine.Profile().Reset()
-	rng := rand.New(rand.NewSource(3))
-	method, args := workload.SCFTransferInput(rng)
-	tx, _, err := client.NewConfidentialTx(gateway, method, args...)
-	if err != nil {
-		return nil, err
-	}
-	// Pre-verification runs ahead of execution, as in production.
-	engine.PreVerifyBatch([]*chain.Tx{tx})
-	res, err := engine.Execute(tx)
-	if err != nil {
-		return nil, err
-	}
-	if res.Receipt.Status != chain.ReceiptOK {
-		return nil, fmt.Errorf("bench: SCF transfer failed: %s", res.Receipt.Output)
-	}
-	return &Table1Result{
-		Rendered: engine.Profile().Table(),
-		Profile:  engine.Profile().Snapshot(),
-	}, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -15,15 +15,20 @@ func TestMetricsOverheadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster experiment")
 	}
-	res, err := MetricsOverhead(8, 1)
+	cells, err := MetricsOverhead(8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EnabledTPS <= 0 || res.DisabledTPS <= 0 {
-		t.Fatalf("non-positive throughput: %+v", res)
+	if len(cells) != 2 || cells[0].Cell != "ABS" || cells[1].Cell != "SCF-AR" {
+		t.Fatalf("cells = %+v, want ABS and SCF-AR", cells)
 	}
-	if !strings.Contains(res.String(), "delta") {
-		t.Errorf("String() = %q", res.String())
+	for _, res := range cells {
+		if res.EnabledTPS <= 0 || res.DisabledTPS <= 0 {
+			t.Fatalf("non-positive throughput: %+v", res)
+		}
+		if !strings.Contains(res.String(), "delta") {
+			t.Errorf("String() = %q", res.String())
+		}
 	}
 	// The harness must restore the registry state it found.
 	if !metrics.Default().Enabled() {

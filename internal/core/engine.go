@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"confide/internal/chain"
 	"confide/internal/crypto"
@@ -67,7 +66,6 @@ type Engine struct {
 	sdm       *SDM
 	codeCache *cvm.CodeCache
 	preCache  *preVerifyCache
-	profile   *Profile
 	opts      Options
 	// hostPool recycles VM linear memories in the public engine (the paper
 	// ports the memory-management optimizations to the public engine too);
@@ -108,18 +106,17 @@ func NewConfidentialEngineOn(enclave *tee.Enclave, secrets *kms.Secrets, store s
 		enclave: enclave,
 		monitor: tee.NewMonitor(enclave, 1<<12),
 		ring:    keyepoch.NewRing(secrets.Envelope, secrets.StatesKey, opts.EpochWindow),
-		profile: NewProfile(),
 		opts:    opts,
 	}
-	e.sdm = NewSDM(store, enclave, e.ring, e.profile)
+	e.sdm = NewSDM(store, enclave, e.ring)
 	e.initCaches()
 	return e, nil
 }
 
 // NewPublicEngine builds the plain engine (no TEE, no encryption).
 func NewPublicEngine(store storage.KVStore, opts Options) *Engine {
-	e := &Engine{profile: NewProfile(), opts: opts}
-	e.sdm = NewSDM(store, nil, nil, e.profile)
+	e := &Engine{opts: opts}
+	e.sdm = NewSDM(store, nil, nil)
 	e.initCaches()
 	return e
 }
@@ -406,8 +403,8 @@ func (e *Engine) SettleWrites(landed bool) { e.sdm.settle(landed) }
 // directly and would otherwise be shadowed by stale cached plaintext.
 func (e *Engine) InvalidateStateCache() { e.sdm.InvalidateCache() }
 
-// Profile exposes the engine's instrumentation.
-func (e *Engine) Profile() *Profile { return e.profile }
+// Profile exposes this engine's own Table 1 counts (ROADMAP item 24 retires it).
+func (e *Engine) Profile() *Profile { return &e.sdm.ops }
 
 // Monitor exposes the enclave's exit-less status stream (nil in public
 // mode).
@@ -441,10 +438,6 @@ func (e *Engine) Attest() (tee.Report, error) {
 	}
 	fp := crypto.PublicFingerprint(e.EnvelopePublicKey())
 	return e.enclave.RemoteAttest(fp[:])
-}
-
-func (e *Engine) profileSince(op string, start time.Time) {
-	e.profile.Record(op, time.Since(start))
 }
 
 // status streams an error/status line out of the enclave through the
@@ -580,9 +573,9 @@ func (e *Engine) Execute(tx *chain.Tx) (*ExecResult, error) {
 // (AdoptAttestation).
 func (e *Engine) openForExecution(epoch uint64, env []byte, meta preMeta) (*chain.RawTx, []byte, error) {
 	if len(meta.ktx) > 0 {
-		start := time.Now()
+		t := e.sdm.ops.begin(opTxDecrypt)
 		body, err := crypto.OpenEnvelopeWithKey(env, meta.ktx)
-		e.profile.Record(OpTxDecrypt, time.Since(start))
+		t.end()
 		if err == nil {
 			// GCM authenticated the body under the cached key, so the full
 			// open would recover exactly these bytes.
@@ -640,9 +633,9 @@ func (e *Engine) executeRaw(tx *chain.Tx, raw *chain.RawTx, ktx []byte) (*ExecRe
 	if txc.confidential {
 		// Formula (2): Rpt_conf = Enc(k_tx, Rpt_raw). Only the transaction
 		// owner (or a delegate holding k_tx) can read it.
-		start := time.Now()
+		t := e.sdm.ops.begin(opReceiptSeal)
 		sealed, err := crypto.SealAEAD(ktx, stored, receipt.TxHash[:])
-		e.profile.Record(OpReceiptSeal, time.Since(start))
+		t.end()
 		if err != nil {
 			return nil, err
 		}
@@ -669,11 +662,11 @@ func (e *Engine) executeRaw(tx *chain.Tx, raw *chain.RawTx, ktx []byte) (*ExecRe
 // runContract loads and executes one contract frame (used for both the
 // entry call and nested cross-contract calls).
 func (e *Engine) runContract(txc *txContext, addr chain.Address, input []byte, caller []byte, depth int) ([]byte, error) {
-	defer e.profileSince(OpContractCall, time.Now())
+	defer e.sdm.ops.begin(opContractCall).end()
 
-	loadStart := time.Now()
+	t := e.sdm.ops.begin(opCodeLoad)
 	rec, code, err := e.sdm.loadContract(addr)
-	e.profile.Record(OpCodeLoad, time.Since(loadStart))
+	t.end()
 	if err != nil {
 		return nil, err
 	}

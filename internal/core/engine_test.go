@@ -623,22 +623,6 @@ func TestPreVerifySavesDecryptionWork(t *testing.T) {
 	}
 }
 
-func TestProfileTable(t *testing.T) {
-	s := newStack(t, AllOptimizations())
-	deployCounter(t, s.engine, counterAddr, VMCVM, true)
-	client, _ := NewClient(s.engine.EnvelopePublicKey())
-	tx, _, _ := client.NewConfidentialTx(counterAddr, "set", []byte("x"))
-	if _, err := s.engine.Execute(tx); err != nil {
-		t.Fatal(err)
-	}
-	table := s.engine.Profile().Table()
-	for _, want := range []string{"Contract Call", "SetStorage", "Ratio"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("profile table missing %q:\n%s", want, table)
-		}
-	}
-}
-
 func TestEnclaveCostsAccrue(t *testing.T) {
 	s := newStack(t, AllOptimizations())
 	deployCounter(t, s.engine, counterAddr, VMCVM, true)

@@ -35,4 +35,20 @@ var (
 	// writes: a written key stays in memory only if it was read (SDM.settle).
 	mSDMCacheEntries = metrics.Default().Gauge("confide_core_sdm_cache_entries",
 		"entries held in the SDM read caches of this process's engines")
+
+	// Table 1 (profile.go) for every engine in the process: each operation
+	// counted exactly, and the durations of its sampled occurrences.
+	mOps, mOpSeconds = opSeries()
 )
+
+func opSeries() (counts [numOps]*metrics.Counter, seconds [numOps]*metrics.Histogram) {
+	for o, name := range opNames {
+		label := metrics.L{K: "op", V: name}
+		counts[o] = metrics.Default().Counter("confide_core_ops_total",
+			"engine operations of the paper's Table 1, by operation", label)
+		seconds[o] = metrics.Default().Histogram("confide_core_op_seconds",
+			"duration of one in every 61 engine operations (core.SampleEvery), by operation",
+			metrics.ExpBuckets(250e-9, 4, 11), label)
+	}
+	return counts, seconds
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"confide/internal/chain"
 	"confide/internal/keyepoch"
@@ -40,9 +39,9 @@ func (e *Engine) openEnvelope(epoch uint64, env []byte) (raw *chain.RawTx, ktx, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	start := time.Now()
+	t := e.sdm.ops.begin(opTxDecrypt)
 	ktx, body, err = sk.OpenEnvelope(env)
-	e.profile.Record(OpTxDecrypt, time.Since(start))
+	t.end()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -54,6 +53,6 @@ func (e *Engine) openEnvelope(epoch uint64, env []byte) (raw *chain.RawTx, ktx, 
 // alike: the account signature over Tx_raw, and that the key it verifies
 // under is the sender's.
 func (e *Engine) checkSignature(raw *chain.RawTx) error {
-	defer e.profileSince(OpTxVerify, time.Now())
+	defer e.sdm.ops.begin(opTxVerify).end()
 	return raw.VerifySignature()
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"confide/internal/chain"
 	"confide/internal/crypto"
@@ -112,7 +111,10 @@ type SDM struct {
 	store   storage.KVStore
 	enclave *tee.Enclave   // nil in the public engine
 	ring    *keyepoch.Ring // epoch-versioned k_states; nil in the public engine
-	profile *Profile
+	// ops is the owning engine's Table 1 profile (Engine.Profile): the SDM
+	// performs three of its operations, and the engine and its contract
+	// frames reach it here too.
+	ops Profile
 
 	mu    sync.Mutex
 	cache map[string][]byte // decrypted-state read cache
@@ -124,12 +126,11 @@ type SDM struct {
 
 // NewSDM builds the secure data module. enclave and ring are nil for the
 // public engine (no boundary costs, no encryption).
-func NewSDM(store storage.KVStore, enclave *tee.Enclave, ring *keyepoch.Ring, profile *Profile) *SDM {
+func NewSDM(store storage.KVStore, enclave *tee.Enclave, ring *keyepoch.Ring) *SDM {
 	return &SDM{
 		store:   store,
 		enclave: enclave,
 		ring:    ring,
-		profile: profile,
 		cache:   make(map[string][]byte),
 		pending: make(map[string][]byte),
 	}
@@ -193,9 +194,9 @@ func (s *SDM) load(sk []byte, confidential bool) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	if found && confidential && s.ring != nil {
-		start := time.Now()
+		t := s.ops.begin(opStateDecrypt)
 		value, err = s.openSealed(value, sk)
-		s.profile.Record(OpStateDecrypt, time.Since(start))
+		t.end()
 		if err != nil {
 			return nil, false, fmt.Errorf("core: state integrity violation for %q: %w", sk, err)
 		}
@@ -228,9 +229,9 @@ func (s *SDM) sealWrites(addr chain.Address, confidential bool, writes map[strin
 		sk := stateKey(addr, []byte(key))
 		stored := value
 		if confidential && s.ring != nil {
-			start := time.Now()
+			t := s.ops.begin(opStateEncrypt)
 			sealed, err := s.sealRecord(value, sk)
-			s.profile.Record(OpStateEncrypt, time.Since(start))
+			t.end()
 			if err != nil {
 				return err
 			}
@@ -391,9 +392,9 @@ func (s *SDM) loadContract(addr chain.Address) (*ContractRecord, []byte, error) 
 		if s.ring == nil {
 			return nil, nil, errors.New("core: confidential contract requires the confidential engine")
 		}
-		start := time.Now()
+		t := s.ops.begin(opStateDecrypt)
 		code, err = s.openSealed(rec.Code, codeAAD(addr, rec.Owner, rec.SecVer))
-		s.profile.Record(OpStateDecrypt, time.Since(start))
+		t.end()
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: contract code integrity violation: %w", err)
 		}
@@ -468,7 +469,7 @@ var _ cvm.Env = (*frameEnv)(nil)
 
 // GetStorage implements cvm.Env: write-set first, then SDM (cache + store).
 func (f *frameEnv) GetStorage(key []byte) ([]byte, bool, error) {
-	defer f.tx.engine.profileSince(OpGetStorage, time.Now())
+	defer f.tx.engine.sdm.ops.begin(opGetStorage).end()
 	if w := f.tx.writes[f.contract]; w != nil {
 		if v, ok := w.kv[string(key)]; ok {
 			return append([]byte(nil), v...), v != nil, nil // nil: set to empty, which reads as absent
@@ -481,7 +482,7 @@ func (f *frameEnv) GetStorage(key []byte) ([]byte, bool, error) {
 
 // SetStorage implements cvm.Env: buffered until commit.
 func (f *frameEnv) SetStorage(key, value []byte) error {
-	defer f.tx.engine.profileSince(OpSetStorage, time.Now())
+	defer f.tx.engine.sdm.ops.begin(opSetStorage).end()
 	w := f.tx.writes[f.contract]
 	if w == nil {
 		w = &contractWrites{sealed: f.sealed, kv: make(map[string][]byte)}

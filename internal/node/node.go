@@ -594,7 +594,11 @@ func (n *Node) PreVerifyPending() int {
 // the scheduler finds its prediction invalidated (view change, a foreign
 // block at a predicted height), the invalidated proposals' transactions
 // re-enter the pool here.
-func (n *Node) ProposeBlock() (int, error) {
+func (n *Node) ProposeBlock() (int, error) { return n.proposeBlock(nil) }
+
+// proposeBlock is ProposeBlock counting the cut on cut, if one is given,
+// before the proposal can commit (DESIGN §8, increment before publish).
+func (n *Node) proposeBlock(cut *metrics.Counter) (int, error) {
 	if !n.replica.IsLeader() {
 		return 0, consensus.ErrNotLeader
 	}
@@ -630,6 +634,7 @@ func (n *Node) ProposeBlock() (int, error) {
 	// leaving the block hash (and the scheduler's tracking of it) unchanged.
 	block.Attestation = n.confEngine.AttestPreVerified(height, uint32(n.endpoint.ID()), txs)
 	n.sched.Track(height, block.Hash(), parent, txs)
+	cut.Inc()
 	if _, err := n.replica.Propose(block.Encode()); err != nil {
 		// The proposal never entered consensus (view changed under us, or
 		// the replica closed); the transactions go back to the pool instead
@@ -727,10 +732,9 @@ func (n *Node) runProposer(quit <-chan struct{}) {
 			} else if inFlight >= uint64(n.cfg.PipelineDepth) {
 				break // onCommit kicks when a slot frees
 			}
-			if _, err := n.ProposeBlock(); err != nil {
+			if _, err := n.proposeBlock(cut); err != nil {
 				break // lost the view; adopting the next one kicks
 			}
-			cut.Inc()
 		}
 	}
 }
@@ -866,6 +870,20 @@ func (n *Node) applyDecoded(seq uint64, block *chain.Block, payload []byte) bool
 	n.finishEpochTransitions(true, activated)
 	mBlockCommitSeconds.ObserveSince(commitStart)
 
+	// The block is durable: count it and end its transactions' spans before
+	// setTip publishes it, so a reader that waited on the height or on an
+	// idle cluster finds them (DESIGN §8, increment before publish).
+	for _, h := range hashes {
+		key := string(h[:])
+		n.tracer.Mark(key, "commit")
+		n.tracer.End(key)
+	}
+	mBlocks.Inc()
+	mTxsCommitted.Add(uint64(len(block.Txs)))
+	// A due checkpoint, and the pruning it anchors, finish before the tip
+	// moves too. Under applyMu the store is quiescent, so the checkpoint sees
+	// exactly the state after this block.
+	n.maybeCheckpoint(block.Header.Height+1, block.Hash())
 	n.setTip(block.Header.Height+1, block.Hash())
 	// The committed tip advanced: consume the predicted chain's head if
 	// this was the predicted block, or abort the whole in-flight suffix if
@@ -881,14 +899,9 @@ func (n *Node) applyDecoded(seq uint64, block *chain.Block, payload []byte) bool
 	for _, h := range hashes {
 		n.unverified.Remove(h)
 		n.verified.Remove(h)
-		key := string(h[:])
-		n.tracer.Mark(key, "commit")
-		n.tracer.End(key)
 	}
 	n.confEngine.DropPreVerified(hashes)
 	n.pubEngine.DropPreVerified(hashes)
-	mBlocks.Inc()
-	mTxsCommitted.Add(uint64(len(block.Txs)))
 	// Receipt notification: serving layers (gateway long-polls) learn what
 	// this block committed. Hooks run outside the state lock so they may
 	// call back into Receipt/ProveTx.
@@ -901,9 +914,6 @@ func (n *Node) applyDecoded(seq uint64, block *chain.Block, payload []byte) bool
 	for _, fn := range hooks {
 		fn(block.Header.Height, hashes)
 	}
-	// Still under applyMu: the store is quiescent, so a due checkpoint sees
-	// exactly the state after this block.
-	n.maybeCheckpoint()
 	return true
 }
 
@@ -919,15 +929,13 @@ func (n *Node) setTip(height uint64, hash chain.Hash) {
 }
 
 // maybeCheckpoint exports a snapshot when the chain crosses a checkpoint
-// boundary, then anchors block pruning at it. Caller holds applyMu.
-func (n *Node) maybeCheckpoint() {
+// boundary, then anchors block pruning at it: height and tipHash are the
+// tip the block being applied brings the chain to. Caller holds applyMu.
+func (n *Node) maybeCheckpoint(height uint64, tipHash chain.Hash) {
 	interval := n.cfg.CheckpointInterval
 	if interval == 0 {
 		return
 	}
-	n.mu.Lock()
-	height, tipHash := n.height, n.prevHash
-	n.mu.Unlock()
 	if height == 0 || height%interval != 0 || n.snapshots.LatestHeight() >= height {
 		return
 	}
@@ -1161,11 +1169,11 @@ func (n *Node) fatalStore(err error) {
 	n.fatalMu.Lock()
 	first := n.fatalErr == nil
 	if first {
+		mStoreFatal.Inc() // before Failed() can report it (DESIGN §8)
 		n.fatalErr = err
 	}
 	n.fatalMu.Unlock()
 	if first {
-		mStoreFatal.Inc()
 		go n.Kill()
 	}
 }

@@ -53,10 +53,10 @@ func (n *Node) PrunedTo() uint64 {
 	return height
 }
 
-// pruneBlocks retires block payloads below min(checkpointHeight,
-// height − Retention) and bounds the WAL. Caller holds applyMu (so heights
-// are stable) and has just exported the checkpoint at checkpointHeight.
-// Retention 0 disables pruning.
+// pruneBlocks retires block payloads below checkpointHeight − Retention and
+// bounds the WAL. Caller holds applyMu (so heights are stable) and has just
+// exported the checkpoint at checkpointHeight, the height the block being
+// applied brings the chain to. Retention 0 disables pruning.
 func (n *Node) pruneBlocks(checkpointHeight uint64) {
 	if n.cfg.Retention == 0 {
 		return
@@ -64,16 +64,11 @@ func (n *Node) pruneBlocks(checkpointHeight uint64) {
 	if n.crashHit(vfs.CrashPrune) {
 		return
 	}
-	height, from := n.Height(), n.PrunedTo()
-	if height <= n.cfg.Retention {
+	from := n.PrunedTo()
+	if checkpointHeight <= n.cfg.Retention {
 		return
 	}
-	floor := height - n.cfg.Retention
-	if floor > checkpointHeight {
-		// Never prune past the last stable checkpoint: blocks above it are
-		// the tail a snapshot-joining peer still replays.
-		floor = checkpointHeight
-	}
+	floor := checkpointHeight - n.cfg.Retention
 	if floor <= from {
 		return
 	}

@@ -439,6 +439,10 @@ func (n *Node) installSnapshot(man *snapshot.Manifest, chunks [][]byte) bool {
 		n.applyMu.Unlock()
 		return false
 	}
+	// The install is committed: count it before anything can observe it
+	// (DESIGN §8, increment before publish).
+	mSyncPathSnapshot.Inc()
+	mSnapInstallHeight.Set(int64(man.Height))
 	// The installed state carries the chain's epoch markers (ke/ keys ride
 	// in the snapshot); bring the engine ring and the pending schedule in
 	// line before any post-install block executes. A rejoin across a
@@ -455,7 +459,5 @@ func (n *Node) installSnapshot(man *snapshot.Manifest, chunks [][]byte) bool {
 	// commits queued above the checkpoint, and the executor applying them
 	// takes applyMu itself.
 	n.alignReplica()
-	mSyncPathSnapshot.Inc()
-	mSnapInstallHeight.Set(int64(man.Height))
 	return true
 }

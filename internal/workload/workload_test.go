@@ -9,6 +9,7 @@ import (
 	"confide/internal/chain"
 	"confide/internal/core"
 	"confide/internal/kms"
+	"confide/internal/metrics"
 	"confide/internal/storage"
 	"confide/internal/tee"
 )
@@ -225,6 +226,32 @@ func TestSCFTransferMatchesTable1OperationMix(t *testing.T) {
 	}
 	if got := snap[core.OpTxDecrypt].Count; got != 1 {
 		t.Errorf("decryptions = %d, want 1", got)
+	}
+}
+
+// The registry reads Table 1 too: one transfer moves the process-wide
+// confide_core_ops_total series by exactly its operation mix.
+func TestSCFTransferMovesTable1Series(t *testing.T) {
+	engine := testEngine(t, core.AllOptimizations())
+	gateway := deploySCF(t, engine, core.VMCVM)
+	client, _ := core.NewClient(engine.EnvelopePublicKey())
+	method, args := SCFTransferInput(rand.New(rand.NewSource(7)))
+	tx, _, _ := client.NewConfidentialTx(gateway, method, args...)
+
+	before := metrics.Default().Snapshot()
+	res, err := engine.Execute(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Receipt.Status != chain.ReceiptOK {
+		t.Fatalf("transfer failed: %s", res.Receipt.Output)
+	}
+	after := metrics.Default().Snapshot()
+	for op, want := range map[string]uint64{core.OpContractCall: 31, core.OpGetStorage: 151, core.OpSetStorage: 9} {
+		series := `confide_core_ops_total{op="` + op + `"}`
+		if got := after.Counters[series] - before.Counters[series]; got != want {
+			t.Errorf("%s moved by %d, want %d (Table 1)", series, got, want)
+		}
 	}
 }
 
